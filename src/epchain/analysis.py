@@ -18,7 +18,7 @@ import mpmath as mp
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateFit, NoTransition
+from .errors import DegenerateFit, EpchainError, NoTransition
 from .models import ModelKind, ModelSpec, StateVector, build_hamiltonian
 
 BROKEN_THRESHOLD = 1e-10
@@ -118,7 +118,8 @@ def _sweep_workers() -> int:
 def sweep_grid(template: ModelSpec, x_axis: AxisSpec, y_axis: AxisSpec) -> PhaseGrid:
     """Evaluate max|Im eps| at every grid node, deterministic row-major order.
 
-    Per-node failures are recorded as NaN; the grid is still returned.
+    A node whose spec, build or eigensolve fails (EpchainError or ValueError)
+    is recorded as NaN; the grid is still returned.
     """
     if y_axis.name != "gamma":
         raise ValueError("the sweep y-axis must be gamma")
@@ -132,7 +133,7 @@ def sweep_grid(template: ModelSpec, x_axis: AxisSpec, y_axis: AxisSpec) -> Phase
     def node_value(spec: ModelSpec) -> float:
         try:
             return max_im_epsilon(build_hamiltonian(spec))
-        except Exception:
+        except (EpchainError, ValueError):
             return float("nan")
 
     values = np.empty((len(x_axis.values), len(y_axis.values)))

@@ -94,7 +94,7 @@ class EffectiveModel:
 
 def scattering_F(k: float, N: int, gamma: float) -> float:
     """Quantization function sin[k(N+1)] + gamma^2 sin[k(N-1)] at V = 0."""
-    return math.sin(k * (N + 1)) + gamma ** 2 * math.sin(k * (N - 1))
+    return scattering_condition(k, N, 0.0, gamma)
 
 
 def scattering_condition(k: float, N: int, V: float, gamma: float) -> float:
@@ -142,7 +142,7 @@ def scattering_ep(N: int, k0: float = 1.5, gamma0: float = 0.9,
         raise ValueError("scattering_ep requires even N")
     k, g = k0, gamma0
     for _ in range(max_iter):
-        f1 = math.sin(k * (N + 1)) + g ** 2 * math.sin(k * (N - 1))
+        f1 = scattering_F(k, N, g)
         f2 = (N + 1) * math.cos(k * (N + 1)) + g ** 2 * (N - 1) * math.cos(k * (N - 1))
         j11 = f2
         j12 = 2 * g * math.sin(k * (N - 1))

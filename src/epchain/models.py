@@ -6,7 +6,9 @@ imaginary longitudinal field.  Conventions:
 
 * magnon basis: position states |1> .. |N>, stored as indices 0 .. N-1;
 * spin-z basis: index is the bitstring with site 1 as the most significant
-  bit and bit 1 = spin up, so |down...down> is index 0.
+  bit and bit 1 = spin up, so |down...down> is index 0.  Site l has
+  sz = +1 exactly when ``(idx >> (N - l)) & 1`` is set, and every 2^N
+  operator is written directly from these bits (``_spin_z``).
 
 The full-space chain is assembled in the number-operator form
 ``sum_l (s+_l s-_{l+1} + h.c.) + (V+ig) n_1 + (V-ig) n_N`` with
@@ -25,15 +27,6 @@ import numpy as np
 from .errors import DimensionCap, DimensionMismatch, OddNForW, SectorNotInvariant
 
 FULL_SPACE_CAP = 4096  # 2^12
-
-# single-site operators in the (down, up) index order, so that basis index
-# bit 1 means spin up and |down...down> is index 0
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, 1j], [-1j, 0]], dtype=complex)
-_SZ = np.array([[-1, 0], [0, 1]], dtype=complex)
-_SP = np.array([[0, 0], [1, 0]], dtype=complex)  # s+ = |up><down|
-_SM = _SP.T.conj()
-_ID = np.eye(2, dtype=complex)
 
 
 class ModelKind(enum.Enum):
@@ -181,23 +174,10 @@ def build_h_w(N: int, gamma: float) -> np.ndarray:
     return build_h_eq(ModelSpec(ModelKind.XY_MAGNON, N=N, V=0.0, gamma=gamma))
 
 
-def _local(op: np.ndarray, site: int, N: int) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for s in range(N):
-        out = np.kron(out, op if s == site else _ID)
-    return out
-
-
-def _two_site(op1: np.ndarray, s1: int, op2: np.ndarray, s2: int, N: int) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for s in range(N):
-        if s == s1:
-            out = np.kron(out, op1)
-        elif s == s2:
-            out = np.kron(out, op2)
-        else:
-            out = np.kron(out, _ID)
-    return out
+def _spin_z(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spin-z basis indices 0 .. 2^N-1 and their sz values (column l = site l+1)."""
+    idx = np.arange(2 ** N)
+    return idx, 2 * ((idx[:, None] >> (N - 1 - np.arange(N))) & 1) - 1
 
 
 def build_h_chain_full(spec: ModelSpec) -> np.ndarray:
@@ -209,25 +189,22 @@ def build_h_chain_full(spec: ModelSpec) -> np.ndarray:
     if spec.kind is not ModelKind.XY_FULL_SPACE:
         raise ValueError("build_h_chain_full requires kind=XY_FULL_SPACE")
     N = spec.N
-    dim = 2 ** N
-    h = np.zeros((dim, dim), dtype=complex)
+    idx, z = _spin_z(N)
+    h = np.zeros((idx.size, idx.size), dtype=complex)
     for l in range(N - 1):
-        h += _two_site(_SP, l, _SM, l + 1, N)
-        h += _two_site(_SM, l, _SP, l + 1, N)
-    n_first = (_local(_SZ, 0, N) + np.eye(dim)) / 2
-    n_last = (_local(_SZ, N - 1, N) + np.eye(dim)) / 2
-    h += (spec.V + 1j * spec.gamma) * n_first
-    h += (spec.V - 1j * spec.gamma) * n_last
+        # s+_l s-_{l+1} + h.c. swaps the two spins where they differ
+        hop = idx[z[:, l] != z[:, l + 1]]
+        h[hop ^ (3 << (N - 2 - l)), hop] = 1.0
+    diag = np.zeros(idx.size, dtype=complex)
+    diag += (spec.V + 1j * spec.gamma) * ((z[:, 0] + 1) / 2)
+    diag += (spec.V - 1j * spec.gamma) * ((z[:, N - 1] + 1) / 2)
+    h[idx, idx] = diag
     return h
 
 
 def total_sz(N: int) -> np.ndarray:
     """J_z = sum_l sz_l on the 2^N space."""
-    dim = 2 ** N
-    jz = np.zeros((dim, dim), dtype=complex)
-    for l in range(N):
-        jz += _local(_SZ, l, N)
-    return jz
+    return np.diag(_spin_z(N)[1].sum(axis=1).astype(complex))
 
 
 def reduce_to_magnon_sector(h_full: np.ndarray, N: int) -> np.ndarray:
@@ -239,12 +216,12 @@ def reduce_to_magnon_sector(h_full: np.ndarray, N: int) -> np.ndarray:
     dim = 2 ** N
     if h_full.shape != (dim, dim):
         raise DimensionMismatch(f"expected shape {(dim, dim)}, got {h_full.shape}")
-    jz = total_sz(N)
-    comm = jz @ h_full - h_full @ jz
+    m = _spin_z(N)[1].sum(axis=1)
+    comm_norm = np.linalg.norm((m[:, None] - m[None, :]) * h_full)  # [J_z, H]
     scale = 1.0 + np.linalg.norm(h_full)
-    if np.linalg.norm(comm) > 1e-10 * scale:
+    if comm_norm > 1e-10 * scale:
         raise SectorNotInvariant(
-            f"[J_z, H] norm {np.linalg.norm(comm):.3e} exceeds {1e-10 * scale:.3e}"
+            f"[J_z, H] norm {comm_norm:.3e} exceeds {1e-10 * scale:.3e}"
         )
     idx = [2 ** (N - l) for l in range(1, N + 1)]  # |l> = single up-spin at site l
     return h_full[np.ix_(idx, idx)]
@@ -259,14 +236,18 @@ def build_h_ghz(spec: ModelSpec) -> np.ndarray:
     if spec.kind is not ModelKind.TRANSVERSE_ISING:
         raise ValueError("build_h_ghz requires kind=TRANSVERSE_ISING")
     N = spec.N
-    dim = 2 ** N
-    h = np.zeros((dim, dim), dtype=complex)
+    idx, z = _spin_z(N)
+    h = np.zeros((idx.size, idx.size), dtype=complex)
     bonds = N if spec.ising_boundary is IsingBoundary.PERIODIC else N - 1
+    # terms summed one by one, bonds then sites, so every entry is reproducible
+    # to the bit
+    diag = np.zeros(idx.size, dtype=complex)
     for l in range(bonds):
-        h += -spec.J * _two_site(_SZ, l, _SZ, (l + 1) % N, N)
+        diag += -spec.J * (z[:, l] * z[:, (l + 1) % N])
     for l in range(N):
-        h += 1j * spec.gamma * _local(_SZ, l, N)
-        h += spec.Delta * _local(_SX, l, N)
+        diag += 1j * spec.gamma * z[:, l]
+        h[idx ^ (1 << (N - 1 - l)), idx] = spec.Delta  # sx_l flips site l
+    h[idx, idx] = diag
     return h
 
 
@@ -312,13 +293,6 @@ def target_state(name: str, N: int) -> StateVector:
 # ---------------------------------------------------------------------------
 # symmetry checks
 
-def _bit_reversal_permutation(N: int) -> np.ndarray:
-    perm = np.empty(2 ** N, dtype=int)
-    for i in range(2 ** N):
-        perm[i] = int(format(i, f"0{N}b")[::-1], 2)
-    return perm
-
-
 def check_pt_spectrum(m: np.ndarray, basis: str = "magnon",
                       parity: str = "site_reversal") -> bool:
     """True iff P conj(m) P = m to 1e-12 for the chosen parity P.
@@ -343,7 +317,8 @@ def check_pt_spectrum(m: np.ndarray, basis: str = "magnon",
         if 2 ** N != n:
             raise DimensionMismatch(f"dim {n} is not a power of two")
         if parity == "site_reversal":
-            perm = _bit_reversal_permutation(N)
+            # up spin at site l+1 moves to bit l: the reversed bitstring
+            perm = (_spin_z(N)[1] > 0) @ (1 << np.arange(N))
         elif parity == "spin_flip":
             perm = np.arange(n)[::-1]  # bit complement: i -> 2^N - 1 - i
         else:

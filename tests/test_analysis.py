@@ -7,8 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from epchain import analysis, bethe, dynamics, models
-from epchain.errors import DegenerateFit, NoTransition
+from epchain import analysis, bethe, cli, dynamics, linalg, models
+from epchain.errors import DegenerateFit, NonConvergence, NoTransition
 from epchain.models import ModelKind, ModelSpec
 
 
@@ -105,6 +105,31 @@ def test_sweep_grid_deterministic_under_thread_cap():
         else:
             os.environ["EPCHAIN_THREADS"] = old
     assert np.array_equal(g1.values, g2.values)
+
+
+def test_sweep_grid_failed_node_is_nan_and_cli_exits_3(monkeypatch, tmp_path):
+    axes = (
+        analysis.AxisSpec.from_range("V", 2.0, 8.0, "lin", 3),
+        analysis.AxisSpec.from_range("gamma", 0.1, 1.0, "lin", 2),
+    )
+    eig = linalg.eig
+    injected = NonConvergence
+
+    def eig_failing_at_v5(m):
+        if m[0, 0].real == 5.0:
+            raise injected("injected failure")
+        return eig(m)
+
+    monkeypatch.setattr(linalg, "eig", eig_failing_at_v5)
+    grid = analysis.sweep_grid(xy(6), *axes)
+    assert np.array_equal(np.isnan(grid.values), [[0, 0], [1, 1], [0, 0]])
+    rc = cli.main(["phase-diagram", "--model", "xy", "--n", "6",
+                   "--x-range", "2:8:lin:3", "--gamma-range", "0.1:1:lin:2",
+                   "--out", str(tmp_path / "grid.csv")])
+    assert rc == 3
+    injected = RuntimeError  # not a node failure: must propagate
+    with pytest.raises(RuntimeError, match="injected failure"):
+        analysis.sweep_grid(xy(6), *axes)
 
 
 def test_sweep_grid_requires_gamma_y_axis():

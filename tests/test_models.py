@@ -144,11 +144,12 @@ def test_reduce_rejects_wrong_shape():
 
 def test_ghz_single_spin_eigenvalues():
     delta, gamma = 1.7, 0.9
-    h = models.build_h_ghz(ising(1, J=0.0, Delta=delta, gamma=gamma))
-    vals = np.sort(np.linalg.eigvals(h).real)
     expected = math.sqrt(delta ** 2 - gamma ** 2)
-    assert np.allclose(vals, [-expected, expected], atol=1e-12)
-    assert np.allclose(np.linalg.eigvals(h).imag, 0.0, atol=1e-12)
+    for J in (0.0, 1.0):  # the ring's single bond is sz_1 sz_1 = identity
+        h = models.build_h_ghz(ising(1, J=J, Delta=delta, gamma=gamma))
+        vals = np.sort(np.linalg.eigvals(h).real)
+        assert np.allclose(vals, [-J - expected, -J + expected], atol=1e-12)
+        assert np.allclose(np.linalg.eigvals(h).imag, 0.0, atol=1e-12)
 
 
 def test_ghz_reality_condition_satisfied():
@@ -170,6 +171,74 @@ def test_ghz_open_vs_periodic_bond_count():
     diff = hp - ho
     assert np.count_nonzero(diff) == 16  # diagonal sigma^z_4 sigma^z_1 term
     assert np.allclose(np.diag(diff), np.diag(diff).real)
+
+
+# ---------------------------------------------------------------------------
+# Kronecker-product reference for the bit-operation builders
+
+_SX = np.array([[0, 1], [1, 0]], dtype=complex)
+_SZ = np.array([[-1, 0], [0, 1]], dtype=complex)
+_SP = np.array([[0, 0], [1, 0]], dtype=complex)  # s+ = |up><down|, (down, up) order
+_SM = _SP.T.conj()
+
+
+def _kron_sites(N, ops):
+    """Tensor product over sites 0..N-1 of ops[site], identity elsewhere."""
+    out = np.eye(1, dtype=complex)
+    for s in range(N):
+        out = np.kron(out, ops.get(s, np.eye(2, dtype=complex)))
+    return out
+
+
+def _kron_h_ghz(spec):
+    N = spec.N
+    h = np.zeros((2 ** N, 2 ** N), dtype=complex)
+    bonds = N if spec.ising_boundary is IsingBoundary.PERIODIC else N - 1
+    for l in range(bonds):
+        h += -spec.J * _kron_sites(N, {l: _SZ, (l + 1) % N: _SZ})
+    for l in range(N):
+        h += 1j * spec.gamma * _kron_sites(N, {l: _SZ})
+        h += spec.Delta * _kron_sites(N, {l: _SX})
+    return h
+
+
+def _kron_h_chain_full(spec):
+    N = spec.N
+    dim = 2 ** N
+    h = np.zeros((dim, dim), dtype=complex)
+    for l in range(N - 1):
+        h += _kron_sites(N, {l: _SP, l + 1: _SM})
+        h += _kron_sites(N, {l: _SM, l + 1: _SP})
+    n_first = (_kron_sites(N, {0: _SZ}) + np.eye(dim)) / 2
+    n_last = (_kron_sites(N, {N - 1: _SZ}) + np.eye(dim)) / 2
+    h += (spec.V + 1j * spec.gamma) * n_first
+    h += (spec.V - 1j * spec.gamma) * n_last
+    return h
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_bit_builders_equal_kron_reference(N):
+    rng = np.random.default_rng(N)
+    J, Delta, V = 2.0 * rng.normal(size=3)
+    gamma = abs(rng.normal())
+    for boundary in IsingBoundary:
+        spec = ising(N, J=J, Delta=Delta, gamma=gamma, boundary=boundary)
+        assert np.array_equal(models.build_h_ghz(spec), _kron_h_ghz(spec))
+    spec = full(N, V=V, gamma=gamma)
+    assert np.array_equal(models.build_h_chain_full(spec),
+                          _kron_h_chain_full(spec))
+    assert np.array_equal(models.total_sz(N),
+                          sum(_kron_sites(N, {l: _SZ}) for l in range(N)))
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_spin_site_reversal_is_bitstring_reversal(N):
+    # generic matrix whose PT symmetry is exactly P = reversed bitstring
+    rev = [int(format(i, f"0{N}b")[::-1], 2) for i in range(2 ** N)]
+    a, b = np.random.default_rng(N).normal(size=(2, 2 ** N, 2 ** N))
+    m = a + a[np.ix_(rev, rev)] + 1j * (b - b[np.ix_(rev, rev)])
+    assert models.check_pt_spectrum(m, basis="spin", parity="site_reversal")
+    assert not models.check_pt_spectrum(m, basis="spin", parity="spin_flip")
 
 
 # ---------------------------------------------------------------------------
