@@ -3,8 +3,9 @@
 max|Im eps| over parameter grids is the broken-phase indicator.  The numeric
 boundary is located by bisection on that indicator; for the magnon chain the
 critical gamma can fall far below double-precision resolution (it decays as
-1/V^(N-2)), so the scan escalates to an arbitrary-precision characteristic-
-polynomial solve when needed.
+1/V^(N-2)), so the scan escalates, when needed, to a bisection in mpmath
+gamma on an exact predicate: a Sturm count of the real roots of the chain's
+integer-scaled characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import mpmath as mp
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateFit, EpchainError, NoTransition
+from .errors import ConfigError, DegenerateFit, EpchainError, NoTransition
 from .models import ModelKind, ModelSpec, StateVector, build_hamiltonian
 
 BROKEN_THRESHOLD = 1e-10
@@ -111,7 +112,11 @@ def _with_params(template: ModelSpec, name: str, value: float) -> ModelSpec:
 def _sweep_workers() -> int:
     env = os.environ.get("EPCHAIN_THREADS", "")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(
+                f"EPCHAIN_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -145,47 +150,110 @@ def sweep_grid(template: ModelSpec, x_axis: AxisSpec, y_axis: AxisSpec) -> Phase
 
 
 # ---------------------------------------------------------------------------
-# high-precision spectrum of the magnon chain (tridiagonal charpoly roots)
+# exact broken-phase predicate of the magnon chain (integer Sturm count)
+#
+# The PT-symmetric chain's characteristic polynomial has real coefficients, so
+# the chain is broken exactly when det(E - H) has a non-real root.  V (a
+# double) and gamma (an mpf) are dyadic rationals, so a power-of-two multiple
+# of det(E - H) has integer coefficients and a Sturm sequence counts its real
+# roots without rounding; this holds however far gamma_c sits below double
+# precision.
 
-def _magnon_charpoly(N: int, V, g):
-    """Coefficients (low to high) of det(E - H) via the 3-term recurrence."""
-    diag = [mp.mpc(V, g)] + [mp.mpc(0)] * (N - 2) + [mp.mpc(V, -g)]
-    p_prev = [mp.mpc(1)]
-    p = [-diag[0], mp.mpc(1)]
-    for j in range(1, N):
-        shifted = [mp.mpc(0)] + p
-        new = [shifted[i] + (-diag[j] * p[i] if i < len(p) else 0)
-               for i in range(len(shifted))]
-        for i in range(len(p_prev)):
-            new[i] -= p_prev[i]
-        p_prev, p = p, new
-    return p
+def _padd(a: list[int], b: list[int], sign: int = 1) -> list[int]:
+    """a + sign*b for integer coefficient lists, lowest degree first."""
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    return [x + sign * (b[i] if i < len(b) else 0) for i, x in enumerate(a)]
 
 
-def _magnon_max_im(N: int, V, g, dps: int):
-    with mp.workdps(dps):
-        coeffs = _magnon_charpoly(N, V, g)
-        roots = mp.polyroots(list(reversed(coeffs)), maxsteps=2000,
-                             extraprec=4 * dps)
-        return max(abs(mp.im(r)) for r in roots)
+def _pmul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _magnon_int_charpoly(N: int, V: float, g) -> list[int]:
+    """2^u det(E - H) of the magnon chain, integer coefficients, leading first.
+
+    det(E - H) = ((E-V)^2 + g^2) Q_{N-2} - 2(E-V) Q_{N-3} + Q_{N-4}, where
+    Q_m = E Q_{m-1} - Q_{m-2} (Q_0 = 1, Q_{-1} = 0, Q_{-2} = -1) is the
+    zero-diagonal interior chain.
+    """
+    a, den = float(V).as_integer_ratio()
+    s = den.bit_length() - 1  # V = a / 2^s
+    man, exp = g.man_exp
+    t = max(0, -2 * exp)  # g^2 = c / 2^t
+    c = int(man) ** 2 << (2 * exp + t)
+    u = max(2 * s, t)
+    two_v = a << (u - s + 1)  # 2^u * 2V
+    quad = [(a * a << (u - 2 * s)) + (c << (u - t)), -two_v, 1 << u]
+    lin = [-two_v, 1 << (u + 1)]
+    q = [[-1], [0], [1]]  # Q_{m-2} sits at q[m]
+    for _ in range(N - 2):
+        q.append(_padd([0] + q[-1], q[-2], -1))
+    det = _padd(_padd(_pmul(quad, q[N]), _pmul(lin, q[N - 1]), -1),
+                [x << u for x in q[N - 2]])
+    return det[::-1]
+
+
+def _sturm_root_counts(p: list[int]) -> tuple[int, int]:
+    """(distinct real roots, distinct roots) of an integer polynomial.
+
+    p lists the coefficients leading first (p[0] != 0, degree n >= 1).  The
+    Sturm chain is built from pseudo-remainders scaled by |lc|^k > 0, which
+    keeps every sign, and each element is divided by its content to bound
+    coefficient growth.  The chain ends at gcd(p, p'), of degree n minus the
+    number of distinct roots.
+    """
+    n = len(p) - 1
+    chain = [p, [c * (n - i) for i, c in enumerate(p[:-1])]]
+    while len(chain[-1]) > 1:
+        b = chain[-1]
+        lc, sgn = abs(b[0]), (1 if b[0] > 0 else -1)
+        r = chain[-2]
+        while r and len(r) >= len(b):
+            f = sgn * r[0]
+            r = [lc * x - f * (b[i] if i < len(b) else 0)
+                 for i, x in enumerate(r)][1:]
+            while r and r[0] == 0:
+                r = r[1:]
+        if not r:
+            break
+        content = math.gcd(*r)
+        chain.append([-x // content for x in r])
+
+    def sign_changes(signs) -> int:
+        return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
+
+    at_plus = [1 if c[0] > 0 else -1 for c in chain]
+    at_minus = [s if (len(c) - 1) % 2 == 0 else -s
+                for s, c in zip(at_plus, chain)]
+    distinct = n - (len(chain[-1]) - 1)
+    return sign_changes(at_minus) - sign_changes(at_plus), distinct
+
+
+def _magnon_broken(N: int, V: float, g) -> bool:
+    """True iff the magnon chain at (V, g) has a non-real eigenvalue.
+
+    An exceptional point (a repeated real root) counts as unbroken.
+    """
+    real, distinct = _sturm_root_counts(_magnon_int_charpoly(N, V, g))
+    return real < distinct
 
 
 def _numeric_boundary_highprec(N: int, V: float, rel_tol: float,
                                dps: int = 60) -> float:
-    """Bisection on the arbitrary-precision indicator (XY magnon chain)."""
+    """Bisection in mpf gamma on the exact predicate (XY magnon chain)."""
     with mp.workdps(dps):
-        threshold = mp.mpf(10) ** -30 * (1 + abs(V))
-
-        def broken(g) -> bool:
-            return _magnon_max_im(N, V, g, dps) > threshold
-
         lo, hi = mp.mpf(10) ** -45, mp.mpf(10)
-        if broken(lo) or not broken(hi):
+        if _magnon_broken(N, V, lo) or not _magnon_broken(N, V, hi):
             raise NoTransition(f"no transition in gamma for N={N}, V={V}")
         iterations = int(math.ceil(math.log2(float(mp.log(hi / lo)) / rel_tol))) + 2
         for _ in range(iterations):
             mid = mp.sqrt(lo * hi)
-            if broken(mid):
+            if _magnon_broken(N, V, mid):
                 hi = mid
             else:
                 lo = mid
@@ -198,9 +266,9 @@ def numeric_boundary_gamma(template: ModelSpec, control_value: float,
     """Critical gamma from the diagonalization scan, relative rel_tol.
 
     control_value sets V (XY) or Delta (Ising).  Bisection on the indicator
-    max|Im eps| > threshold * (1 + |control|); escalates to the
-    arbitrary-precision path when the transition sits below double-precision
-    resolution (only supported for the magnon chain).
+    max|Im eps| > threshold * (1 + |control|); when the transition sits
+    below double-precision resolution it escalates to a 60-digit bisection on
+    the exact Sturm-count predicate (only supported for the magnon chain).
     """
     name = "Delta" if template.kind is ModelKind.TRANSVERSE_ISING else "V"
     base = _with_params(template, name, control_value)

@@ -4,11 +4,13 @@ optimizer."""
 import math
 import os
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from epchain import analysis, bethe, cli, dynamics, linalg, models
-from epchain.errors import DegenerateFit, NonConvergence, NoTransition
+from epchain.errors import (ConfigError, DegenerateFit, NonConvergence,
+                            NoTransition)
 from epchain.models import ModelKind, ModelSpec
 
 
@@ -132,6 +134,20 @@ def test_sweep_grid_failed_node_is_nan_and_cli_exits_3(monkeypatch, tmp_path):
         analysis.sweep_grid(xy(6), *axes)
 
 
+def test_sweep_workers_from_environment(monkeypatch, tmp_path, capsys):
+    for env, workers in (("3", 3), ("0", 1), ("-2", 1)):
+        monkeypatch.setenv("EPCHAIN_THREADS", env)
+        assert analysis._sweep_workers() == workers
+    monkeypatch.setenv("EPCHAIN_THREADS", "abc")
+    with pytest.raises(ConfigError, match="EPCHAIN_THREADS"):
+        analysis._sweep_workers()
+    rc = cli.main(["phase-diagram", "--model", "xy", "--n", "4",
+                   "--x-range", "2:8:lin:2", "--gamma-range", "0.1:1:lin:2",
+                   "--out", str(tmp_path / "grid.csv")])
+    assert rc == 2
+    assert "EPCHAIN_THREADS" in capsys.readouterr().err
+
+
 def test_sweep_grid_requires_gamma_y_axis():
     with pytest.raises(ValueError):
         analysis.sweep_grid(
@@ -196,6 +212,117 @@ def test_numeric_boundary_no_transition():
     # with J=0 and Delta=20 the spectrum stays real for every gamma <= 10
     with pytest.raises(NoTransition):
         analysis.numeric_boundary_gamma(ising(4, J=0.0, Delta=20.0), 20.0)
+
+
+# ---------------------------------------------------------------------------
+# exact broken-phase predicate (integer Sturm count)
+#
+# The reference is the predicate it replaced: a 60-digit mp.polyroots solve of
+# the complex characteristic polynomial, broken when max|Im eps| exceeds
+# 1e-30 * (1 + |V|).
+
+def _reference_magnon_charpoly(N, V, g):
+    """Complex coefficients (low to high) of det(E - H), 3-term recurrence."""
+    diag = [mp.mpc(V, g)] + [mp.mpc(0)] * (N - 2) + [mp.mpc(V, -g)]
+    p_prev = [mp.mpc(1)]
+    p = [-diag[0], mp.mpc(1)]
+    for j in range(1, N):
+        shifted = [mp.mpc(0)] + p
+        new = [shifted[i] + (-diag[j] * p[i] if i < len(p) else 0)
+               for i in range(len(shifted))]
+        for i in range(len(p_prev)):
+            new[i] -= p_prev[i]
+        p_prev, p = p, new
+    return p
+
+
+def _reference_magnon_real_roots(N, V, g, dps=60):
+    """Roots with |Im eps| <= 1e-30 * (1 + |V|); broken iff fewer than N."""
+    with mp.workdps(dps):
+        coeffs = _reference_magnon_charpoly(N, V, g)
+        roots = mp.polyroots(list(reversed(coeffs)), maxsteps=2000,
+                             extraprec=4 * dps)
+        threshold = mp.mpf(10) ** -30 * (1 + abs(V))
+        return sum(1 for r in roots if abs(mp.im(r)) <= threshold)
+
+
+def _interior_chain(m):
+    """Q_m = E Q_{m-1} - Q_{m-2} for m >= 1, Q_0 = 1, Q_1 = E; leading first."""
+    prev, q = [1], [1, 0]
+    for _ in range(m - 1):
+        prev, q = q, [a - b for a, b in zip(q + [0], [0, 0] + prev)]
+    return q
+
+
+@pytest.mark.parametrize("coeffs, counts", [
+    ([1, -3, 3, -3, 2], (2, 4)),  # (x-1)(x-2)(x^2+1)
+    ([1, 1, -5, 3], (2, 2)),      # (x-1)^2 (x+3)
+    ([1, 0, 1], (0, 2)),          # x^2 + 1
+    ([1, 0, 1, 0], (1, 3)),       # x (x^2 + 1): chain meets a negative lc
+    ([-2, 3], (1, 1)),            # 3 - 2x
+    ([4, -8, 4, 0], (2, 2)),      # 4x(x-1)^2, content 4
+])
+def test_sturm_root_counts_known_roots(coeffs, counts):
+    assert analysis._sturm_root_counts(coeffs) == counts
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_sturm_counts_open_chain_spectrum(N):
+    # V = gamma = 0 leaves the open chain, 2 cos(k pi / (N+1)): N real roots
+    q = _interior_chain(N)
+    assert analysis._sturm_root_counts(q) == (N, N)
+    if N >= 2:
+        with mp.workdps(60):
+            assert analysis._magnon_int_charpoly(N, 0.0, mp.mpf(0)) == q
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+def test_int_charpoly_matches_reference(N):
+    with mp.workdps(60):
+        V, g = 2.75, mp.mpf("0.0123")
+        p = analysis._magnon_int_charpoly(N, V, g)
+        scale = mp.mpf(p[0])
+        ref = _reference_magnon_charpoly(N, V, g)[::-1]
+        for c, r in zip(p, ref):
+            assert abs(mp.im(r)) < mp.mpf(10) ** -50
+            c = c / scale
+            assert abs(c - mp.re(r)) < mp.mpf(10) ** -50 * (1 + abs(c))
+
+
+@pytest.mark.parametrize("N", [4, 6, 8, 10])
+def test_magnon_broken_matches_polyroots_reference(N):
+    with mp.workdps(60):
+        for V in (3.0, 30.0, 100.0):
+            gc = bethe.exact_boundary_gamma(N, V)
+            for factor in (0.99, 0.9999, 1.0001, 1.01):
+                g = mp.mpf(gc * factor)
+                real, distinct = analysis._sturm_root_counts(
+                    analysis._magnon_int_charpoly(N, V, g))
+                assert distinct == N
+                assert real == _reference_magnon_real_roots(N, V, g)
+                # one conjugate pair leaves the real axis at the boundary
+                assert real == (N - 2 if factor > 1 else N), (V, factor)
+                assert analysis._magnon_broken(N, V, g) == (factor > 1)
+
+
+@pytest.mark.parametrize("V", [0.0, 3.0, -2.5, 100.0])
+def test_magnon_broken_two_sites(V):
+    # eps = V +- sqrt(1 - gamma^2): broken iff gamma > 1 at every V; the
+    # exceptional point gamma = 1 itself (a double real root) is unbroken
+    with mp.workdps(60):
+        for g in ("0.5", "0.999", "1", "1.001", "2"):
+            assert analysis._magnon_broken(2, V, mp.mpf(g)) == (float(g) > 1)
+
+
+@pytest.mark.parametrize("V", [0.0, 2.0, 10.0])
+def test_magnon_broken_three_sites_matches_dense(V):
+    gc = analysis.numeric_boundary_gamma(xy(3), V)
+    with mp.workdps(60):
+        for factor in (0.1, 0.5, 2.0, 5.0):
+            g = gc * factor
+            dense = analysis.max_im_epsilon(models.build_h_eq(xy(3, V, g)))
+            assert analysis._magnon_broken(3, V, mp.mpf(g)) == (dense > 1e-6)
+            assert (dense > 1e-6) == (factor > 1)
 
 
 # ---------------------------------------------------------------------------
