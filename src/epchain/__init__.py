@@ -34,6 +34,7 @@ from .dynamics import (
     default_initial_state,
     dominant_state,
     evolve_trace,
+    final_fidelity,
     steady_fidelity,
 )
 from .linalg import Spectrum, apply_propagator, biorthogonal_overlap, eig

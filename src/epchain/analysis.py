@@ -19,6 +19,7 @@ import mpmath as mp
 import numpy as np
 
 from . import linalg
+from .dynamics import default_initial_state, final_fidelity
 from .errors import ConfigError, DegenerateFit, EpchainError, NoTransition
 from .models import ModelKind, ModelSpec, StateVector, build_hamiltonian
 
@@ -245,11 +246,19 @@ def _magnon_broken(N: int, V: float, g) -> bool:
 
 def _numeric_boundary_highprec(N: int, V: float, rel_tol: float,
                                dps: int = 60) -> float:
-    """Bisection in mpf gamma on the exact predicate (XY magnon chain)."""
+    """Bisection in mpf gamma on the exact predicate (XY magnon chain).
+
+    gamma_c decays as V^-(N-2), so the lower bracket starts at 1e-45 and
+    steps down by 1e-10 until the chain is unbroken there.  That ends for
+    every finite V: at gamma = 0 the chain is a real Jacobi matrix, whose
+    eigenvalues are real and simple, so they stay real for small gamma.
+    """
     with mp.workdps(dps):
         lo, hi = mp.mpf(10) ** -45, mp.mpf(10)
-        if _magnon_broken(N, V, lo) or not _magnon_broken(N, V, hi):
+        if not _magnon_broken(N, V, hi):
             raise NoTransition(f"no transition in gamma for N={N}, V={V}")
+        while _magnon_broken(N, V, lo):
+            lo *= mp.mpf(10) ** -10
         iterations = int(math.ceil(math.log2(float(mp.log(hi / lo)) / rel_tol))) + 2
         for _ in range(iterations):
             mid = mp.sqrt(lo * hi)
@@ -267,8 +276,10 @@ def numeric_boundary_gamma(template: ModelSpec, control_value: float,
 
     control_value sets V (XY) or Delta (Ising).  Bisection on the indicator
     max|Im eps| > threshold * (1 + |control|); when the transition sits
-    below double-precision resolution it escalates to a 60-digit bisection on
-    the exact Sturm-count predicate (only supported for the magnon chain).
+    below double-precision resolution, or the exact predicate finds the
+    bisection's unbroken end already broken, it escalates to a 60-digit
+    bisection on the exact Sturm-count predicate (only supported for the
+    magnon chain).
     """
     name = "Delta" if template.kind is ModelKind.TRANSVERSE_ISING else "V"
     base = _with_params(template, name, control_value)
@@ -303,7 +314,13 @@ def numeric_boundary_gamma(template: ModelSpec, control_value: float,
         else:
             lo = mid
     gc = math.sqrt(lo * hi)
-    if gc < _DOUBLE_PRECISION_FLOOR and template.kind is ModelKind.XY_MAGNON:
+    # Just above gamma_c, max|Im eps| stays below the threshold 1e-10*(1+V)
+    # over a band of gamma, so the bisection stops above the boundary: by
+    # more than rel_tol for gamma_c near 1e-6, and at the threshold itself
+    # at large V.  The exact predicate on the unbroken end catches both.
+    if template.kind is ModelKind.XY_MAGNON and (
+            gc < _DOUBLE_PRECISION_FLOOR
+            or _magnon_broken(template.N, control_value, mp.mpf(lo))):
         return _numeric_boundary_highprec(template.N, control_value, rel_tol)
     return gc
 
@@ -344,12 +361,11 @@ def optimize_gamma(template: ModelSpec, target: StateVector, t_max: float,
                    init: StateVector | None = None) -> tuple[float, float]:
     """Golden-section maximization of f(t_max) over gamma in (gamma_c, 10 gamma_c].
 
-    Returns (best gamma, fidelity at t_max).  The broken region is located
-    with the numeric boundary scan first; NoTransition propagates if there is
-    none.
+    Returns (best gamma, fidelity at t_max).  f(t_max) is the end point of the
+    n_steps-step evolution, read by dynamics.final_fidelity from repeated
+    squaring of the step propagator.  The broken region is located with the
+    numeric boundary scan first; NoTransition propagates if there is none.
     """
-    from .dynamics import default_initial_state, evolve_trace
-
     control = template.Delta if template.kind is ModelKind.TRANSVERSE_ISING else template.V
     gamma_c = numeric_boundary_gamma(template, control)
     if init is None:
@@ -357,8 +373,7 @@ def optimize_gamma(template: ModelSpec, target: StateVector, t_max: float,
 
     def fidelity_at(g: float) -> float:
         spec = _with_params(template, "gamma", g)
-        trace = evolve_trace(spec, init, target, t_max, n_steps)
-        return trace.fidelities[-1]
+        return final_fidelity(spec, init, target, t_max, n_steps)
 
     lo, hi = gamma_c * (1 + 1e-9), gamma_c * 10.0
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

@@ -179,6 +179,19 @@ def test_numeric_boundary_high_precision_escalation():
     assert abs(gn - ge) / ge < 1e-3
 
 
+@pytest.mark.parametrize("N, V", [(4, 1e3), (12, 1e4), (12, 1e5)])
+def test_numeric_boundary_large_v_is_not_the_scan_threshold(N, V):
+    # the double scan's threshold 1e-10*(1+V) stops the bisection near 1e-6
+    # here; the exact predicate on its unbroken end must send it to the
+    # exact bisection, whose lower bracket must reach gamma_c ~ V^-(N-2)
+    gn = analysis.numeric_boundary_gamma(xy(N, V=V), V)
+    gh = analysis._numeric_boundary_highprec(N, V, 1e-6)
+    assert abs(gn - gh) / gh < 1e-6
+    with mp.workdps(60):
+        assert not analysis._magnon_broken(N, V, mp.mpf(gn) * (1 - 2e-6))
+        assert analysis._magnon_broken(N, V, mp.mpf(gn) * (1 + 2e-6))
+
+
 def test_numeric_boundary_ising_j0_small_n():
     # J=0 decouples the sites, so the boundary is exactly Delta; at N=4 the
     # eigensolver noise near the exceptional point still permits 1e-6
@@ -400,6 +413,27 @@ def test_optimize_gamma_bell_near_boundary():
     gc = analysis.numeric_boundary_gamma(xy(6, V=10.0), 10.0)
     assert f_star > 0.98
     assert gc < g_star < 2.0 * gc  # optimum sits just above the boundary
+
+
+def _reference_stepped_fidelity(spec, init, target, t_max, n_steps):
+    """The optimizer's former f(t_max): the last sample of a stepped trace."""
+    return dynamics.evolve_trace(spec, init, target, t_max, n_steps).fidelities[-1]
+
+
+@pytest.mark.parametrize("template, target, t_max", [
+    (xy(6, V=5.0), "bell", 2e4),
+    (xy(6, V=10.0), "bell", 2e4),
+    (ising(6, Delta=0.5), "ghz", 1e4),
+    (ising(6, Delta=1.0), "ghz", 1e4),
+], ids=["bell_V5", "bell_V10", "ghz_Delta0.5", "ghz_Delta1"])
+def test_optimize_gamma_matches_stepped_reference(monkeypatch, template,
+                                                  target, t_max):
+    state = models.target_state(target, 6)
+    g_star, f_star = analysis.optimize_gamma(template, state, t_max)
+    monkeypatch.setattr(analysis, "final_fidelity", _reference_stepped_fidelity)
+    g_ref, f_ref = analysis.optimize_gamma(template, state, t_max)
+    assert abs(g_star - g_ref) <= 1e-9 * g_ref
+    assert abs(f_star - f_ref) <= 1e-10
 
 
 def test_conjugate_pair_count_near_boundary():

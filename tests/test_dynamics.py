@@ -15,6 +15,11 @@ def xy(N, V=0.0, gamma=0.0):
     return ModelSpec(ModelKind.XY_MAGNON, N=N, V=V, gamma=gamma)
 
 
+def ising(N, Delta, gamma, boundary=models.IsingBoundary.PERIODIC):
+    return ModelSpec(ModelKind.TRANSVERSE_ISING, N=N, Delta=Delta,
+                     gamma=gamma, ising_boundary=boundary)
+
+
 # ---------------------------------------------------------------------------
 # evolve_trace
 
@@ -83,6 +88,68 @@ def test_evolve_trace_validation():
         dynamics.evolve_trace(spec, init, target, 10.0, 1)
     with pytest.raises(DimensionMismatch):
         dynamics.evolve_trace(spec, models.site_state(6, 1), target, 10.0, 100)
+
+
+# ---------------------------------------------------------------------------
+# final_fidelity: the stepped trace's end point by repeated squaring
+
+def _ghz_deep_broken():
+    from epchain import analysis
+
+    gc = analysis.numeric_boundary_gamma(ising(6, 0.75, 0.0), 0.75)
+    return ising(6, 0.75, 10.0 * gc)
+
+
+_END_POINT_CASES = {
+    "w_magnon": (xy(6, gamma=1.05), models.target_state("w", 6), 200.0),
+    "bell_magnon": (xy(6, V=5.0, gamma=3e-3), models.target_state("bell", 6),
+                    2e4),
+    "ghz_periodic": (ising(6, 0.75, 0.05), models.target_state("ghz", 6),
+                     500.0),
+    "ghz_open": (ising(4, 0.5, 0.3, models.IsingBoundary.OPEN),
+                 models.target_state("ghz", 4), 100.0),
+    "xy_full_space": (ModelSpec(ModelKind.XY_FULL_SPACE, N=4, V=1.0, gamma=0.8),
+                      models.single_flip_state(4, 4), 50.0),
+}
+
+
+@pytest.mark.parametrize("n_steps", [2, 3, 1024, 2000, 2001])
+@pytest.mark.parametrize("case", sorted(_END_POINT_CASES))
+def test_final_fidelity_matches_stepped_end_point(case, n_steps):
+    spec, target, t_max = _END_POINT_CASES[case]
+    init = dynamics.default_initial_state(spec)
+    stepped = dynamics.evolve_trace(spec, init, target, t_max, n_steps)
+    f = dynamics.final_fidelity(spec, init, target, t_max, n_steps)
+    assert abs(f - stepped.fidelities[-1]) < 1e-10
+
+
+@pytest.mark.parametrize("n_steps", [1024, 2000, 2001])
+def test_final_fidelity_deep_broken_ghz_is_finite(n_steps):
+    # gamma = 10 gamma_c, t_max = 1e4: the raw state grows like e^{sigma t}
+    # with sigma t in the thousands, far beyond double range
+    spec = _ghz_deep_broken()
+    target = models.target_state("ghz", 6)
+    init = dynamics.default_initial_state(spec)
+    f = dynamics.final_fidelity(spec, init, target, 1e4, n_steps)
+    stepped = dynamics.evolve_trace(spec, init, target, 1e4, n_steps)
+    assert math.isfinite(f)
+    assert stepped.log_norms[-1] > 1e3
+    assert abs(f - stepped.fidelities[-1]) < 1e-10
+
+
+def test_final_fidelity_validation():
+    spec = xy(4, gamma=1.2)
+    init = dynamics.default_initial_state(spec)
+    target = models.target_state("w", 4)
+    for t_max in (-1.0, 0.0):
+        with pytest.raises(ValueError):
+            dynamics.final_fidelity(spec, init, target, t_max, 100)
+    with pytest.raises(ValueError):
+        dynamics.final_fidelity(spec, init, target, 10.0, 1)
+    with pytest.raises(DimensionMismatch):
+        dynamics.final_fidelity(spec, models.site_state(6, 1), target, 10.0, 100)
+    with pytest.raises(DimensionMismatch):
+        dynamics.final_fidelity(spec, init, models.target_state("w", 6), 10.0, 100)
 
 
 def test_default_initial_state_embeddings():
