@@ -276,10 +276,10 @@ def numeric_boundary_gamma(template: ModelSpec, control_value: float,
 
     control_value sets V (XY) or Delta (Ising).  Bisection on the indicator
     max|Im eps| > threshold * (1 + |control|); when the transition sits
-    below double-precision resolution, or the exact predicate finds the
-    bisection's unbroken end already broken, it escalates to a 60-digit
-    bisection on the exact Sturm-count predicate (only supported for the
-    magnon chain).
+    below double-precision resolution, or the exact predicate shows that
+    the double-precision result overshoots gamma_c by more than rel_tol, it
+    escalates to a 60-digit bisection on the exact Sturm-count predicate
+    (only supported for the magnon chain).
     """
     name = "Delta" if template.kind is ModelKind.TRANSVERSE_ISING else "V"
     base = _with_params(template, name, control_value)
@@ -315,12 +315,13 @@ def numeric_boundary_gamma(template: ModelSpec, control_value: float,
             lo = mid
     gc = math.sqrt(lo * hi)
     # Just above gamma_c, max|Im eps| stays below the threshold 1e-10*(1+V)
-    # over a band of gamma, so the bisection stops above the boundary: by
+    # over a band of gamma, so the bisection can stop above the boundary: by
     # more than rel_tol for gamma_c near 1e-6, and at the threshold itself
-    # at large V.  The exact predicate on the unbroken end catches both.
+    # at large V.  The exact predicate at gc*(1 - rel_tol) detects both.
     if template.kind is ModelKind.XY_MAGNON and (
             gc < _DOUBLE_PRECISION_FLOOR
-            or _magnon_broken(template.N, control_value, mp.mpf(lo))):
+            or _magnon_broken(template.N, control_value,
+                              mp.mpf(gc) * (1 - rel_tol))):
         return _numeric_boundary_highprec(template.N, control_value, rel_tol)
     return gc
 

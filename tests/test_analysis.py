@@ -179,11 +179,13 @@ def test_numeric_boundary_high_precision_escalation():
     assert abs(gn - ge) / ge < 1e-3
 
 
-@pytest.mark.parametrize("N, V", [(4, 1e3), (12, 1e4), (12, 1e5)])
+@pytest.mark.parametrize("N, V", [(4, 1e3), (12, 1e4), (12, 1e5),
+                                  (6, 31.072325059538581)])
 def test_numeric_boundary_large_v_is_not_the_scan_threshold(N, V):
     # the double scan's threshold 1e-10*(1+V) stops the bisection near 1e-6
-    # here; the exact predicate on its unbroken end must send it to the
-    # exact bisection, whose lower bracket must reach gamma_c ~ V^-(N-2)
+    # at large V, and 4.5e-6 above gamma_c ~ 1.07e-6 at (6, 31.07); the
+    # exact predicate must send these to the exact bisection, whose lower
+    # bracket must reach gamma_c ~ V^-(N-2)
     gn = analysis.numeric_boundary_gamma(xy(N, V=V), V)
     gh = analysis._numeric_boundary_highprec(N, V, 1e-6)
     assert abs(gn - gh) / gh < 1e-6
