@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import mpmath as mp
 import numpy as np
 
-from . import linalg
+from . import bethe, linalg
 from .dynamics import default_initial_state, final_fidelity
 from .errors import ConfigError, DegenerateFit, EpchainError, NoTransition
 from .models import ModelKind, ModelSpec, StateVector, build_hamiltonian
@@ -244,8 +244,7 @@ def _magnon_broken(N: int, V: float, g) -> bool:
     return real < distinct
 
 
-def _numeric_boundary_highprec(N: int, V: float, rel_tol: float,
-                               dps: int = 60) -> float:
+def _numeric_boundary_highprec(N: int, V: float, rel_tol: float) -> float:
     """Bisection in mpf gamma on the exact predicate (XY magnon chain).
 
     gamma_c decays as V^-(N-2), so the lower bracket starts at 1e-45 and
@@ -253,7 +252,7 @@ def _numeric_boundary_highprec(N: int, V: float, rel_tol: float,
     every finite V: at gamma = 0 the chain is a real Jacobi matrix, whose
     eigenvalues are real and simple, so they stay real for small gamma.
     """
-    with mp.workdps(dps):
+    with mp.workdps(60):
         lo, hi = mp.mpf(10) ** -45, mp.mpf(10)
         if not _magnon_broken(N, V, hi):
             raise NoTransition(f"no transition in gamma for N={N}, V={V}")
@@ -329,8 +328,6 @@ def numeric_boundary_gamma(template: ModelSpec, control_value: float,
 def boundary_curve(method: str, template: ModelSpec,
                    control_values) -> BoundaryCurve:
     """Boundary points over a list of control values, by the named method."""
-    from . import bethe  # local import avoids a cycle via exact-boundary validation
-
     points = []
     for control in control_values:
         if method == "numeric_scan":

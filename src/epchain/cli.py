@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -85,21 +86,54 @@ def _parse_init(text: str, spec: models.ModelSpec) -> models.StateVector:
     raise ConfigError(f"--init must be site:<k> or bits:<string>, got {text!r}")
 
 
-def _write(path: str, text: str) -> None:
-    serialize.atomic_write(path, text)
-
-
-def _maybe_plot(enabled: bool, render, out_path: str) -> None:
+def _pyplot(enabled: bool):
+    """matplotlib.pyplot (Agg backend) when --plot is set, else None."""
     if not enabled:
-        return
+        return None
     try:
         import matplotlib
         matplotlib.use("Agg")
         import matplotlib.pyplot as plt
     except ImportError as exc:
         raise ConfigError(f"--plot requires matplotlib: {exc}") from exc
-    fig = render(plt)
-    fig.savefig(out_path, format="svg")
+    return plt
+
+
+def _grid_panel(ax, grid: analysis.PhaseGrid, overlay=()) -> None:
+    """max|Im eps| over the grid, with (control, gamma_c) overlay points."""
+    x, y = np.meshgrid(grid.x_axis.values, grid.y_axis.values, indexing="ij")
+    pcm = ax.pcolormesh(x, y, grid.values, shading="nearest", cmap="inferno")
+    ax.figure.colorbar(pcm, ax=ax, label="max |Im eps|")
+    if overlay:
+        ax.plot([c for c, _ in overlay], [g for _, g in overlay], "w--", lw=1)
+    if grid.x_axis.scale == "log":
+        ax.set_xscale("log")
+    if grid.y_axis.scale == "log":
+        ax.set_yscale("log")
+    ax.set_xlabel(grid.x_axis.name)
+    ax.set_ylabel("gamma")
+
+
+def _trace_panel(ax, curves) -> None:
+    """Fidelity against log time, one line per (label, trace)."""
+    for label, trace in curves:
+        ax.plot(trace.times, trace.fidelities, label=label)
+    ax.set_xscale("log")
+    ax.set_ylim(0, 1.02)
+    ax.set_xlabel("t")
+    ax.set_ylabel("f(t)")
+    ax.legend(fontsize=7)
+
+
+def _save_plot(plt, path: str, panels) -> None:
+    """One SVG, side by side, a panel per (title, draw, *data): draw(ax, *data)."""
+    fig, axes = plt.subplots(1, len(panels), figsize=(4.5 * len(panels), 3.5),
+                             squeeze=False)
+    for ax, (title, draw, *data) in zip(axes[0], panels):
+        draw(ax, *data)
+        ax.set_title(title)
+    fig.tight_layout()
+    fig.savefig(path, format="svg")
     plt.close(fig)
 
 
@@ -118,49 +152,38 @@ def cmd_spectrum(args) -> int:
                             for e in spectrum.eigenvalues],
             "max_residual": spectrum.max_residual(),
         }
-        _write(args.out, json.dumps(payload, indent=2))
+        serialize.atomic_write(args.out, json.dumps(payload, indent=2))
     else:
         lines = ["re,im,residual"]
         for e, r in zip(spectrum.eigenvalues, spectrum.residuals):
             lines.append(f"{serialize.fmt(e.real)},{serialize.fmt(e.imag)},"
                          f"{serialize.fmt(r)}")
-        _write(args.out, "\n".join(lines) + "\n")
+        serialize.atomic_write(args.out, "\n".join(lines) + "\n")
     if args.vectors:
         lines = ["eigenvalue_index,component_index,re,im"]
         for n in range(spectrum.dim):
             for i, a in enumerate(spectrum.right_vectors[:, n]):
                 lines.append(f"{n},{i},{serialize.fmt(a.real)},{serialize.fmt(a.imag)}")
-        _write(args.out + ".vectors.csv", "\n".join(lines) + "\n")
+        serialize.atomic_write(args.out + ".vectors.csv", "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_phase_diagram(args) -> int:
     spec = _model_spec(args)
     x_name = "Delta" if args.model == "ising" else "V"
+    plt = _pyplot(args.plot)
     xlo, xhi, xscale, xcount = _parse_axis(args.x_range, "--x-range")
     glo, ghi, gscale, gcount = _parse_axis(args.gamma_range, "--gamma-range")
     x_axis = analysis.AxisSpec.from_range(x_name, xlo, xhi, xscale, xcount)
     y_axis = analysis.AxisSpec.from_range("gamma", glo, ghi, gscale, gcount)
     grid = analysis.sweep_grid(spec, x_axis, y_axis)
     if args.format == "json":
-        _write(args.out, serialize.grid_to_json(grid))
+        serialize.atomic_write(args.out, serialize.grid_to_json(grid))
     else:
-        _write(args.out, serialize.grid_to_csv(grid))
-
-    def render(plt):
-        fig, ax = plt.subplots()
-        x, y = np.meshgrid(grid.x_axis.values, grid.y_axis.values, indexing="ij")
-        pcm = ax.pcolormesh(x, y, grid.values, shading="nearest", cmap="inferno")
-        if grid.x_axis.scale == "log":
-            ax.set_xscale("log")
-        if grid.y_axis.scale == "log":
-            ax.set_yscale("log")
-        ax.set_xlabel(x_name)
-        ax.set_ylabel("gamma")
-        fig.colorbar(pcm, ax=ax, label="max |Im eps|")
-        return fig
-
-    _maybe_plot(args.plot, render, os.path.splitext(args.out)[0] + ".svg")
+        serialize.atomic_write(args.out, serialize.grid_to_csv(grid))
+    if plt:
+        _save_plot(plt, os.path.splitext(args.out)[0] + ".svg",
+                   [("", _grid_panel, grid)])
     failures = int(np.sum(np.isnan(grid.values)))
     if failures:
         print(f"warning: {failures} grid nodes failed (NaN)", file=sys.stderr)
@@ -181,12 +204,13 @@ def cmd_evolve(args) -> int:
         raise ConfigError("--t-max must be positive")
     if args.steps < 2:
         raise ConfigError("--steps must be >= 2")
+    plt = _pyplot(args.plot)
     trace = dynamics.evolve_trace(spec, init, target, args.t_max, args.steps,
                                   target_name=args.target)
     if args.format == "json":
-        _write(args.out, serialize.trace_to_json(trace))
+        serialize.atomic_write(args.out, serialize.trace_to_json(trace))
     else:
-        _write(args.out, serialize.trace_to_csv(trace))
+        serialize.atomic_write(args.out, serialize.trace_to_csv(trace))
     t_conv = dynamics.convergence_time(trace, tol=args.tol)
     try:
         f_dom = dynamics.steady_fidelity(spec, target)
@@ -195,16 +219,9 @@ def cmd_evolve(args) -> int:
         dom_text = "nan"
     print(f"convergence_time={serialize.fmt(t_conv) if math.isfinite(t_conv) else 'inf'} "
           f"dominant_fidelity={dom_text}")
-
-    def render(plt):
-        fig, ax = plt.subplots()
-        ax.plot(trace.times, trace.fidelities)
-        ax.set_xlabel("t")
-        ax.set_ylabel("fidelity")
-        ax.set_ylim(0, 1.02)
-        return fig
-
-    _maybe_plot(args.plot, render, os.path.splitext(args.out)[0] + ".svg")
+    if plt:
+        _save_plot(plt, os.path.splitext(args.out)[0] + ".svg",
+                   [("", _trace_panel, [(args.target, trace)])])
     return 0
 
 
@@ -214,7 +231,6 @@ def cmd_boundary(args) -> int:
     axis = analysis.AxisSpec.from_range("V" if args.model == "xy" else "Delta",
                                         xlo, xhi, xscale, xcount)
     rows = []
-    any_mismatch = False
     for control in axis.values:
         numeric = analysis.numeric_boundary_gamma(spec, float(control))
         exact = pert = gap = None
@@ -226,210 +242,124 @@ def cmd_boundary(args) -> int:
             if spec.N >= 6 and spec.N % 2 == 0:
                 pert = bethe.perturbative_boundary(spec.N, float(control))
         rows.append((float(control), exact, pert, numeric, gap, mismatch))
-        any_mismatch = any_mismatch or mismatch
-    _write(args.out, serialize.boundary_table_csv(rows))
-    if any_mismatch:
-        print("validation mismatch: exact boundary disagrees with numeric scan; "
-              "the numeric value is authoritative", file=sys.stderr)
-        return 4
+    serialize.atomic_write(args.out, serialize.boundary_table_csv(rows))
+    if any(mismatch for *_, mismatch in rows):
+        raise ValidationMismatch("exact boundary disagrees with numeric scan; "
+                                 "the numeric value is authoritative")
     return 0
 
 
 # ---------------------------------------------------------------------------
-# figure reproduction
+# figure reproduction: each figure is a parameter table (written verbatim to
+# its manifest) read by one of two drivers.  A driver writes the figure's
+# CSVs and returns the manifest parameters and the plot panels.
 
-def _reproduce_fig1(out_dir: str, plot: bool) -> dict:
-    params = {"N": [6, 8], "gammas": [1.05, 1.1, 1.2, 1.5],
-              "t_max": 200.0, "steps": 2000, "target": "w", "init": "site:1"}
-    curves = {}
+def _figure_spec(control: str, params: dict, n: int, **values) -> models.ModelSpec:
+    """The Ising ring when the figure's control is Delta, else the magnon chain."""
+    kind = (models.ModelKind.TRANSVERSE_ISING if control == "Delta"
+            else models.ModelKind.XY_MAGNON)
+    return models.ModelSpec(kind, N=n, J=params.get("J", 1.0), **values)
+
+
+def _grid_figure(prefix: str, params: dict, out_dir: str):
+    """sweep_grid per N over "<control>_range" x "gamma_range", and the
+    exact boundary at "exact_overlay_V" when listed."""
+    control = "Delta" if "Delta_range" in params else "V"
+    panels = []
     for n in params["N"]:
-        target = models.target_state("w", n)
-        for g in params["gammas"]:
-            spec = models.ModelSpec(models.ModelKind.XY_MAGNON, N=n, gamma=g)
-            trace = dynamics.evolve_trace(spec, dynamics.default_initial_state(spec),
-                                          target, params["t_max"], params["steps"],
-                                          target_name="w")
-            path = os.path.join(out_dir, f"fig1_w_N{n}_gamma{g}.csv")
-            _write(path, serialize.trace_to_csv(trace))
-            curves[(n, g)] = trace
-
-    def render(plt):
-        fig, axes = plt.subplots(1, 2, figsize=(9, 3.5))
-        for ax, n in zip(axes, params["N"]):
-            for g in params["gammas"]:
-                tr = curves[(n, g)]
-                ax.plot(tr.times, tr.fidelities, label=f"gamma={g}")
-            ax.set_title(f"N={n}")
-            ax.set_xlabel("t")
-            ax.set_ylabel("f(t)")
-            ax.legend(fontsize=7)
-        fig.tight_layout()
-        return fig
-
-    _maybe_plot(plot, render, os.path.join(out_dir, "fig1.svg"))
-    return params
-
-
-def _reproduce_fig2(out_dir: str, plot: bool) -> dict:
-    params = {"N": [6, 8, 10], "V_range": [2.0, 100.0, "log", 40],
-              "gamma_range": [1e-8, 1.0, "log", 40],
-              "exact_overlay_V": [3, 5, 10, 20, 40, 70, 100]}
-    grids = {}
-    for n in params["N"]:
-        spec = models.ModelSpec(models.ModelKind.XY_MAGNON, N=n)
         grid = analysis.sweep_grid(
-            spec,
-            analysis.AxisSpec.from_range("V", *params["V_range"][:2], "log",
-                                         params["V_range"][3]),
-            analysis.AxisSpec.from_range("gamma", *params["gamma_range"][:2],
-                                         "log", params["gamma_range"][3]),
+            _figure_spec(control, params, n),
+            analysis.AxisSpec.from_range(control, *params[f"{control}_range"]),
+            analysis.AxisSpec.from_range("gamma", *params["gamma_range"]),
         )
-        _write(os.path.join(out_dir, f"fig2_grid_N{n}.csv"),
-               serialize.grid_to_csv(grid))
+        serialize.atomic_write(os.path.join(out_dir, f"{prefix}_grid_N{n}.csv"),
+                               serialize.grid_to_csv(grid))
         overlay = [(v, bethe.exact_boundary_gamma(n, v))
-                   for v in params["exact_overlay_V"]]
-        lines = ["v,gamma_c_exact"]
-        lines += [f"{serialize.fmt(v)},{serialize.fmt(g)}" for v, g in overlay]
-        _write(os.path.join(out_dir, f"fig2_exact_boundary_N{n}.csv"),
-               "\n".join(lines) + "\n")
-        grids[n] = (grid, overlay)
-
-    def render(plt):
-        fig, axes = plt.subplots(1, 3, figsize=(12, 3.5))
-        for ax, n in zip(axes, params["N"]):
-            grid, overlay = grids[n]
-            x, y = np.meshgrid(grid.x_axis.values, grid.y_axis.values,
-                               indexing="ij")
-            ax.pcolormesh(x, y, grid.values, shading="nearest", cmap="inferno")
-            vs = [v for v, _ in overlay]
-            gs = [g for _, g in overlay]
-            ax.plot(vs, gs, "w--", lw=1)
-            ax.set_xscale("log")
-            ax.set_yscale("log")
-            ax.set_title(f"N={n}")
-            ax.set_xlabel("V")
-            ax.set_ylabel("gamma")
-        fig.tight_layout()
-        return fig
-
-    _maybe_plot(plot, render, os.path.join(out_dir, "fig2.svg"))
-    return params
+                   for v in params.get("exact_overlay_V", [])]
+        if overlay:
+            lines = ["v,gamma_c_exact"]
+            lines += [f"{serialize.fmt(v)},{serialize.fmt(g)}" for v, g in overlay]
+            serialize.atomic_write(
+                os.path.join(out_dir, f"{prefix}_exact_boundary_N{n}.csv"),
+                "\n".join(lines) + "\n")
+        panels.append((f"N={n}", _grid_panel, grid, overlay))
+    return params, panels
 
 
-def _reproduce_fig3(out_dir: str, plot: bool) -> dict:
-    runs = [(6, 5.0, 2e4), (6, 10.0, 2e5), (8, 5.0, 2e6)]
-    params = {"runs": [{"N": n, "V": v, "t_max": t} for n, v, t in runs],
-              "steps": 2000, "target": "bell", "gamma": "optimized"}
-    curves = []
-    for n, v, t_max in runs:
-        template = models.ModelSpec(models.ModelKind.XY_MAGNON, N=n, V=v)
-        target = models.target_state("bell", n)
-        g_star, _ = analysis.optimize_gamma(template, target, t_max)
-        spec = models.ModelSpec(models.ModelKind.XY_MAGNON, N=n, V=v, gamma=g_star)
+def _trace_figure(prefix: str, params: dict, out_dir: str):
+    """Fidelity traces of the "target" state: at each fixed gamma of
+    "gammas" for every N, or at optimize_gamma's gamma* for every
+    (N, control, t_max) of "runs", recorded as "optimized_gammas"."""
+    target_name = params["target"]
+    control = "Delta" if target_name == "ghz" else "V"
+    if "runs" in params:
+        runs = [(r["N"], r[control], r["t_max"], None) for r in params["runs"]]
+        params = dict(params, optimized_gammas={})
+    else:
+        runs = [(n, 0.0, params["t_max"], g)
+                for n in params["N"] for g in params["gammas"]]
+    curves = {}
+    for n, c, t_max, gamma in runs:
+        spec = _figure_spec(control, params, n, **{control: c})
+        target = models.target_state(target_name, n)
+        if gamma is None:
+            gamma, _ = analysis.optimize_gamma(spec, target, t_max)
+            label = f"N{n}_{control}{c}"
+            params["optimized_gammas"][label] = gamma
+        else:
+            label = f"N{n}_gamma{gamma}"
+        spec = replace(spec, gamma=gamma)
         trace = dynamics.evolve_trace(spec, dynamics.default_initial_state(spec),
                                       target, t_max, params["steps"],
-                                      target_name="bell")
-        _write(os.path.join(out_dir, f"fig3_bell_N{n}_V{v}.csv"),
-               serialize.trace_to_csv(trace))
-        curves.append((n, v, g_star, trace))
-    params["optimized_gammas"] = {f"N{n}_V{v}": g for n, v, g, _ in curves}
-
-    def render(plt):
-        fig, ax = plt.subplots()
-        for n, v, g, tr in curves:
-            ax.plot(tr.times, tr.fidelities, label=f"N={n}, V={v}")
-        ax.set_xscale("log")
-        ax.set_xlabel("t")
-        ax.set_ylabel("f(t)")
-        ax.legend()
-        return fig
-
-    _maybe_plot(plot, render, os.path.join(out_dir, "fig3.svg"))
-    return params
+                                      target_name=target_name)
+        serialize.atomic_write(
+            os.path.join(out_dir, f"{prefix}_{target_name}_{label}.csv"),
+            serialize.trace_to_csv(trace))
+        curves.setdefault(n, []).append((label, trace))
+    return params, [(f"N={n}", _trace_panel, c) for n, c in curves.items()]
 
 
-def _reproduce_fig4(out_dir: str, plot: bool) -> dict:
-    params = {"N": [6, 8], "J": 1.0, "Delta_range": [0.2, 2.0, "lin", 25],
-              "gamma_range": [1e-4, 1.0, "log", 25]}
-    grids = {}
-    for n in params["N"]:
-        spec = models.ModelSpec(models.ModelKind.TRANSVERSE_ISING, N=n, J=1.0)
-        grid = analysis.sweep_grid(
-            spec,
-            analysis.AxisSpec.from_range("Delta", 0.2, 2.0, "lin", 25),
-            analysis.AxisSpec.from_range("gamma", 1e-4, 1.0, "log", 25),
-        )
-        _write(os.path.join(out_dir, f"fig4_grid_N{n}.csv"),
-               serialize.grid_to_csv(grid))
-        grids[n] = grid
-
-    def render(plt):
-        fig, axes = plt.subplots(1, 2, figsize=(9, 3.5))
-        for ax, n in zip(axes, params["N"]):
-            grid = grids[n]
-            x, y = np.meshgrid(grid.x_axis.values, grid.y_axis.values,
-                               indexing="ij")
-            ax.pcolormesh(x, y, grid.values, shading="nearest", cmap="inferno")
-            ax.set_yscale("log")
-            ax.set_title(f"N={n}")
-            ax.set_xlabel("Delta")
-            ax.set_ylabel("gamma")
-        fig.tight_layout()
-        return fig
-
-    _maybe_plot(plot, render, os.path.join(out_dir, "fig4.svg"))
-    return params
-
-
-def _reproduce_fig5(out_dir: str, plot: bool) -> dict:
-    runs = [(6, 0.5, 2e4), (6, 0.75, 1e4), (6, 1.0, 5e3), (8, 0.5, 2e5)]
-    params = {"runs": [{"N": n, "Delta": d, "t_max": t} for n, d, t in runs],
-              "J": 1.0, "steps": 2000, "target": "ghz", "gamma": "optimized"}
-    curves = []
-    for n, delta, t_max in runs:
-        template = models.ModelSpec(models.ModelKind.TRANSVERSE_ISING, N=n,
-                                    J=1.0, Delta=delta)
-        target = models.target_state("ghz", n)
-        g_star, _ = analysis.optimize_gamma(template, target, t_max)
-        spec = models.ModelSpec(models.ModelKind.TRANSVERSE_ISING, N=n, J=1.0,
-                                Delta=delta, gamma=g_star)
-        trace = dynamics.evolve_trace(spec, dynamics.default_initial_state(spec),
-                                      target, t_max, params["steps"],
-                                      target_name="ghz")
-        _write(os.path.join(out_dir, f"fig5_ghz_N{n}_Delta{delta}.csv"),
-               serialize.trace_to_csv(trace))
-        curves.append((n, delta, g_star, trace))
-    params["optimized_gammas"] = {f"N{n}_Delta{d}": g for n, d, g, _ in curves}
-
-    def render(plt):
-        fig, ax = plt.subplots()
-        for n, d, g, tr in curves:
-            ax.plot(tr.times, tr.fidelities, label=f"N={n}, Delta={d}")
-        ax.set_xscale("log")
-        ax.set_xlabel("t")
-        ax.set_ylabel("f(t)")
-        ax.legend()
-        return fig
-
-    _maybe_plot(plot, render, os.path.join(out_dir, "fig5.svg"))
-    return params
+FIGURES = {
+    1: (_trace_figure, {"N": [6, 8], "gammas": [1.05, 1.1, 1.2, 1.5],
+                        "t_max": 200.0, "steps": 2000, "target": "w",
+                        "init": "site:1"}),
+    2: (_grid_figure, {"N": [6, 8, 10], "V_range": [2.0, 100.0, "log", 40],
+                       "gamma_range": [1e-8, 1.0, "log", 40],
+                       "exact_overlay_V": [3, 5, 10, 20, 40, 70, 100]}),
+    3: (_trace_figure, {"runs": [{"N": 6, "V": 5.0, "t_max": 2e4},
+                                 {"N": 6, "V": 10.0, "t_max": 2e5},
+                                 {"N": 8, "V": 5.0, "t_max": 2e6}],
+                        "steps": 2000, "target": "bell", "gamma": "optimized"}),
+    4: (_grid_figure, {"N": [6, 8], "J": 1.0,
+                       "Delta_range": [0.2, 2.0, "lin", 25],
+                       "gamma_range": [1e-4, 1.0, "log", 25]}),
+    5: (_trace_figure, {"runs": [{"N": 6, "Delta": 0.5, "t_max": 2e4},
+                                 {"N": 6, "Delta": 0.75, "t_max": 1e4},
+                                 {"N": 6, "Delta": 1.0, "t_max": 5e3},
+                                 {"N": 8, "Delta": 0.5, "t_max": 2e5}],
+                        "J": 1.0, "steps": 2000, "target": "ghz",
+                        "gamma": "optimized"}),
+}
 
 
 def cmd_reproduce(args) -> int:
-    builders = {1: _reproduce_fig1, 2: _reproduce_fig2, 3: _reproduce_fig3,
-                4: _reproduce_fig4, 5: _reproduce_fig5}
-    if args.figure not in builders:
+    if args.figure not in FIGURES:
         raise ConfigError(f"--figure must be one of 1..5, got {args.figure}")
+    plt = _pyplot(args.plot)
     os.makedirs(args.out_dir, exist_ok=True)
-    params = builders[args.figure](args.out_dir, args.plot)
+    prefix = f"fig{args.figure}"
+    driver, params = FIGURES[args.figure]
+    params, panels = driver(prefix, params, args.out_dir)
     manifest = {
         "figure": args.figure,
         "note": "parameters chosen to match the qualitative claims; "
                 "source publication prints no figure parameter values",
         "parameters": params,
     }
-    _write(os.path.join(args.out_dir, f"fig{args.figure}_manifest.json"),
-           json.dumps(manifest, indent=2, default=str))
+    serialize.atomic_write(os.path.join(args.out_dir, f"{prefix}_manifest.json"),
+                           json.dumps(manifest, indent=2, default=str))
+    if plt:
+        _save_plot(plt, os.path.join(args.out_dir, f"{prefix}.svg"), panels)
     return 0
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, NoDominantState
+from .errors import DimensionMismatch, NoDominantState, NonConvergence
 from .models import (
     ModelKind,
     ModelSpec,
@@ -54,7 +54,7 @@ class EvolutionTrace:
             raise DimensionMismatch("trace arrays must have equal length")
         if np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
-        if np.any(f < 0) or np.any(f > 1 + 1e-12):
+        if not np.all((f >= 0) & (f <= 1 + 1e-12)):
             raise ValueError("fidelities must lie in [0, 1]")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "fidelities", f)
@@ -122,7 +122,8 @@ def final_fidelity(spec: ModelSpec, init: StateVector, target: StateVector,
     The same step propagator u is applied n_steps times by square-and-multiply.
     The state is renormalized after each multiply and the running power of u
     after each squaring; both factors cancel in the normalized fidelity, so
-    deep in the broken phase (growth e^{sigma t_max}) nothing overflows.
+    deep in the broken phase (growth e^{sigma t_max}) nothing overflows
+    unless u itself is near the double range: then NonConvergence.
     """
     _, u, psi, tgt = _step_setup(spec, init, target, t_max, n_steps)
     n = n_steps
@@ -134,7 +135,11 @@ def final_fidelity(spec: ModelSpec, init: StateVector, target: StateVector,
         if n:
             u = u @ u
             u /= np.linalg.norm(u)
-    return float(min(abs(np.vdot(tgt, psi)), 1.0))
+    f = float(min(abs(np.vdot(tgt, psi)), 1.0))
+    if math.isnan(f):
+        raise NonConvergence("a power of the step propagator overflows; "
+                             "use more steps")
+    return f
 
 
 def dominant_state(m, basis=None) -> StateVector:

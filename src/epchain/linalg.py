@@ -125,9 +125,17 @@ def biorthogonal_overlap(left, right) -> complex:
 
 
 def propagator(m, dt: float) -> np.ndarray:
-    """exp(-i m dt) by scaling-and-squaring Pade approximation."""
+    """exp(-i m dt) by scaling-and-squaring Pade approximation.
+
+    NonConvergence when it overflows (max Im(eps) dt beyond about 700).
+    """
     a = as_matrix(m)
-    return scipy.linalg.expm(-1j * dt * a)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        u = scipy.linalg.expm(-1j * dt * a)
+    if not np.all(np.isfinite(u)):
+        raise NonConvergence(
+            f"exp(-i H dt) overflows at dt={dt:.6g}; use a smaller step")
+    return u
 
 
 def apply_propagator(m, psi, dt: float, backend: str = "pade"):

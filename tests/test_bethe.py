@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epchain import bethe, models
+from epchain.analysis import numeric_boundary_gamma
 from epchain.errors import NoRoot, NullSpaceRankError, ValidationMismatch
 from epchain.models import ModelKind, ModelSpec
 
@@ -143,9 +144,19 @@ def test_bethe_energy_completeness():
 # exact boundary
 
 def test_exact_boundary_cross_validates():
-    # validate=True runs the diagonalization-scan cross-check internally
-    gc = bethe.exact_boundary_gamma(6, 10.0, validate=True)
+    # the closed form agrees with the diagonalization scan
+    gc = bethe.exact_boundary_gamma(6, 10.0)
+    gn = numeric_boundary_gamma(ModelSpec(ModelKind.XY_MAGNON, N=6, V=10.0), 10.0)
     assert 0 < gc < 1
+    assert abs(gc - gn) / gn < 1e-3
+
+
+@pytest.mark.parametrize("V", [1e3, 1e4, 1e5])
+def test_exact_boundary_large_v_matches_numeric(V):
+    # gamma_c ~ V^-10 at N=12: g^2 must still register next to V^2
+    gc = bethe.exact_boundary_gamma(12, V)
+    gn = numeric_boundary_gamma(ModelSpec(ModelKind.XY_MAGNON, N=12, V=V), V)
+    assert abs(gc - gn) / gn < 1e-3
 
 
 def test_exact_boundary_rejects_small_v():

@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -159,6 +161,17 @@ def test_evolve_init_parsing(tmp_path, capsys):
     assert rc == 0
 
 
+def test_evolve_overflowing_step_exit_code(tmp_path, capsys):
+    # gamma ~ 10 gamma_c, dt = 5e3: exp(-i H dt) overflows
+    out = tmp_path / "t.csv"
+    rc = run(["evolve", "--model", "ising", "--n", "6", "--delta", "0.75",
+              "--gamma", "0.0604", "--target", "ghz", "--t-max", "1e4",
+              "--steps", "2", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numeric failure:")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # boundary
 
@@ -204,3 +217,74 @@ def test_reproduce_fig1_manifest(tmp_path):
         return float(path.read_text().strip().splitlines()[-1].split(",")[1])
     assert final_f(tmp_path / "fig1_w_N6_gamma1.05.csv") > \
         final_f(tmp_path / "fig1_w_N6_gamma1.5.csv")
+
+
+def test_reproduce_fig3_outputs(tmp_path):
+    rc = run(["reproduce", "--figure", "3", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fig3_bell_N6_V10.0.csv", "fig3_bell_N6_V5.0.csv",
+        "fig3_bell_N8_V5.0.csv", "fig3_manifest.json"]
+    params = json.loads((tmp_path / "fig3_manifest.json").read_text())["parameters"]
+    assert list(params["optimized_gammas"]) == ["N6_V5.0", "N6_V10.0", "N8_V5.0"]
+    assert all(g > 0 for g in params["optimized_gammas"].values())
+    # the figure table itself is left as it was
+    assert "optimized_gammas" not in cli.FIGURES[3][1]
+
+
+# ---------------------------------------------------------------------------
+# exit code 4 and --plot
+
+def test_boundary_mismatch_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.bethe, "exact_boundary_gamma", lambda n, v: 1.0)
+    out = tmp_path / "boundary.csv"
+    rc = run(["boundary", "--model", "xy", "--n", "6",
+              "--x-range", "10:10:lin:1", "--out", str(out)])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("validation mismatch:")
+    row = out.read_text().strip().splitlines()[1].split(",")
+    assert float(row[1]) == 1.0 and row[5] == "1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase-diagram", "--model", "xy", "--n", "4", "--x-range", "2:8:lin:2",
+     "--gamma-range", "0.1:1:lin:2", "--out", "grid.csv"],
+    ["reproduce", "--figure", "1", "--out-dir", "figs"],
+])
+def test_plot_without_matplotlib_exit_code(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setitem(sys.modules, "matplotlib", None)  # import fails
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--plot"]) == 2
+    assert "--plot" in capsys.readouterr().err
+
+
+def _recording_pyplot():
+    """Stand-in for matplotlib.pyplot that records every call."""
+    plt = mock.MagicMock()
+
+    def subplots(nrows, ncols, **kwargs):
+        axes = np.empty((nrows, ncols), dtype=object)
+        for i in range(ncols):
+            axes[0, i] = mock.MagicMock()
+        return mock.MagicMock(), axes
+
+    plt.subplots.side_effect = subplots
+    return plt
+
+
+@pytest.mark.parametrize("argv, svg, panels", [
+    (["phase-diagram", "--model", "xy", "--n", "4", "--x-range", "2:8:lin:2",
+      "--gamma-range", "0.1:1:log:2", "--out", "grid.csv"], "grid.svg", 1),
+    (["evolve", "--model", "xy", "--n", "4", "--gamma", "1.2", "--target", "w",
+      "--t-max", "10", "--steps", "20", "--out", "trace.csv"], "trace.svg", 1),
+    (["reproduce", "--figure", "1", "--out-dir", "figs"], "figs/fig1.svg", 2),
+])
+def test_plot_panels(tmp_path, monkeypatch, argv, svg, panels):
+    # matplotlib itself may be absent: this checks the plot plumbing only
+    plt = _recording_pyplot()
+    monkeypatch.setattr(cli, "_pyplot", lambda enabled: plt if enabled else None)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--plot"]) == 0
+    assert plt.subplots.call_args.args == (1, panels)
+    fig = plt.close.call_args.args[0]
+    assert fig.savefig.call_args.args == (svg,)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from epchain import dynamics, linalg, models
-from epchain.errors import DimensionMismatch, NoDominantState
+from epchain.errors import DimensionMismatch, NoDominantState, NonConvergence
 from epchain.models import ModelKind, ModelSpec
 
 
@@ -135,6 +135,28 @@ def test_final_fidelity_deep_broken_ghz_is_finite(n_steps):
     assert math.isfinite(f)
     assert stepped.log_norms[-1] > 1e3
     assert abs(f - stepped.fidelities[-1]) < 1e-10
+
+
+@pytest.mark.parametrize("n_steps", [2, 3])
+def test_deep_broken_ghz_overflowing_step_raises(n_steps):
+    # sigma * dt passes ~700: the step propagator itself overflows, which
+    # must raise instead of yielding NaN fidelities
+    spec = _ghz_deep_broken()
+    target = models.target_state("ghz", 6)
+    init = dynamics.default_initial_state(spec)
+    with pytest.raises(NonConvergence):
+        dynamics.final_fidelity(spec, init, target, 1e4, n_steps)
+    with pytest.raises(NonConvergence):
+        dynamics.evolve_trace(spec, init, target, 1e4, n_steps)
+
+
+@pytest.mark.parametrize("n_steps", [5, 10])
+def test_final_fidelity_overflowing_power_raises(n_steps):
+    # the step propagator is finite, a product of its powers is not
+    spec = _ghz_deep_broken()
+    with pytest.raises(NonConvergence):
+        dynamics.final_fidelity(spec, dynamics.default_initial_state(spec),
+                                models.target_state("ghz", 6), 1e4, n_steps)
 
 
 def test_final_fidelity_validation():
@@ -288,3 +310,11 @@ def test_trace_rejects_bad_arrays():
                                 fidelities=np.array([0.5, 1.5]),
                                 log_norms=np.zeros(2), target_name="w",
                                 spec=spec, gamma_used=1.2)
+
+
+def test_trace_rejects_nan_fidelity():
+    with pytest.raises(ValueError):
+        dynamics.EvolutionTrace(times=np.array([1.0, 2.0]),
+                                fidelities=np.array([0.5, np.nan]),
+                                log_norms=np.zeros(2), target_name="w",
+                                spec=xy(4, gamma=1.2), gamma_used=1.2)
