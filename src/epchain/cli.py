@@ -251,8 +251,8 @@ def cmd_boundary(args) -> int:
 
 # ---------------------------------------------------------------------------
 # figure reproduction: each figure is a parameter table (written verbatim to
-# its manifest) read by one of two drivers.  A driver writes the figure's
-# CSVs and returns the manifest parameters and the plot panels.
+# its manifest) run by _grid_figure or _trace_figure, which write the
+# figure's CSVs and return the manifest parameters and the plot panels.
 
 def _figure_spec(control: str, params: dict, n: int, **values) -> models.ModelSpec:
     """The Ising ring when the figure's control is Delta, else the magnon chain."""
@@ -348,8 +348,8 @@ def cmd_reproduce(args) -> int:
     plt = _pyplot(args.plot)
     os.makedirs(args.out_dir, exist_ok=True)
     prefix = f"fig{args.figure}"
-    driver, params = FIGURES[args.figure]
-    params, panels = driver(prefix, params, args.out_dir)
+    make, params = FIGURES[args.figure]
+    params, panels = make(prefix, params, args.out_dir)
     manifest = {
         "figure": args.figure,
         "note": "parameters chosen to match the qualitative claims; "
