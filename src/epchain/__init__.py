@@ -50,6 +50,7 @@ from .models import (
     build_h_w,
     build_hamiltonian,
     check_pt_spectrum,
+    hamiltonian_blocks,
     magnon_basis,
     reduce_to_magnon_sector,
     single_flip_state,

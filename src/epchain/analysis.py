@@ -1,6 +1,8 @@
 """Phase-diagram sweeps, boundary extraction and the gamma optimizer.
 
-max|Im eps| over parameter grids is the broken-phase indicator.  The numeric
+max|Im eps| over parameter grids is the broken-phase indicator, taken over
+the symmetry blocks of models.hamiltonian_blocks (the momentum blocks of the
+periodic Ising ring, the whole matrix otherwise).  The numeric
 boundary is located by bisection on that indicator; for the magnon chain the
 critical gamma can fall far below double-precision resolution (it decays as
 1/V^(N-2)), so the scan escalates, when needed, to a bisection in mpmath
@@ -21,7 +23,7 @@ import numpy as np
 from . import bethe, linalg
 from .dynamics import default_initial_state, final_fidelity
 from .errors import ConfigError, DegenerateFit, EpchainError, NoTransition
-from .models import ModelKind, ModelSpec, StateVector, build_hamiltonian
+from .models import ModelKind, ModelSpec, StateVector, hamiltonian_blocks
 
 BROKEN_THRESHOLD = 1e-10
 
@@ -104,6 +106,11 @@ def max_im_epsilon(m) -> float:
     return float(np.max(np.abs(spectrum.eigenvalues.imag)))
 
 
+def _model_max_im_epsilon(spec: ModelSpec) -> float:
+    """max|Im eps| of the model, the largest over its symmetry blocks."""
+    return max(max_im_epsilon(h) for h in hamiltonian_blocks(spec))
+
+
 def _with_params(template: ModelSpec, name: str, value: float) -> ModelSpec:
     if name not in ("V", "Delta", "gamma"):
         raise ValueError(f"unknown sweep parameter {name!r}")
@@ -138,7 +145,7 @@ def sweep_grid(template: ModelSpec, x_axis: AxisSpec, y_axis: AxisSpec) -> Phase
 
     def node_value(spec: ModelSpec) -> float:
         try:
-            return max_im_epsilon(build_hamiltonian(spec))
+            return _model_max_im_epsilon(spec)
         except (EpchainError, ValueError):
             return float("nan")
 
@@ -288,8 +295,8 @@ def numeric_boundary_gamma(template: ModelSpec, control_value: float,
                                _FULL_SPACE_SCAN_FLOOR * (1 + control_value ** 2))
 
     def broken(g: float) -> bool:
-        h = build_hamiltonian(_with_params(base, "gamma", g))
-        return max_im_epsilon(h) > scaled_threshold
+        return (_model_max_im_epsilon(_with_params(base, "gamma", g))
+                > scaled_threshold)
 
     lo, hi = 1e-12, 10.0
     if not broken(hi):

@@ -35,7 +35,7 @@ from .errors import (
     NonConvergence,
     NullSpaceRankError,
 )
-from .models import StateVector, build_h_w, magnon_basis, target_state
+from .models import StateVector, build_h_w, magnon_basis
 
 ROOT_RESIDUAL_TOL = 1e-10
 SCAN_SAMPLES = 10_000
@@ -466,10 +466,3 @@ def bethe_scattering_state(k: float, N: int, gamma: float,
     if residual > 1e-8:
         raise NonConvergence(f"eigenstate residual {residual:.3e} exceeds 1e-8")
     return state
-
-
-def w_state_overlap_phase(N: int, gamma: float = 1.0) -> complex:
-    """Overlap of the k=pi/2 scattering state with the W target (|.|=1 at the EP)."""
-    state = bethe_scattering_state(math.pi / 2, N, gamma)
-    w = target_state("W", N)
-    return complex(np.vdot(w.amplitudes, state.amplitudes))

@@ -24,17 +24,16 @@ from .errors import ConfigError, EpchainError, ValidationMismatch
 BOUNDARY_REL_TOL = 1e-3
 
 
-def _parse_axis(text: str, flag: str) -> tuple[float, float, str, int]:
+def _parse_axis(text: str, flag: str, name: str) -> analysis.AxisSpec:
+    """The sweep axis of parameter name from a min:max:{log|lin}:count flag."""
     parts = text.split(":")
     if len(parts) != 4 or parts[2] not in ("log", "lin"):
         raise ConfigError(f"{flag} must look like min:max:{{log|lin}}:count, got {text!r}")
     try:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[3])
+        return analysis.AxisSpec.from_range(name, lo, hi, parts[2], count)
     except ValueError as exc:
         raise ConfigError(f"{flag}: {exc}") from exc
-    if count < 1:
-        raise ConfigError(f"{flag}: count must be >= 1")
-    return lo, hi, parts[2], count
 
 
 def _model_spec(args, full_space: bool = False) -> models.ModelSpec:
@@ -172,10 +171,8 @@ def cmd_phase_diagram(args) -> int:
     spec = _model_spec(args)
     x_name = "Delta" if args.model == "ising" else "V"
     plt = _pyplot(args.plot)
-    xlo, xhi, xscale, xcount = _parse_axis(args.x_range, "--x-range")
-    glo, ghi, gscale, gcount = _parse_axis(args.gamma_range, "--gamma-range")
-    x_axis = analysis.AxisSpec.from_range(x_name, xlo, xhi, xscale, xcount)
-    y_axis = analysis.AxisSpec.from_range("gamma", glo, ghi, gscale, gcount)
+    x_axis = _parse_axis(args.x_range, "--x-range", x_name)
+    y_axis = _parse_axis(args.gamma_range, "--gamma-range", "gamma")
     grid = analysis.sweep_grid(spec, x_axis, y_axis)
     if args.format == "json":
         serialize.atomic_write(args.out, serialize.grid_to_json(grid))
@@ -227,9 +224,8 @@ def cmd_evolve(args) -> int:
 
 def cmd_boundary(args) -> int:
     spec = _model_spec(args)
-    xlo, xhi, xscale, xcount = _parse_axis(args.x_range, "--x-range")
-    axis = analysis.AxisSpec.from_range("V" if args.model == "xy" else "Delta",
-                                        xlo, xhi, xscale, xcount)
+    axis = _parse_axis(args.x_range, "--x-range",
+                       "V" if args.model == "xy" else "Delta")
     rows = []
     for control in axis.values:
         numeric = analysis.numeric_boundary_gamma(spec, float(control))

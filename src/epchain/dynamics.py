@@ -95,21 +95,27 @@ def evolve_trace(spec: ModelSpec, init: StateVector, target: StateVector,
     """Propagate init under the model Hamiltonian, sampling n_steps times.
 
     Uses the Pade propagator for one fixed step reused across the run
-    (robust arbitrarily close to exceptional points).
+    (robust arbitrarily close to exceptional points).  NonConvergence when
+    the norm of one step's state leaves the double range.
     """
     dt, u, psi, tgt = _step_setup(spec, init, target, t_max, n_steps)
     times = np.empty(n_steps)
     fidelities = np.empty(n_steps)
     log_norms = np.empty(n_steps)
     log_norm = 0.0
-    for i in range(n_steps):
-        psi = u @ psi
-        step_norm = np.linalg.norm(psi)
-        log_norm += math.log(step_norm)
-        psi = psi / step_norm
-        times[i] = (i + 1) * dt
-        fidelities[i] = min(abs(np.vdot(tgt, psi)), 1.0)
-        log_norms[i] = log_norm
+    with np.errstate(over="ignore"):  # the norm is checked below
+        for i in range(n_steps):
+            psi = u @ psi
+            step_norm = np.linalg.norm(psi)
+            if not 0.0 < step_norm < math.inf:
+                raise NonConvergence(
+                    f"the state norm overflows at step {i + 1} of {n_steps} "
+                    f"(dt={dt:.6g}); use more steps")
+            log_norm += math.log(step_norm)
+            psi = psi / step_norm
+            times[i] = (i + 1) * dt
+            fidelities[i] = min(abs(np.vdot(tgt, psi)), 1.0)
+            log_norms[i] = log_norm
     return EvolutionTrace(times=times, fidelities=fidelities,
                           log_norms=log_norms, target_name=target_name,
                           spec=spec, gamma_used=spec.gamma)

@@ -2,7 +2,8 @@
 
 Covers the open XY chain with imaginary boundary fields (full spin space and
 its single-magnon reduction) and the transverse-field Ising model with an
-imaginary longitudinal field.  Conventions:
+imaginary longitudinal field, whole or, on the ring, in momentum blocks.
+Conventions:
 
 * magnon basis: position states |1> .. |N>, stored as indices 0 .. N-1;
 * spin-z basis: index is the bitstring with site 1 as the most significant
@@ -19,6 +20,7 @@ Hamiltonian entrywise.
 from __future__ import annotations
 
 import enum
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -238,17 +240,27 @@ def build_h_ghz(spec: ModelSpec) -> np.ndarray:
     N = spec.N
     idx, z = _spin_z(N)
     h = np.zeros((idx.size, idx.size), dtype=complex)
+    for l in range(N):
+        h[idx ^ (1 << (N - 1 - l)), idx] = spec.Delta  # sx_l flips site l
+    h[idx, idx] = _ising_diagonal(spec, z)
+    return h
+
+
+def _ising_diagonal(spec: ModelSpec, z: np.ndarray) -> np.ndarray:
+    """-J sum sz_l sz_{l+1} + i gamma sum sz_l of the states whose sz values
+    are the rows of z.
+
+    Terms are summed one by one, bonds then sites, so every entry is
+    reproducible to the bit.
+    """
+    N = spec.N
     bonds = N if spec.ising_boundary is IsingBoundary.PERIODIC else N - 1
-    # terms summed one by one, bonds then sites, so every entry is reproducible
-    # to the bit
-    diag = np.zeros(idx.size, dtype=complex)
+    diag = np.zeros(z.shape[0], dtype=complex)
     for l in range(bonds):
         diag += -spec.J * (z[:, l] * z[:, (l + 1) % N])
     for l in range(N):
         diag += 1j * spec.gamma * z[:, l]
-        h[idx ^ (1 << (N - 1 - l)), idx] = spec.Delta  # sx_l flips site l
-    h[idx, idx] = diag
-    return h
+    return diag
 
 
 def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
@@ -258,6 +270,81 @@ def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
     if spec.kind is ModelKind.XY_FULL_SPACE:
         return build_h_chain_full(spec)
     return build_h_ghz(spec)
+
+
+# ---------------------------------------------------------------------------
+# symmetry blocks
+
+@functools.lru_cache(maxsize=None)  # N <= 12 under FULL_SPACE_CAP
+def _ring_momentum_structure(N: int):
+    """Parameter-free momentum blocks of the N-site ring.
+
+    T rotates the bitstring left by one site.  Each orbit of T has one
+    representative a, its smallest index, with period p_a.  The Bloch state
+    |a(k)> = p_a^-1/2 sum_{r < p_a} e^{-ikr} T^r |a> exists for
+    k = 2 pi m / N when m p_a is a multiple of N, and these states form an
+    orthonormal basis.  If sx_l |a> = T^s |b> with b a representative, then
+    <b(k)| sx_l |a(k)> = e^{iks} sqrt(p_a / p_b).
+
+    Returns the sz values of the representatives and, per m = 0 .. N-1, the
+    positions of its representatives in that list and the block's
+    sum_l sx_l template.  The arrays are read-only: they are shared.
+    """
+    idx = np.arange(2 ** N)
+    rots = [idx]  # rots[r] = T^r idx
+    for _ in range(N - 1):
+        rots.append(((rots[-1] << 1) | (rots[-1] >> (N - 1))) & (2 ** N - 1))
+    rots = np.array(rots)
+    rep, to_rep = rots.min(axis=0), rots.argmin(axis=0)  # T^to_rep s = rep
+    reps = np.flatnonzero(rep == idx)
+    # a comes back to itself at N / p_a of the N rotations
+    period = N // np.sum(rots[:, reps] == reps, axis=0)
+    where = np.zeros(2 ** N, dtype=int)
+    where[reps] = np.arange(reps.size)
+    flipped = (reps[:, None] ^ (1 << np.arange(N))).ravel()  # sx of every site
+    col = np.repeat(np.arange(reps.size), N)
+    row = where[rep[flipped]]
+    amp = np.sqrt(period[col] / period[row])
+    blocks = []
+    for m in range(N):
+        members = np.flatnonzero(m * period % N == 0)
+        local = np.full(reps.size, -1)
+        local[members] = np.arange(members.size)
+        keep = (local[row] >= 0) & (local[col] >= 0)
+        template = np.zeros((members.size, members.size), dtype=complex)
+        np.add.at(template, (local[row[keep]], local[col[keep]]),
+                  np.exp(-2j * np.pi * m * to_rep[flipped[keep]] / N) * amp[keep])
+        members.setflags(write=False)
+        template.setflags(write=False)
+        blocks.append((members, template))
+    z = _spin_z(N)[1][reps]
+    z.setflags(write=False)
+    return z, tuple(blocks)
+
+
+def hamiltonian_blocks(spec: ModelSpec) -> list[np.ndarray]:
+    """Diagonal blocks of the Hamiltonian in an orthonormal symmetry basis.
+
+    The periodic Ising ring with J != 0 splits into its N momentum blocks,
+    k = 2 pi m / N for m = 0 .. N-1 (Sandvik, arXiv:1101.3281),
+    each filled from a structure cached per N.  Every other spec comes back
+    whole, as [build_hamiltonian(spec)].  That includes the J = 0 ring: its
+    sites decouple into highly degenerate eigenvalue clusters, and the
+    boundary scan's accuracy there is established for the dense eigensolver
+    only.  The block spectra together are the spectrum of
+    build_hamiltonian(spec).
+    """
+    if (spec.kind is not ModelKind.TRANSVERSE_ISING or spec.J == 0
+            or spec.ising_boundary is not IsingBoundary.PERIODIC):
+        return [build_hamiltonian(spec)]
+    z, blocks = _ring_momentum_structure(spec.N)
+    diag = _ising_diagonal(spec, z)
+    out = []
+    for members, template in blocks:
+        h = spec.Delta * template
+        h[np.diag_indices_from(h)] = diag[members]
+        out.append(h)
+    return out
 
 
 # ---------------------------------------------------------------------------

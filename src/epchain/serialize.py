@@ -1,8 +1,8 @@
-"""CSV / JSON serialization of traces, grids and boundary curves.
+"""CSV / JSON serialization of traces, grids and boundary tables.
 
 CSV output is deterministic: header row always present, floats printed with
-17 significant digits, row order fixed by construction.  JSON payloads round
-trip back into equal library objects.
+17 significant digits, row order fixed by construction.  A phase-grid JSON
+payload round trips back into an equal PhaseGrid.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import tempfile
 
 import numpy as np
 
-from .analysis import AxisSpec, BoundaryCurve, PhaseGrid
+from .analysis import AxisSpec, PhaseGrid
 from .dynamics import EvolutionTrace
 from .models import IsingBoundary, ModelKind, ModelSpec
 
@@ -84,20 +84,6 @@ def trace_to_json(trace: EvolutionTrace) -> str:
             "log_norms": [float(x) for x in trace.log_norms],
         },
         indent=2,
-    )
-
-
-def trace_from_json(text: str) -> EvolutionTrace:
-    d = json.loads(text)
-    if d.get("type") != "evolution_trace":
-        raise ValueError("not an evolution_trace payload")
-    return EvolutionTrace(
-        times=np.array(d["times"]),
-        fidelities=np.array(d["fidelities"]),
-        log_norms=np.array(d["log_norms"]),
-        target_name=d["target_name"],
-        spec=spec_from_dict(d["spec"]),
-        gamma_used=float(d["gamma_used"]),
     )
 
 
@@ -172,22 +158,3 @@ def boundary_table_csv(rows) -> str:
         cells.append(str(int(mismatch)))
         out.write(",".join(cells) + "\n")
     return out.getvalue()
-
-
-def curve_to_json(curve: BoundaryCurve) -> str:
-    return json.dumps(
-        {
-            "type": "boundary_curve",
-            "method": curve.method,
-            "points": [[c, g] for c, g in curve.points],
-        },
-        indent=2,
-    )
-
-
-def curve_from_json(text: str) -> BoundaryCurve:
-    d = json.loads(text)
-    if d.get("type") != "boundary_curve":
-        raise ValueError("not a boundary_curve payload")
-    return BoundaryCurve(method=d["method"],
-                         points=tuple((c, g) for c, g in d["points"]))

@@ -1,0 +1,140 @@
+"""Momentum blocks of the periodic Ising ring (models.hamiltonian_blocks) and
+the block-wise broken-phase indicator built on them."""
+
+import numpy as np
+import pytest
+from scipy.optimize import linear_sum_assignment
+
+from epchain import analysis, cli, linalg, models, serialize
+from epchain.errors import NonConvergence
+from epchain.models import IsingBoundary, ModelKind, ModelSpec
+
+
+def ring(N, **kw):
+    return ModelSpec(ModelKind.TRANSVERSE_ISING, N=N, **kw)
+
+
+def _ring_params():
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for N in range(1, 9):
+        for _ in range(3):
+            cases.append((N, rng.uniform(-2, 2), rng.uniform(-2, 2),
+                          rng.uniform(0, 1.5)))
+        cases.append((N, -1.0, 0.8, 0.3))  # ferro- and antiferromagnetic
+        cases.append((N, 1.0, 0.0, 0.7))  # Delta = 0: diagonal blocks
+    return cases
+
+
+def _multiset_distance(a, b) -> float:
+    """Largest distance between the members of an optimal pairing of a and b."""
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+@pytest.mark.parametrize("N, J, Delta, gamma", _ring_params())
+def test_block_spectra_equal_dense_spectrum(N, J, Delta, gamma):
+    spec = ring(N, J=J, Delta=Delta, gamma=gamma)
+    h = models.build_h_ghz(spec)
+    blocks = models.hamiltonian_blocks(spec)
+    assert len(blocks) == N
+    assert sum(b.shape[0] for b in blocks) == 2 ** N
+    eps = np.concatenate([np.linalg.eigvals(b) for b in blocks])
+    dense = np.linalg.eigvals(h)
+    assert _multiset_distance(eps, dense) <= 1e-10 * (1 + np.linalg.norm(h))
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_block_dimensions_sum_to_full_space(N):
+    blocks = models.hamiltonian_blocks(ring(N, Delta=0.5, gamma=0.1))
+    assert len(blocks) == N
+    assert sum(b.shape[0] for b in blocks) == 2 ** N
+
+
+def test_two_site_ring_blocks():
+    # k=0: |00>, (|01>+|10>)/sqrt2, |11> with the doubled N=2 bond;
+    # k=pi: (|01>-|10>)/sqrt2, which Delta sum sx annihilates
+    J, D, g = 0.7, 0.3, 0.2
+    k0, kpi = models.hamiltonian_blocks(ring(2, J=J, Delta=D, gamma=g))
+    s2 = np.sqrt(2)
+    assert np.allclose(k0, [[-2 * J - 2j * g, s2 * D, 0],
+                            [s2 * D, 2 * J, s2 * D],
+                            [0, s2 * D, -2 * J + 2j * g]], rtol=0, atol=1e-15)
+    assert np.array_equal(kpi, [[2 * J]])
+
+
+@pytest.mark.parametrize("spec", [
+    ring(4, J=0.0, Delta=1.0, gamma=0.5),
+    ring(4, Delta=1.0, gamma=0.5, ising_boundary=IsingBoundary.OPEN),
+    ModelSpec(ModelKind.XY_MAGNON, N=5, V=2.0, gamma=0.1),
+    ModelSpec(ModelKind.XY_FULL_SPACE, N=3, V=2.0, gamma=0.1),
+])
+def test_other_models_come_back_whole(spec):
+    (h,) = models.hamiltonian_blocks(spec)
+    assert np.array_equal(h, models.build_hamiltonian(spec))
+
+
+def test_block_templates_are_shared_read_only():
+    a = models.hamiltonian_blocks(ring(6, Delta=0.5, gamma=0.1))
+    b = models.hamiltonian_blocks(ring(6, Delta=0.5, gamma=0.1))
+    a[0][0, 0] = 99.0  # a returned block is the caller's own
+    assert b[0][0, 0] != 99.0
+    _, blocks = models._ring_momentum_structure(6)
+    with pytest.raises(ValueError):
+        blocks[0][1][0, 0] = 1.0
+
+
+def test_block_eig_failure_is_nan_node_and_cli_exits_3(monkeypatch, tmp_path):
+    # N=4 blocks have dims 6, 3, 4, 3; fail one dim-3 block at gamma = 0.5
+    eig = linalg.eig
+    seen = []
+
+    def eig_failing_in_one_block(m):
+        seen.append(m.shape[0])
+        if m.shape[0] == 3 and np.max(np.abs(m.diagonal().imag)) == 2 * 0.5:
+            raise NonConvergence("injected failure")
+        return eig(m)
+
+    monkeypatch.setattr(linalg, "eig", eig_failing_in_one_block)
+    grid = analysis.sweep_grid(
+        ring(4, Delta=1.0),
+        analysis.AxisSpec.from_range("Delta", 0.5, 1.0, "lin", 2),
+        analysis.AxisSpec.from_range("gamma", 0.1, 0.5, "lin", 2))
+    assert np.array_equal(np.isnan(grid.values), [[0, 1], [0, 1]])
+    assert sorted(set(seen)) == [3, 4, 6]  # never the dense 16 x 16
+    rc = cli.main(["phase-diagram", "--model", "ising", "--n", "4",
+                   "--x-range", "0.5:1:lin:2", "--gamma-range", "0.1:0.5:lin:2",
+                   "--out", str(tmp_path / "grid.csv")])
+    assert rc == 3
+
+
+def _fig4_axes():
+    params = cli.FIGURES[4][1]
+    return (analysis.AxisSpec.from_range("Delta", *params["Delta_range"]),
+            analysis.AxisSpec.from_range("gamma", *params["gamma_range"]))
+
+
+def test_fig4_ring_grid_matches_dense_reference():
+    x_axis, y_axis = _fig4_axes()
+    grid = analysis.sweep_grid(ring(6, J=1.0), x_axis, y_axis)
+    dense = np.array([[analysis.max_im_epsilon(models.build_h_ghz(
+        ring(6, J=1.0, Delta=float(d), gamma=float(g)))) for g in y_axis.values]
+        for d in x_axis.values])
+    broken = dense > analysis.BROKEN_THRESHOLD
+    assert np.array_equal(grid.broken_mask, broken)
+    assert 0 < broken.sum() < broken.size
+    # roundoff: noise of ~1e-13 where unbroken, relative 1e-9 where broken
+    assert np.max(np.abs(grid.values - dense)[~broken]) < 1e-11
+    assert np.max(np.abs(grid.values / dense - 1)[broken]) < 1e-9
+
+
+def test_ring_grid_byte_identical_across_thread_counts(monkeypatch):
+    x_axis, y_axis = _fig4_axes()
+    x_axis = analysis.AxisSpec("Delta", "lin", x_axis.values[::4])
+    texts = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("EPCHAIN_THREADS", threads)
+        texts.append(serialize.grid_to_csv(
+            analysis.sweep_grid(ring(6, J=1.0), x_axis, y_axis)))
+    assert texts[0] == texts[1]

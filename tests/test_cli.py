@@ -102,6 +102,18 @@ def test_phase_diagram_bad_range_exit_code(tmp_path, capsys):
     assert "--x-range" in capsys.readouterr().err
 
 
+def test_phase_diagram_log_axis_nonpositive_exit_code(tmp_path, capsys):
+    rc = run(["phase-diagram", "--model", "xy", "--n", "4",
+              "--x-range", "0:10:log:3", "--gamma-range", "0.1:1:lin:2",
+              "--out", str(tmp_path / "g.csv")])
+    assert rc == 2
+    assert "--x-range: log axis V requires positive range" in capsys.readouterr().err
+    rc = run(["boundary", "--model", "ising", "--n", "4",
+              "--x-range", "0:2:log:2", "--out", str(tmp_path / "b.csv")])
+    assert rc == 2
+    assert "--x-range: log axis Delta" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # evolve
 

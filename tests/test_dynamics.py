@@ -159,6 +159,24 @@ def test_final_fidelity_overflowing_power_raises(n_steps):
                                 models.target_state("ghz", 6), 1e4, n_steps)
 
 
+@pytest.mark.parametrize("n_steps", range(5, 10))
+def test_evolve_trace_overflowing_state_norm_raises(n_steps, tmp_path, capsys):
+    # the step propagator is finite, the norm of one step's state is not
+    from epchain import cli
+
+    spec = _ghz_deep_broken()
+    with pytest.raises(NonConvergence, match="state norm overflows at step 1"):
+        dynamics.evolve_trace(spec, dynamics.default_initial_state(spec),
+                              models.target_state("ghz", 6), 1e4, n_steps)
+    rc = cli.main(["evolve", "--model", "ising", "--n", "6", "--delta", "0.75",
+                   "--gamma", repr(spec.gamma), "--target", "ghz",
+                   "--t-max", "1e4", "--steps", str(n_steps),
+                   "--out", str(tmp_path / "t.csv")])
+    assert rc == 3
+    assert "state norm overflows" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_final_fidelity_validation():
     spec = xy(4, gamma=1.2)
     init = dynamics.default_initial_state(spec)
