@@ -2,7 +2,8 @@
 
 max|Im eps| over parameter grids is the broken-phase indicator, taken over
 the symmetry blocks of models.hamiltonian_blocks (the momentum blocks of the
-periodic Ising ring, the whole matrix otherwise).  The numeric
+periodic Ising ring, the whole matrix otherwise); a sweep diagonalizes a
+row's same-shape blocks as one stack (linalg.eigvals_stack).  The numeric
 boundary is located by bisection on that indicator; for the magnon chain the
 critical gamma can fall far below double-precision resolution (it decays as
 1/V^(N-2)), so the scan escalates, when needed, to a bisection in mpmath
@@ -22,10 +23,19 @@ import numpy as np
 
 from . import bethe, linalg
 from .dynamics import default_initial_state, final_fidelity
-from .errors import ConfigError, DegenerateFit, EpchainError, NoTransition
+from .errors import (ConfigError, DegenerateFit, EpchainError,
+                     NonConvergence, NoTransition)
 from .models import ModelKind, ModelSpec, StateVector, hamiltonian_blocks
 
 BROKEN_THRESHOLD = 1e-10
+
+_SWEEP_PARAMETERS = ("V", "Delta", "gamma")
+
+# Bytes of blocks a sweep row holds before they go to the eigen kernel, and
+# the most one kernel stack takes (one block at least).  A row of chain or
+# momentum blocks fits whole; dense 2^N matrices, and stacks of the N=10
+# ring's blocks, whose temporaries raise peak RSS, go one at a time.
+_STACK_BYTES = 1 << 18
 
 # below this critical gamma the double-precision indicator is unreliable
 _DOUBLE_PRECISION_FLOOR = 1e-6
@@ -106,13 +116,57 @@ def max_im_epsilon(m) -> float:
     return float(np.max(np.abs(spectrum.eigenvalues.imag)))
 
 
+def _max_im_epsilons(nodes) -> np.ndarray:
+    """max|Im eps| of each node, the largest over its symmetry blocks.
+
+    nodes yields each node's list of blocks, or None where its build failed.
+    Same-shape blocks go to linalg.eigvals_stack together, in stacks of up to
+    _STACK_BYTES, once the pending blocks reach _STACK_BYTES or the nodes run
+    out.  A node is NaN when its build failed or the kernel flags any of its
+    blocks.
+    """
+    values: list[float] = []
+    groups: dict[tuple, tuple[list[int], list[np.ndarray]]] = {}
+
+    def flush() -> None:
+        for owners, blocks in groups.values():
+            step = max(1, _STACK_BYTES // blocks[0].nbytes)
+            for s in range(0, len(blocks), step):
+                vals, ok = linalg.eigvals_stack(np.stack(blocks[s:s + step]))
+                im = np.where(ok, np.max(np.abs(vals.imag), axis=-1), np.nan)
+                for n, v in zip(owners[s:s + step], im):
+                    values[n] = np.maximum(values[n], v)  # NaN propagates
+        groups.clear()
+
+    pending = 0
+    for blocks in nodes:
+        values.append(-np.inf if blocks is not None else np.nan)
+        for h in blocks or ():
+            owners, stack = groups.setdefault(h.shape, ([], []))
+            owners.append(len(values) - 1)
+            stack.append(h)
+            pending += h.nbytes
+        if pending >= _STACK_BYTES:
+            flush()
+            pending = 0
+    flush()
+    return np.array(values, dtype=float)
+
+
 def _model_max_im_epsilon(spec: ModelSpec) -> float:
-    """max|Im eps| of the model, the largest over its symmetry blocks."""
-    return max(max_im_epsilon(h) for h in hamiltonian_blocks(spec))
+    """max|Im eps| of one model, the one-node case of _max_im_epsilons.
+
+    The boundary scan needs an answer at every gamma it probes, so a failed
+    block raises NonConvergence here instead of giving NaN.
+    """
+    value = float(_max_im_epsilons([hamiltonian_blocks(spec)])[0])
+    if math.isnan(value):
+        raise NonConvergence(f"eigendecomposition failed at {spec}")
+    return value
 
 
 def _with_params(template: ModelSpec, name: str, value: float) -> ModelSpec:
-    if name not in ("V", "Delta", "gamma"):
+    if name not in _SWEEP_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {name!r}")
     return replace(template, **{name: float(value)})
 
@@ -131,29 +185,30 @@ def _sweep_workers() -> int:
 def sweep_grid(template: ModelSpec, x_axis: AxisSpec, y_axis: AxisSpec) -> PhaseGrid:
     """Evaluate max|Im eps| at every grid node, deterministic row-major order.
 
-    A node whose spec, build or eigensolve fails (EpchainError or ValueError)
-    is recorded as NaN; the grid is still returned.
+    The thread pool takes one row (one x value) at a time; a row's blocks go
+    to the eigen kernel in stacks.  A node whose spec, build or eigensolve
+    fails (EpchainError or ValueError, or a kernel flag) is recorded as NaN;
+    the grid is still returned.
     """
     if y_axis.name != "gamma":
         raise ValueError("the sweep y-axis must be gamma")
-    nodes = [
-        (i, j, _with_params(_with_params(template, x_axis.name, x),
-                            "gamma", g))
-        for i, x in enumerate(x_axis.values)
-        for j, g in enumerate(y_axis.values)
-    ]
+    if x_axis.name not in _SWEEP_PARAMETERS:
+        raise ValueError(f"unknown sweep parameter {x_axis.name!r}")
 
-    def node_value(spec: ModelSpec) -> float:
+    def node_blocks(x: float, g: float) -> list[np.ndarray] | None:
         try:
-            return _model_max_im_epsilon(spec)
+            return hamiltonian_blocks(_with_params(
+                _with_params(template, x_axis.name, x), "gamma", g))
         except (EpchainError, ValueError):
-            return float("nan")
+            return None
+
+    def row(x: float) -> np.ndarray:
+        return _max_im_epsilons(node_blocks(x, g) for g in y_axis.values)
 
     values = np.empty((len(x_axis.values), len(y_axis.values)))
     with ThreadPoolExecutor(max_workers=_sweep_workers()) as pool:
-        for (i, j, _), val in zip(nodes, pool.map(node_value,
-                                                  (s for _, _, s in nodes))):
-            values[i, j] = val
+        for i, row_values in enumerate(pool.map(row, x_axis.values)):
+            values[i] = row_values
     return PhaseGrid(template=template, x_axis=x_axis, y_axis=y_axis, values=values)
 
 

@@ -2,8 +2,9 @@
 
 General (non-Hermitian) eigendecomposition with residual verification,
 biorthogonal inner products, and two interchangeable propagator backends
-(Pade scaling-and-squaring, spectral synthesis).  All functions are pure;
-nothing here mutates its inputs.
+(Pade scaling-and-squaring, spectral synthesis).  One eigen kernel serves a
+single matrix (eig) and a stack of them (eigvals_stack, one LAPACK call for
+a sweep row).  All functions are pure; nothing here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -59,28 +60,80 @@ class Spectrum:
         return float(np.max(self.residuals))
 
 
-def _fix_phase(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive.
+def _eig_stack(a: np.ndarray):
+    """Eigendecompositions of a (k, d, d) stack: one np.linalg.eig call.
 
-    Makes the decomposition deterministic, which downstream CSV output
-    relies on.
+    Returns (vals, vecs, residuals, ok).  vals[n] is sorted by (Re, Im);
+    vecs[n][:, i] is the unit-norm right eigenvector of vals[n][i], rotated so
+    its largest-magnitude entry is real positive (deterministic output);
+    residuals[n][i] = ||H v_i - eps_i v_i||; ok[n] is False where the matrix
+    is not finite, LAPACK fails on it, or a residual exceeds
+    RESIDUAL_TOL * (1 + ||H||), and one such matrix fails no other.
+
+    The step order fixes the last bits of the printed vectors and residuals:
+    gemm's result and the norm's summation order depend on column order and
+    memory layout, so columns are sorted first and normalized as contiguous
+    rows of cols; the phase divides by hypot, from which np.abs of a complex
+    array can differ in the last bit.
     """
-    out = vectors.copy()
-    for n in range(out.shape[1]):
-        j = int(np.argmax(np.abs(out[:, n])))
-        ph = out[j, n] / abs(out[j, n])
-        out[:, n] = out[:, n] / ph
-    return out
-
-
-def _sorted_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if not finite.all():
+        a = np.where(finite[:, None, None], a, 0)
     try:
         vals, vecs = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(str(exc)) from exc
-    order = np.lexsort((vals.imag, vals.real))
-    vecs = vecs[:, order] / np.linalg.norm(vecs[:, order], axis=0)
-    return vals[order], _fix_phase(vecs)
+    except np.linalg.LinAlgError:
+        # error path: retry one matrix at a time so the failure lands on it
+        vals = np.full(a.shape[:-1], np.nan, dtype=complex)
+        vecs = np.full(a.shape, np.nan, dtype=complex)
+        for n in range(len(a)):
+            try:
+                vals[n], vecs[n] = np.linalg.eig(a[n])
+            except np.linalg.LinAlgError:
+                pass
+    k, d = a.shape[:2]
+    rows = np.arange(k)[:, None]
+    order = np.lexsort((vals.imag, vals.real), axis=-1)
+    vals = vals[rows, order]
+    cols = vecs.swapaxes(-1, -2)[rows, order]
+    del vecs
+    with np.errstate(invalid="ignore", divide="ignore"):  # failed matrices
+        cols /= np.linalg.norm(cols, axis=-1, keepdims=True)
+        top = cols[rows, np.arange(d), np.argmax(np.abs(cols), axis=-1)]
+        cols /= (top / np.hypot(top.real, top.imag))[..., None]
+        vecs = cols.swapaxes(-1, -2)
+        hv = a @ vecs
+        hv -= vecs * vals[:, None, :]
+        residuals = np.linalg.norm(hv, axis=-2)
+    scale = 1.0 + np.linalg.norm(a, axis=(-2, -1))
+    ok = finite & (residuals.max(axis=-1) <= RESIDUAL_TOL * scale)
+    return vals, vecs, residuals, ok
+
+
+def eigvals_stack(stack) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of every matrix of a (k, d, d) stack, in one LAPACK call.
+
+    Returns (vals, ok): vals[n] holds the eigenvalues of stack[n] sorted by
+    (Re, Im), bitwise those of eig(stack[n]); ok[n] is False where that
+    matrix is not finite, LAPACK fails on it, or its residual check fails,
+    and vals[n] is then NaN.  One bad matrix never fails the others.
+    """
+    a = np.asarray(stack, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
+        raise DimensionMismatch(
+            f"expected a stack of square matrices, got shape {a.shape}")
+    vals, _, _, ok = _eig_stack(a)
+    vals[~ok] = np.nan
+    return vals, ok
+
+
+def _checked_eig(a: np.ndarray, what: str) -> tuple[np.ndarray, ...]:
+    """(vals, vecs, residuals) of one matrix; NonConvergence unless ok."""
+    vals, vecs, residuals, ok = _eig_stack(a[None])
+    if not ok[0]:
+        raise NonConvergence(
+            f"{what} residual {np.max(residuals[0]):.3e} exceeds "
+            f"{RESIDUAL_TOL:.0e} * (1 + ||H||)")
+    return vals[0], vecs[0], residuals[0]
 
 
 def eig(m, want_left: bool = False) -> Spectrum:
@@ -91,23 +144,12 @@ def eig(m, want_left: bool = False) -> Spectrum:
     (Re, Im) sort order of the conjugated spectrum.
     """
     a = as_matrix(m)
-    scale = 1.0 + np.linalg.norm(a)
-    vals, vecs = _sorted_eig(a)
-    residuals = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
-    if np.max(residuals) > RESIDUAL_TOL * scale:
-        raise NonConvergence(
-            f"eigendecomposition residual {np.max(residuals):.3e} exceeds "
-            f"{RESIDUAL_TOL * scale:.3e}"
-        )
+    vals, vecs, residuals = _checked_eig(a, "eigendecomposition")
     left = None
     if want_left:
-        lvals, lvecs = _sorted_eig(a.conj().T)
+        lvals, lvecs, _ = _checked_eig(a.conj().T, "left eigenvector")
         # Sorting conj(lvals) by (Re, Im) must reproduce the order of vals.
-        lorder = np.lexsort((-lvals.imag, lvals.real))
-        left = lvecs[:, lorder]
-        lres = np.linalg.norm(a.conj().T @ left - left * lvals[lorder], axis=0)
-        if np.max(lres) > RESIDUAL_TOL * scale:
-            raise NonConvergence("left eigenvector residual too large")
+        left = lvecs[:, np.lexsort((-lvals.imag, lvals.real))]
     return Spectrum(eigenvalues=vals, right_vectors=vecs, residuals=residuals,
                     left_vectors=left)
 

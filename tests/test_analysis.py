@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from epchain import analysis, bethe, cli, dynamics, linalg, models
-from epchain.errors import (ConfigError, DegenerateFit, NonConvergence,
-                            NoTransition)
+from epchain.errors import ConfigError, DegenerateFit, NoTransition
 from epchain.models import ModelKind, ModelSpec
 
 
@@ -109,20 +108,36 @@ def test_sweep_grid_deterministic_under_thread_cap():
     assert np.array_equal(g1.values, g2.values)
 
 
+def test_sweep_grid_rows_identical_across_thread_counts(monkeypatch):
+    # 7 rows: neither 3 nor 4 workers divide them evenly
+    axes = (
+        analysis.AxisSpec.from_range("V", 2.0, 100.0, "log", 7),
+        analysis.AxisSpec.from_range("gamma", 1e-8, 1.0, "log", 9),
+    )
+    grids = []
+    for threads in ("1", "3", "4"):
+        monkeypatch.setenv("EPCHAIN_THREADS", threads)
+        grids.append(analysis.sweep_grid(xy(8), *axes).values)
+    assert np.array_equal(grids[0], grids[1])
+    assert np.array_equal(grids[0], grids[2])
+
+
 def test_sweep_grid_failed_node_is_nan_and_cli_exits_3(monkeypatch, tmp_path):
     axes = (
         analysis.AxisSpec.from_range("V", 2.0, 8.0, "lin", 3),
         analysis.AxisSpec.from_range("gamma", 0.1, 1.0, "lin", 2),
     )
-    eig = linalg.eig
-    injected = NonConvergence
+    kernel = linalg.eigvals_stack
+    injected = None  # the kernel flags the V=5 matrices as failed
 
-    def eig_failing_at_v5(m):
-        if m[0, 0].real == 5.0:
+    def kernel_failing_at_v5(stack):
+        at_v5 = stack[:, 0, 0].real == 5.0
+        if injected is not None and at_v5.any():
             raise injected("injected failure")
-        return eig(m)
+        vals, ok = kernel(stack)
+        return vals, ok & ~at_v5
 
-    monkeypatch.setattr(linalg, "eig", eig_failing_at_v5)
+    monkeypatch.setattr(linalg, "eigvals_stack", kernel_failing_at_v5)
     grid = analysis.sweep_grid(xy(6), *axes)
     assert np.array_equal(np.isnan(grid.values), [[0, 0], [1, 1], [0, 0]])
     rc = cli.main(["phase-diagram", "--model", "xy", "--n", "6",

@@ -6,7 +6,6 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from epchain import analysis, cli, linalg, models, serialize
-from epchain.errors import NonConvergence
 from epchain.models import IsingBoundary, ModelKind, ModelSpec
 
 
@@ -87,22 +86,23 @@ def test_block_templates_are_shared_read_only():
 
 def test_block_eig_failure_is_nan_node_and_cli_exits_3(monkeypatch, tmp_path):
     # N=4 blocks have dims 6, 3, 4, 3; fail one dim-3 block at gamma = 0.5
-    eig = linalg.eig
+    kernel = linalg.eigvals_stack
     seen = []
 
-    def eig_failing_in_one_block(m):
-        seen.append(m.shape[0])
-        if m.shape[0] == 3 and np.max(np.abs(m.diagonal().imag)) == 2 * 0.5:
-            raise NonConvergence("injected failure")
-        return eig(m)
+    def kernel_failing_in_one_block(stack):
+        seen.append(stack.shape[1])
+        vals, ok = kernel(stack)
+        failing = [m.shape[0] == 3 and np.max(np.abs(m.diagonal().imag)) == 2 * 0.5
+                   for m in stack]
+        return vals, ok & ~np.array(failing)
 
-    monkeypatch.setattr(linalg, "eig", eig_failing_in_one_block)
+    monkeypatch.setattr(linalg, "eigvals_stack", kernel_failing_in_one_block)
     grid = analysis.sweep_grid(
         ring(4, Delta=1.0),
         analysis.AxisSpec.from_range("Delta", 0.5, 1.0, "lin", 2),
         analysis.AxisSpec.from_range("gamma", 0.1, 0.5, "lin", 2))
     assert np.array_equal(np.isnan(grid.values), [[0, 1], [0, 1]])
-    assert sorted(set(seen)) == [3, 4, 6]  # never the dense 16 x 16
+    assert sorted(set(seen)) == [3, 4, 6]  # no 16 x 16 matrix reaches the kernel
     rc = cli.main(["phase-diagram", "--model", "ising", "--n", "4",
                    "--x-range", "0.5:1:lin:2", "--gamma-range", "0.1:0.5:lin:2",
                    "--out", str(tmp_path / "grid.csv")])

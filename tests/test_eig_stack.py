@@ -1,0 +1,286 @@
+"""The stacked eigen kernel (linalg.eigvals_stack) and the row-wise sweep
+built on it, checked bitwise against a per-matrix reference: a test-only copy
+of the single-matrix eigendecomposition the kernel replaced, and the
+node-by-node sweep that called it."""
+
+import threading
+
+import numpy as np
+import pytest
+
+from epchain import analysis, cli, linalg, models
+from epchain.errors import DimensionMismatch, NonConvergence
+from epchain.models import IsingBoundary, ModelKind, ModelSpec
+
+# ---------------------------------------------------------------------------
+# test-only reference: one np.linalg.eig call per matrix
+
+
+def _reference_fix_phase(vectors):
+    out = vectors.copy()
+    for n in range(out.shape[1]):
+        j = int(np.argmax(np.abs(out[:, n])))
+        ph = out[j, n] / abs(out[j, n])
+        out[:, n] = out[:, n] / ph
+    return out
+
+
+def _reference_sorted_eig(a):
+    try:
+        vals, vecs = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(str(exc)) from exc
+    order = np.lexsort((vals.imag, vals.real))
+    vecs = vecs[:, order] / np.linalg.norm(vecs[:, order], axis=0)
+    return vals[order], _reference_fix_phase(vecs)
+
+
+def reference_eig(m, want_left=False):
+    a = linalg.as_matrix(m)
+    scale = 1.0 + np.linalg.norm(a)
+    vals, vecs = _reference_sorted_eig(a)
+    residuals = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
+    if np.max(residuals) > linalg.RESIDUAL_TOL * scale:
+        raise NonConvergence("eigendecomposition residual too large")
+    left = None
+    if want_left:
+        lvals, lvecs = _reference_sorted_eig(a.conj().T)
+        lorder = np.lexsort((-lvals.imag, lvals.real))
+        left = lvecs[:, lorder]
+        lres = np.linalg.norm(a.conj().T @ left - left * lvals[lorder], axis=0)
+        if np.max(lres) > linalg.RESIDUAL_TOL * scale:
+            raise NonConvergence("left eigenvector residual too large")
+    return linalg.Spectrum(eigenvalues=vals, right_vectors=vecs,
+                           residuals=residuals, left_vectors=left)
+
+
+def reference_grid(template, x_axis, y_axis):
+    """The node-by-node sweep: max over blocks of the reference max|Im eps|."""
+    out = np.empty((len(x_axis.values), len(y_axis.values)))
+    for i, x in enumerate(x_axis.values):
+        for j, g in enumerate(y_axis.values):
+            spec = analysis._with_params(
+                analysis._with_params(template, x_axis.name, x), "gamma", g)
+            out[i, j] = max(
+                float(np.max(np.abs(reference_eig(h).eigenvalues.imag)))
+                for h in models.hamiltonian_blocks(spec))
+    return out
+
+
+def xy(N, **kw):
+    return ModelSpec(ModelKind.XY_MAGNON, N=N, **kw)
+
+
+def ring(N, **kw):
+    return ModelSpec(ModelKind.TRANSVERSE_ISING, N=N, **kw)
+
+
+def _random_stack(rng, k, d):
+    return rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+
+
+# ---------------------------------------------------------------------------
+# the kernel
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_stack_eigenvalues_equal_eig_bitwise(d):
+    rng = np.random.default_rng(100 + d)
+    stack = _random_stack(rng, 7, d)
+    vals, ok = linalg.eigvals_stack(stack)
+    assert vals.shape == (7, d) and ok.all()
+    for m, v in zip(stack, vals):
+        assert np.array_equal(v, linalg.eig(m).eigenvalues)
+        assert np.array_equal(v, reference_eig(m).eigenvalues)
+
+
+@pytest.mark.parametrize("N", [4, 6, 8])
+def test_stack_of_ring_blocks_equals_eig_bitwise(N):
+    blocks = [h for delta in (0.3, 1.1) for g in (1e-3, 0.2, 0.9)
+              for h in models.hamiltonian_blocks(ring(N, Delta=delta, gamma=g))]
+    for d in sorted({h.shape[0] for h in blocks}):
+        same = [h for h in blocks if h.shape[0] == d]
+        vals, ok = linalg.eigvals_stack(np.stack(same))
+        assert ok.all()
+        for h, v in zip(same, vals):
+            assert np.array_equal(v, reference_eig(h).eigenvalues)
+
+
+def test_eig_equals_reference_bitwise():
+    rng = np.random.default_rng(3)
+    mats = [_random_stack(rng, 1, d)[0] for d in (1, 2, 5, 8, 9, 12, 33, 64)]
+    # chains and rings whose eigenvectors have near-tied largest entries,
+    # where the phase fix is most sensitive to the last bit
+    mats += [models.build_hamiltonian(xy(10, V=2.0, gamma=0.3)),
+             models.build_hamiltonian(xy(6, V=3.0, gamma=2.0)),
+             models.build_hamiltonian(ring(5, Delta=0.7, gamma=0.5))]
+    for m in mats:
+        for want_left in (False, True):
+            got, ref = linalg.eig(m, want_left), reference_eig(m, want_left)
+            assert np.array_equal(got.eigenvalues, ref.eigenvalues)
+            assert np.array_equal(got.right_vectors, ref.right_vectors)
+            assert np.array_equal(got.residuals, ref.residuals)
+            if want_left:
+                assert np.array_equal(got.left_vectors, ref.left_vectors)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_nonfinite_matrix_flags_only_itself(bad):
+    rng = np.random.default_rng(4)
+    stack = _random_stack(rng, 5, 6)
+    stack[2, 1, 3] = bad
+    vals, ok = linalg.eigvals_stack(stack)
+    assert ok.tolist() == [True, True, False, True, True]
+    assert np.isnan(vals[2]).all()
+    for n in (0, 1, 3, 4):
+        assert np.array_equal(vals[n], linalg.eig(stack[n]).eigenvalues)
+
+
+def test_stack_shape_is_checked():
+    for shape in [(3, 3), (2, 3, 4), (2, 0, 0)]:
+        with pytest.raises(DimensionMismatch):
+            linalg.eigvals_stack(np.zeros(shape))
+    vals, ok = linalg.eigvals_stack(np.zeros((0, 3, 3)))
+    assert vals.shape == (0, 3) and ok.shape == (0,)
+
+
+def _eig_failing_on(poisoned):
+    """np.linalg.eig that raises LinAlgError for any input holding a matrix
+    that poisoned(m) picks, as LAPACK does for the whole stack."""
+    eig = np.linalg.eig
+
+    def failing(a):
+        mats = a if a.ndim == 3 else a[None]
+        if any(poisoned(m) for m in mats):
+            raise np.linalg.LinAlgError("injected non-convergence")
+        return eig(a)
+
+    return failing
+
+
+def test_linalg_error_in_stack_lands_on_its_matrix(monkeypatch):
+    rng = np.random.default_rng(5)
+    stack = _random_stack(rng, 4, 5)
+    expected = [linalg.eig(m).eigenvalues for m in stack]
+    monkeypatch.setattr(np.linalg, "eig",
+                        _eig_failing_on(lambda m: m[0, 0] == stack[1, 0, 0]))
+    vals, ok = linalg.eigvals_stack(stack)
+    assert ok.tolist() == [True, False, True, True]
+    assert np.isnan(vals[1]).all()
+    for n in (0, 2, 3):
+        assert np.array_equal(vals[n], expected[n])
+    with pytest.raises(NonConvergence):
+        linalg.eig(stack[1])
+
+
+def test_linalg_error_makes_only_the_owning_node_nan(monkeypatch):
+    axes = (analysis.AxisSpec.from_range("V", 2.0, 8.0, "lin", 3),
+            analysis.AxisSpec.from_range("gamma", 0.1, 1.0, "lin", 3))
+    clean = analysis.sweep_grid(xy(6), *axes)
+    # |H[0, 0]| picks one node of the magnon chain: V = 5, the middle gamma
+    g = axes[1].values[1]
+    monkeypatch.setattr(np.linalg, "eig", _eig_failing_on(
+        lambda m: m[0, 0].real == 5.0 and abs(m[0, 0].imag) == g))
+    grid = analysis.sweep_grid(xy(6), *axes)
+    assert np.array_equal(np.isnan(grid.values),
+                          [[0, 0, 0], [0, 1, 0], [0, 0, 0]])
+    keep = ~np.isnan(grid.values)
+    assert np.array_equal(grid.values[keep], clean.values[keep])
+
+
+def test_spectrum_csvs_byte_identical_to_reference_eig(monkeypatch, tmp_path):
+    runs = {
+        "xy": ["--model", "xy", "--n", "8", "--v", "3", "--gamma", "0.4"],
+        "ising": ["--model", "ising", "--n", "6", "--delta", "0.7",
+                  "--gamma", "0.3"],
+    }
+
+    def write_all(tag):
+        texts = {}
+        for name, flags in runs.items():
+            out = tmp_path / f"{name}_{tag}.csv"
+            assert cli.main(["spectrum", *flags, "--vectors", "--out", str(out)]) == 0
+            texts[name] = (out.read_bytes(),
+                           (tmp_path / f"{name}_{tag}.csv.vectors.csv").read_bytes())
+        return texts
+
+    got = write_all("kernel")
+    monkeypatch.setattr(linalg, "eig", reference_eig)
+    ref = write_all("reference")
+    assert got == ref
+    assert all(b"e-" in csv for csv, _ in got.values())  # residuals printed
+
+
+# ---------------------------------------------------------------------------
+# the row-wise sweep
+
+def _figure_axes(number, x_name, x_key):
+    params = cli.FIGURES[number][1]
+    return (analysis.AxisSpec.from_range(x_name, *params[x_key]),
+            analysis.AxisSpec.from_range("gamma", *params["gamma_range"]))
+
+
+@pytest.mark.parametrize("N", [6, 8])
+def test_fig2_grid_equals_per_node_reference(N):
+    x_axis, y_axis = _figure_axes(2, "V", "V_range")
+    grid = analysis.sweep_grid(xy(N), x_axis, y_axis)
+    assert np.array_equal(grid.values, reference_grid(xy(N), x_axis, y_axis))
+
+
+def test_fig4_ring_grid_equals_per_node_reference():
+    x_axis, y_axis = _figure_axes(4, "Delta", "Delta_range")
+    template = ring(6, J=1.0)
+    grid = analysis.sweep_grid(template, x_axis, y_axis)
+    assert np.array_equal(grid.values, reference_grid(template, x_axis, y_axis))
+
+
+def _counting_kernel(monkeypatch):
+    kernel = linalg.eigvals_stack
+    shapes = []
+    lock = threading.Lock()
+
+    def counted(stack):
+        with lock:
+            shapes.append(np.shape(stack))
+        return kernel(stack)
+
+    monkeypatch.setattr(linalg, "eigvals_stack", counted)
+    return shapes
+
+
+def test_xy_grid_is_one_kernel_call_per_row(monkeypatch):
+    shapes = _counting_kernel(monkeypatch)
+    analysis.sweep_grid(xy(6),
+                        analysis.AxisSpec.from_range("V", 2.0, 100.0, "log", 24),
+                        analysis.AxisSpec.from_range("gamma", 1e-8, 1.0, "log", 24))
+    assert shapes == [(24, 6, 6)] * 24
+
+
+def test_dense_nodes_go_to_the_kernel_one_at_a_time(monkeypatch):
+    # an open ring is one dense 2^8 matrix per node, 1 MB each
+    template = ring(8, Delta=1.0, ising_boundary=IsingBoundary.OPEN)
+    x_axis = analysis.AxisSpec.from_range("Delta", 1.0, 1.0, "lin", 1)
+    y_axis = analysis.AxisSpec.from_range("gamma", 0.1, 1.0, "log", 3)
+    shapes = _counting_kernel(monkeypatch)
+    grid = analysis.sweep_grid(template, x_axis, y_axis)
+    assert shapes == [(1, 256, 256)] * 3
+    assert np.array_equal(grid.values, reference_grid(template, x_axis, y_axis))
+
+
+def test_failed_spec_is_a_nan_node():
+    grid = analysis.sweep_grid(
+        xy(6), analysis.AxisSpec.from_range("V", 2.0, 8.0, "lin", 2),
+        analysis.AxisSpec("gamma", "lin", np.array([-0.5, 0.0, 0.5])))
+    assert np.array_equal(np.isnan(grid.values), [[1, 0, 0], [1, 0, 0]])
+    with pytest.raises(ValueError, match="unknown sweep parameter"):
+        analysis.sweep_grid(
+            xy(6), analysis.AxisSpec("J", "lin", np.array([1.0])),
+            analysis.AxisSpec("gamma", "lin", np.array([0.5])))
+
+
+def test_boundary_scan_raises_where_the_kernel_fails(monkeypatch):
+    def kernel_failing_everywhere(stack):
+        return np.full(stack.shape[:2], np.nan), np.zeros(len(stack), bool)
+
+    monkeypatch.setattr(linalg, "eigvals_stack", kernel_failing_everywhere)
+    with pytest.raises(NonConvergence):
+        analysis.numeric_boundary_gamma(xy(6), 5.0)
