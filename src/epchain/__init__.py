@@ -37,7 +37,7 @@ from .dynamics import (
     final_fidelity,
     steady_fidelity,
 )
-from .linalg import Spectrum, apply_propagator, biorthogonal_overlap, eig
+from .linalg import Spectrum, biorthogonal_overlap, eig
 from .models import (
     IsingBoundary,
     ModelKind,

@@ -331,12 +331,11 @@ def _numeric_boundary_highprec(N: int, V: float, rel_tol: float) -> float:
 
 
 def numeric_boundary_gamma(template: ModelSpec, control_value: float,
-                           rel_tol: float = 1e-6,
-                           threshold: float = BROKEN_THRESHOLD) -> float:
+                           rel_tol: float = 1e-6) -> float:
     """Critical gamma from the diagonalization scan, relative rel_tol.
 
     control_value sets V (XY) or Delta (Ising).  Bisection on the indicator
-    max|Im eps| > threshold * (1 + |control|); when the transition sits
+    max|Im eps| > BROKEN_THRESHOLD * (1 + |control|); when the transition sits
     below double-precision resolution, or the exact predicate shows that
     the double-precision result overshoots gamma_c by more than rel_tol, it
     escalates to a 60-digit bisection on the exact Sturm-count predicate
@@ -344,7 +343,7 @@ def numeric_boundary_gamma(template: ModelSpec, control_value: float,
     """
     name = "Delta" if template.kind is ModelKind.TRANSVERSE_ISING else "V"
     base = _with_params(template, name, control_value)
-    scaled_threshold = threshold * (1 + abs(control_value))
+    scaled_threshold = BROKEN_THRESHOLD * (1 + abs(control_value))
     if template.kind is not ModelKind.XY_MAGNON:
         scaled_threshold = max(scaled_threshold,
                                _FULL_SPACE_SCAN_FLOOR * (1 + control_value ** 2))

@@ -24,13 +24,16 @@ from .errors import ConfigError, EpchainError, ValidationMismatch
 BOUNDARY_REL_TOL = 1e-3
 
 
-def _parse_axis(text: str, flag: str, name: str) -> analysis.AxisSpec:
-    """The sweep axis of parameter name from a min:max:{log|lin}:count flag."""
+def _parse_axis(text: str, flag: str, spec: models.ModelSpec,
+                name: str) -> analysis.AxisSpec:
+    """spec's axis of name from min:max:{log|lin}:count; both ends must be valid."""
     parts = text.split(":")
     if len(parts) != 4 or parts[2] not in ("log", "lin"):
         raise ConfigError(f"{flag} must look like min:max:{{log|lin}}:count, got {text!r}")
     try:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[3])
+        for value in (lo, hi):
+            replace(spec, **{name: value})
         return analysis.AxisSpec.from_range(name, lo, hi, parts[2], count)
     except ValueError as exc:
         raise ConfigError(f"{flag}: {exc}") from exc
@@ -69,7 +72,10 @@ def _offending_flag(message: str) -> str:
 
 def _parse_init(text: str, spec: models.ModelSpec) -> models.StateVector:
     if text.startswith("site:"):
-        site = int(text[5:])
+        try:
+            site = int(text[5:])
+        except ValueError as exc:
+            raise ConfigError(f"--init site index: {exc}") from exc
         if not 1 <= site <= spec.N:
             raise ConfigError(f"--init site index must be in 1..{spec.N}")
         if spec.kind is models.ModelKind.XY_MAGNON:
@@ -142,7 +148,7 @@ def _save_plot(plt, path: str, panels) -> None:
 def cmd_spectrum(args) -> int:
     spec = _model_spec(args, full_space=getattr(args, "full_space", False))
     h = models.build_hamiltonian(spec)
-    spectrum = linalg.eig(h, want_left=args.vectors)
+    spectrum = linalg.eig(h)
     if args.format == "json":
         payload = {
             "type": "spectrum",
@@ -171,8 +177,8 @@ def cmd_phase_diagram(args) -> int:
     spec = _model_spec(args)
     x_name = "Delta" if args.model == "ising" else "V"
     plt = _pyplot(args.plot)
-    x_axis = _parse_axis(args.x_range, "--x-range", x_name)
-    y_axis = _parse_axis(args.gamma_range, "--gamma-range", "gamma")
+    x_axis = _parse_axis(args.x_range, "--x-range", spec, x_name)
+    y_axis = _parse_axis(args.gamma_range, "--gamma-range", spec, "gamma")
     grid = analysis.sweep_grid(spec, x_axis, y_axis)
     if args.format == "json":
         serialize.atomic_write(args.out, serialize.grid_to_json(grid))
@@ -197,10 +203,12 @@ def cmd_evolve(args) -> int:
     target = models.target_state(args.target, spec.N)
     init = (_parse_init(args.init, spec) if args.init
             else dynamics.default_initial_state(spec))
-    if args.t_max <= 0:
+    if not args.t_max > 0:  # NaN too
         raise ConfigError("--t-max must be positive")
     if args.steps < 2:
         raise ConfigError("--steps must be >= 2")
+    if not args.tol > 0:
+        raise ConfigError("--tol must be positive")
     plt = _pyplot(args.plot)
     trace = dynamics.evolve_trace(spec, init, target, args.t_max, args.steps,
                                   target_name=args.target)
@@ -224,7 +232,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_boundary(args) -> int:
     spec = _model_spec(args)
-    axis = _parse_axis(args.x_range, "--x-range",
+    axis = _parse_axis(args.x_range, "--x-range", spec,
                        "V" if args.model == "xy" else "Delta")
     rows = []
     for control in axis.values:

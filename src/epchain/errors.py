@@ -13,10 +13,6 @@ class NonConvergence(EpchainError):
     """The iterative eigensolver failed; the matrix is pathological."""
 
 
-class DefectivePropagation(EpchainError):
-    """Spectral propagation requested on a (near-)defective matrix."""
-
-
 class DimensionCap(EpchainError):
     """Requested full-space dimension exceeds the 2^12 build cap."""
 

@@ -1,10 +1,10 @@
 """Dense complex linear algebra kernel.
 
 General (non-Hermitian) eigendecomposition with residual verification,
-biorthogonal inner products, and two interchangeable propagator backends
-(Pade scaling-and-squaring, spectral synthesis).  One eigen kernel serves a
-single matrix (eig) and a stack of them (eigvals_stack, one LAPACK call for
-a sweep row).  All functions are pure; nothing here mutates its inputs.
+biorthogonal inner products, and the Pade scaling-and-squaring step
+propagator.  One eigen kernel serves a single matrix (eig) and a stack of
+them (eigvals_stack, one LAPACK call for a sweep row).  All functions are
+pure; nothing here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -14,13 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DefectivePropagation, DimensionMismatch, NonConvergence
+from .errors import DimensionMismatch, NonConvergence
 
 # Residual acceptance: ||H v - eps v|| <= RESIDUAL_TOL * (1 + ||H||).
 RESIDUAL_TOL = 1e-9
-
-# |<u|v>| below this means the left/right pair is numerically defective.
-DEFECT_TOL = 1e-10
 
 
 def as_matrix(m) -> np.ndarray:
@@ -33,24 +30,17 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def _amplitudes(v) -> np.ndarray:
-    """Accept a bare array or anything carrying an .amplitudes array."""
-    return np.asarray(getattr(v, "amplitudes", v), dtype=complex)
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Eigendecomposition sorted by (Re, Im) of the eigenvalues.
 
     right_vectors[:, n] is the unit-norm right eigenvector of eigenvalue n;
-    left_vectors[:, n] (when computed) satisfies H^dag u = conj(eps) u and is
-    paired to the same eigenvalue.  residuals[n] = ||H v_n - eps_n v_n||.
+    residuals[n] = ||H v_n - eps_n v_n||.
     """
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     residuals: np.ndarray
-    left_vectors: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -126,32 +116,16 @@ def eigvals_stack(stack) -> tuple[np.ndarray, np.ndarray]:
     return vals, ok
 
 
-def _checked_eig(a: np.ndarray, what: str) -> tuple[np.ndarray, ...]:
-    """(vals, vecs, residuals) of one matrix; NonConvergence unless ok."""
+def eig(m) -> Spectrum:
+    """_eig_stack of one matrix as a Spectrum; NonConvergence unless ok."""
+    a = as_matrix(m)
     vals, vecs, residuals, ok = _eig_stack(a[None])
     if not ok[0]:
         raise NonConvergence(
-            f"{what} residual {np.max(residuals[0]):.3e} exceeds "
+            f"eigendecomposition residual {np.max(residuals[0]):.3e} exceeds "
             f"{RESIDUAL_TOL:.0e} * (1 + ||H||)")
-    return vals[0], vecs[0], residuals[0]
-
-
-def eig(m, want_left: bool = False) -> Spectrum:
-    """Full eigendecomposition of a general complex matrix.
-
-    Left eigenvectors, when requested, are obtained as right eigenvectors of
-    the conjugate transpose and paired to the eigenvalues by the shared
-    (Re, Im) sort order of the conjugated spectrum.
-    """
-    a = as_matrix(m)
-    vals, vecs, residuals = _checked_eig(a, "eigendecomposition")
-    left = None
-    if want_left:
-        lvals, lvecs, _ = _checked_eig(a.conj().T, "left eigenvector")
-        # Sorting conj(lvals) by (Re, Im) must reproduce the order of vals.
-        left = lvecs[:, np.lexsort((-lvals.imag, lvals.real))]
-    return Spectrum(eigenvalues=vals, right_vectors=vecs, residuals=residuals,
-                    left_vectors=left)
+    return Spectrum(eigenvalues=vals[0], right_vectors=vecs[0],
+                    residuals=residuals[0])
 
 
 def biorthogonal_overlap(left, right) -> complex:
@@ -160,7 +134,8 @@ def biorthogonal_overlap(left, right) -> complex:
     rb = getattr(right, "basis", None)
     if lb is not None and rb is not None and lb != rb:
         raise DimensionMismatch(f"basis mismatch: {lb} vs {rb}")
-    la, ra = _amplitudes(left), _amplitudes(right)
+    la, ra = (np.asarray(getattr(v, "amplitudes", v), dtype=complex)
+              for v in (left, right))
     if la.shape != ra.shape:
         raise DimensionMismatch(f"length mismatch: {la.shape} vs {ra.shape}")
     return complex(np.vdot(la, ra))
@@ -178,38 +153,3 @@ def propagator(m, dt: float) -> np.ndarray:
         raise NonConvergence(
             f"exp(-i H dt) overflows at dt={dt:.6g}; use a smaller step")
     return u
-
-
-def apply_propagator(m, psi, dt: float, backend: str = "pade"):
-    """Apply exp(-i m dt) to psi.  The result is NOT renormalized.
-
-    backend="pade" uses scaling-and-squaring (robust at exceptional points);
-    backend="spectral" synthesizes sum_n e^{-i eps_n dt} v_n <u_n|psi>/<u_n|v_n>
-    and raises DefectivePropagation when some |<u_n|v_n>| < 1e-10.
-    """
-    a = as_matrix(m)
-    amps = _amplitudes(psi)
-    if amps.shape != (a.shape[0],):
-        raise DimensionMismatch(
-            f"state length {amps.shape} does not match matrix dim {a.shape[0]}"
-        )
-    if dt < 0:
-        raise ValueError("dt must be non-negative")
-    if backend == "pade":
-        out = propagator(a, dt) @ amps
-    elif backend == "spectral":
-        spec = eig(a, want_left=True)
-        v, u = spec.right_vectors, spec.left_vectors
-        uv = np.einsum("in,in->n", u.conj(), v)
-        if np.min(np.abs(uv)) < DEFECT_TOL:
-            raise DefectivePropagation(
-                f"min |<u|v>| = {np.min(np.abs(uv)):.3e}: near-defective matrix, "
-                "use the pade backend"
-            )
-        coeff = (u.conj().T @ amps) / uv
-        out = v @ (np.exp(-1j * spec.eigenvalues * dt) * coeff)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    if hasattr(psi, "amplitudes"):
-        return psi.__class__(basis=psi.basis, amplitudes=out)
-    return out

@@ -122,12 +122,6 @@ class StateVector:
         if np.linalg.norm(amps) == 0.0:
             raise ValueError("state must have positive Dirac norm")
 
-    def normalized(self) -> "StateVector":
-        return StateVector(self.basis, self.amplitudes / np.linalg.norm(self.amplitudes))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def site_state(N: int, l: int) -> StateVector:
     """Magnon position state |l>, l = 1..N."""

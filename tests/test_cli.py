@@ -114,6 +114,16 @@ def test_phase_diagram_log_axis_nonpositive_exit_code(tmp_path, capsys):
     assert "--x-range: log axis Delta" in capsys.readouterr().err
 
 
+def test_phase_diagram_negative_gamma_range_exit_code(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    rc = run(["phase-diagram", "--model", "xy", "--n", "6",
+              "--x-range", "2:8:lin:3", "--gamma-range=-1:1:lin:3",
+              "--out", str(out)])
+    assert rc == 2
+    assert "--gamma-range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # evolve
 
@@ -171,6 +181,22 @@ def test_evolve_init_parsing(tmp_path, capsys):
               "--gamma", "0.2", "--target", "ghz", "--t-max", "10",
               "--init", "bits:101", "--out", str(tmp_path / "t.csv")])
     assert rc == 0
+
+
+@pytest.mark.parametrize("flags, flag", [(["--init", "site:abc"], "--init"),
+                                         (["--tol", "0"], "--tol"),
+                                         (["--tol=-1e-3"], "--tol"),
+                                         (["--tol", "nan"], "--tol"),
+                                         (["--t-max", "nan"], "--t-max")],
+                         ids=["init-site-abc", "tol-zero", "tol-negative",
+                              "tol-nan", "t-max-nan"])
+def test_evolve_bad_flag_exits_before_evolving(tmp_path, capsys, flags, flag):
+    out = tmp_path / "t.csv"
+    rc = run(["evolve", "--model", "xy", "--n", "6", "--gamma", "1.2",
+              "--target", "w", "--t-max", "10", *flags, "--out", str(out)])
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evolve_overflowing_step_exit_code(tmp_path, capsys):

@@ -72,7 +72,7 @@ def test_renormalization_invariance():
     tr = dynamics.evolve_trace(spec, init, target, 8.0, 40)
     tgt = target.amplitudes
     for t, f, ln in zip(tr.times[::7], tr.fidelities[::7], tr.log_norms[::7]):
-        raw = linalg.apply_propagator(h, init.amplitudes, t)
+        raw = linalg.propagator(h, t) @ init.amplitudes
         raw_f = abs(np.vdot(tgt, raw / np.linalg.norm(raw)))
         assert f == pytest.approx(raw_f, abs=1e-10)
         assert ln == pytest.approx(math.log(np.linalg.norm(raw)), abs=1e-8)

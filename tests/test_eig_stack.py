@@ -35,23 +35,15 @@ def _reference_sorted_eig(a):
     return vals[order], _reference_fix_phase(vecs)
 
 
-def reference_eig(m, want_left=False):
+def reference_eig(m):
     a = linalg.as_matrix(m)
     scale = 1.0 + np.linalg.norm(a)
     vals, vecs = _reference_sorted_eig(a)
     residuals = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
     if np.max(residuals) > linalg.RESIDUAL_TOL * scale:
         raise NonConvergence("eigendecomposition residual too large")
-    left = None
-    if want_left:
-        lvals, lvecs = _reference_sorted_eig(a.conj().T)
-        lorder = np.lexsort((-lvals.imag, lvals.real))
-        left = lvecs[:, lorder]
-        lres = np.linalg.norm(a.conj().T @ left - left * lvals[lorder], axis=0)
-        if np.max(lres) > linalg.RESIDUAL_TOL * scale:
-            raise NonConvergence("left eigenvector residual too large")
     return linalg.Spectrum(eigenvalues=vals, right_vectors=vecs,
-                           residuals=residuals, left_vectors=left)
+                           residuals=residuals)
 
 
 def reference_grid(template, x_axis, y_axis):
@@ -114,13 +106,10 @@ def test_eig_equals_reference_bitwise():
              models.build_hamiltonian(xy(6, V=3.0, gamma=2.0)),
              models.build_hamiltonian(ring(5, Delta=0.7, gamma=0.5))]
     for m in mats:
-        for want_left in (False, True):
-            got, ref = linalg.eig(m, want_left), reference_eig(m, want_left)
-            assert np.array_equal(got.eigenvalues, ref.eigenvalues)
-            assert np.array_equal(got.right_vectors, ref.right_vectors)
-            assert np.array_equal(got.residuals, ref.residuals)
-            if want_left:
-                assert np.array_equal(got.left_vectors, ref.left_vectors)
+        got, ref = linalg.eig(m), reference_eig(m)
+        assert np.array_equal(got.eigenvalues, ref.eigenvalues)
+        assert np.array_equal(got.right_vectors, ref.right_vectors)
+        assert np.array_equal(got.residuals, ref.residuals)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
@@ -208,6 +197,20 @@ def test_spectrum_csvs_byte_identical_to_reference_eig(monkeypatch, tmp_path):
     ref = write_all("reference")
     assert got == ref
     assert all(b"e-" in csv for csv, _ in got.values())  # residuals printed
+
+
+def test_spectrum_vectors_diagonalizes_once(monkeypatch, tmp_path):
+    calls, kernel = [], linalg._eig_stack
+
+    def counted(a):
+        calls.append(a.shape)
+        return kernel(a)
+
+    monkeypatch.setattr(linalg, "_eig_stack", counted)
+    assert cli.main(["spectrum", "--model", "ising", "--n", "6", "--delta",
+                     "0.7", "--gamma", "0.3", "--vectors",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+    assert calls == [(1, 64, 64)]
 
 
 # ---------------------------------------------------------------------------

@@ -55,3 +55,30 @@ def test_no_function_local_package_import(module):
             for node, target in _package_imports(func):
                 pytest.fail(f"{module}.py:{node.lineno} imports {target} "
                             f"inside {func.name}()")
+
+
+# the one eigen kernel and the one propagation path live in linalg.py
+KERNEL_CALLS = {f"{mod}.{fn}" for mod in ("np.linalg", "numpy.linalg")
+                for fn in ("eig", "eigvals")} | {"scipy.linalg.expm"}
+
+
+def _dotted(node: ast.AST) -> str:
+    if isinstance(node, ast.Attribute):
+        return f"{_dotted(node.value)}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def _kernel_uses(tree: ast.AST):
+    """Line numbers where tree names a dense eigensolver or expm."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _dotted(node) in KERNEL_CALLS:
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and any(
+                f"{node.module}.{a.name}" in KERNEL_CALLS for a in node.names):
+            yield node.lineno
+
+
+def test_only_linalg_diagonalizes_or_exponentiates():
+    users = {m: list(_kernel_uses(ast.parse((SRC / f"{m}.py").read_text())))
+             for m in LAYERS}
+    assert {m for m, lines in users.items() if lines} == {"linalg"}, users

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epchain import linalg, models
-from epchain.errors import DefectivePropagation, DimensionMismatch
+from epchain.errors import DimensionMismatch
 from epchain.models import ModelKind, ModelSpec
 
 
@@ -83,20 +83,6 @@ def test_eig_sorted_and_deterministic():
     assert np.array_equal(s1.right_vectors, s2.right_vectors)
 
 
-def test_eig_left_vectors_pair_by_conjugation():
-    a = h_eq(6, 2.0, 0.7)
-    spec = linalg.eig(a, want_left=True)
-    scale = 1e-9 * (1 + np.linalg.norm(a))
-    for n in range(spec.dim):
-        u = spec.left_vectors[:, n]
-        res = np.linalg.norm(a.conj().T @ u - np.conj(spec.eigenvalues[n]) * u)
-        assert res <= scale
-    # biorthogonality (off-diagonal Dirac products vanish)
-    g = spec.left_vectors.conj().T @ spec.right_vectors
-    off = g - np.diag(np.diag(g))
-    assert np.max(np.abs(off)) < 1e-10
-
-
 def test_eig_rejects_nonsquare_and_nonfinite():
     with pytest.raises(DimensionMismatch):
         linalg.eig(np.ones((2, 3)))
@@ -139,45 +125,46 @@ def test_overlap_dimension_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# apply_propagator
+# propagator
 
 def test_propagator_zero_matrix_identity():
     psi = np.array([1.0, 2.0j, -0.5])
-    out = linalg.apply_propagator(np.zeros((3, 3)), psi, dt=2.7)
+    out = linalg.propagator(np.zeros((3, 3)), 2.7) @ psi
     assert np.allclose(out, psi, atol=1e-14)
 
 
 def test_propagator_scalar_growth():
     gamma, t = 0.8, 1.5
-    out = linalg.apply_propagator(np.array([[1j * gamma]]), np.array([1.0]), t)
+    out = linalg.propagator(np.array([[1j * gamma]]), t) @ np.array([1.0])
     assert abs(out[0]) == pytest.approx(math.exp(gamma * t), rel=1e-12)
 
 
 def test_propagator_backends_agree_away_from_ep():
+    # Pade against the eigen synthesis V diag(e^{-i eps dt}) V^-1, which is
+    # well conditioned away from the EP: X V = V D is solved as V^T X^T = (V D)^T
     h = models.build_h_w(6, 1.2)
+    vals, vecs = np.linalg.eig(h)
+    step_s = np.linalg.solve(vecs.T, (vecs * np.exp(-0.1j * vals)).T).T
+    step_p = linalg.propagator(h, 0.1)
     psi_p = models.site_state(6, 1).amplitudes.copy()
     psi_s = psi_p.copy()
     for _ in range(200):
-        psi_p = linalg.apply_propagator(h, psi_p, 0.1, backend="pade")
-        psi_s = linalg.apply_propagator(h, psi_s, 0.1, backend="spectral")
+        psi_p = step_p @ psi_p
+        psi_s = step_s @ psi_s
     assert np.linalg.norm(psi_p - psi_s) <= 1e-8 * np.linalg.norm(psi_p)
 
 
 def test_propagator_spectral_defective_matrix():
-    # exactly defective 2x2 Jordan block: <u|v> = 0
+    # exactly defective 2x2 Jordan block, where eigen synthesis has no basis
     jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(DefectivePropagation):
-        linalg.apply_propagator(jordan, np.array([1.0, 0.0]), 0.1,
-                                backend="spectral")
-    # the Pade backend works on the same matrix
-    out = linalg.apply_propagator(jordan, np.array([1.0, 0.0]), 0.1)
+    out = linalg.propagator(jordan, 0.1) @ np.array([1.0, 0.0])
     assert np.all(np.isfinite(out))
 
 
 def test_propagator_pade_finite_at_physical_ep():
     h = models.build_h_w(6, 1.0)  # exceptional point of the V=0 chain
-    out = linalg.apply_propagator(h, models.site_state(6, 1), 0.1)
-    assert np.all(np.isfinite(out.amplitudes))
+    out = linalg.propagator(h, 0.1) @ models.site_state(6, 1).amplitudes
+    assert np.all(np.isfinite(out))
 
 
 @given(a=st.floats(0.01, 2.0), b=st.floats(0.01, 2.0))
@@ -185,8 +172,8 @@ def test_propagator_pade_finite_at_physical_ep():
 def test_propagator_composition(a, b):
     h = h_eq(4, 1.5, 0.6)
     psi = models.site_state(4, 2).amplitudes
-    once = linalg.apply_propagator(h, psi, a + b)
-    twice = linalg.apply_propagator(h, linalg.apply_propagator(h, psi, a), b)
+    once = linalg.propagator(h, a + b) @ psi
+    twice = linalg.propagator(h, b) @ (linalg.propagator(h, a) @ psi)
     assert np.linalg.norm(once - twice) <= 1e-8 * (1 + np.linalg.norm(once))
 
 
@@ -195,12 +182,5 @@ def test_hermitian_limit_real_spectrum_and_norm():
     spec = linalg.eig(h)
     assert np.max(np.abs(spec.eigenvalues.imag)) <= 1e-10
     psi = models.site_state(6, 3).amplitudes
-    out = linalg.apply_propagator(h, psi, 5.0)
+    out = linalg.propagator(h, 5.0) @ psi
     assert abs(np.linalg.norm(out) - 1.0) < 1e-8
-
-
-def test_propagator_returns_state_vector_for_state_vector():
-    psi = models.site_state(4, 1)
-    out = linalg.apply_propagator(h_eq(4, 0.0, 0.3), psi, 0.5)
-    assert isinstance(out, models.StateVector)
-    assert out.basis == psi.basis
