@@ -39,6 +39,8 @@ _STACK_BYTES = 1 << 18
 
 # below this critical gamma the double-precision indicator is unreliable
 _DOUBLE_PRECISION_FLOOR = 1e-6
+# relative accuracy of the numeric boundary scan
+_REL_TOL = 1e-6
 
 # Full-space spectra develop exponentially ill-conditioned eigenvector bases
 # near their exceptional points (condition ~ (scale/gap)^N), so eigensolver
@@ -81,11 +83,10 @@ class PhaseGrid:
     x_axis: AxisSpec
     y_axis: AxisSpec
     values: np.ndarray
-    broken_threshold: float = BROKEN_THRESHOLD
 
     @property
     def broken_mask(self) -> np.ndarray:
-        return self.values > self.broken_threshold
+        return self.values > BROKEN_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -306,6 +307,22 @@ def _magnon_broken(N: int, V: float, g) -> bool:
     return real < distinct
 
 
+def _bisect(broken, lo, hi, rel_tol: float, sqrt=math.sqrt):
+    """Geometric bisection of the onset of broken, relative rel_tol.
+
+    broken is false at lo and true at hi; sqrt is math.sqrt for doubles or
+    mp.sqrt for mpmath reals.  Returns the geometric mean of the last bracket.
+    """
+    iterations = int(math.ceil(math.log2(float(mp.log(hi / lo)) / rel_tol))) + 2
+    for _ in range(iterations):
+        mid = sqrt(lo * hi)
+        if broken(mid):
+            hi = mid
+        else:
+            lo = mid
+    return float(sqrt(lo * hi))
+
+
 def _numeric_boundary_highprec(N: int, V: float, rel_tol: float) -> float:
     """Bisection in mpf gamma on the exact predicate (XY magnon chain).
 
@@ -320,31 +337,23 @@ def _numeric_boundary_highprec(N: int, V: float, rel_tol: float) -> float:
             raise NoTransition(f"no transition in gamma for N={N}, V={V}")
         while _magnon_broken(N, V, lo):
             lo *= mp.mpf(10) ** -10
-        iterations = int(math.ceil(math.log2(float(mp.log(hi / lo)) / rel_tol))) + 2
-        for _ in range(iterations):
-            mid = mp.sqrt(lo * hi)
-            if _magnon_broken(N, V, mid):
-                hi = mid
-            else:
-                lo = mid
-        return float(mp.sqrt(lo * hi))
+        return _bisect(lambda g: _magnon_broken(N, V, g), lo, hi, rel_tol, mp.sqrt)
 
 
-def numeric_boundary_gamma(template: ModelSpec, control_value: float,
-                           rel_tol: float = 1e-6) -> float:
-    """Critical gamma from the diagonalization scan, relative rel_tol.
+def numeric_boundary_gamma(template: ModelSpec, control_value: float) -> float:
+    """Critical gamma from the diagonalization scan, relative _REL_TOL.
 
-    control_value sets V (XY) or Delta (Ising).  Bisection on the indicator
-    max|Im eps| > BROKEN_THRESHOLD * (1 + |control|); when the transition sits
-    below double-precision resolution, or the exact predicate shows that
-    the double-precision result overshoots gamma_c by more than rel_tol, it
-    escalates to a 60-digit bisection on the exact Sturm-count predicate
-    (only supported for the magnon chain).
+    control_value sets the kind's control parameter.  Bisection on the
+    indicator max|Im eps| > BROKEN_THRESHOLD * (1 + |control|); when the
+    transition sits below double-precision resolution, or the exact predicate
+    shows that the double-precision result overshoots gamma_c by more than
+    _REL_TOL, it escalates to the 60-digit exact bisection (magnon chain only).
     """
-    name = "Delta" if template.kind is ModelKind.TRANSVERSE_ISING else "V"
+    name = template.kind.control
     base = _with_params(template, name, control_value)
     scaled_threshold = BROKEN_THRESHOLD * (1 + abs(control_value))
-    if template.kind is not ModelKind.XY_MAGNON:
+    magnon = template.kind is ModelKind.XY_MAGNON
+    if not magnon:
         scaled_threshold = max(scaled_threshold,
                                _FULL_SPACE_SCAN_FLOOR * (1 + control_value ** 2))
 
@@ -352,38 +361,24 @@ def numeric_boundary_gamma(template: ModelSpec, control_value: float,
         return (_model_max_im_epsilon(_with_params(base, "gamma", g))
                 > scaled_threshold)
 
-    lo, hi = 1e-12, 10.0
-    if not broken(hi):
-        raise NoTransition(
-            f"spectrum stays real up to gamma=10 at {name}={control_value}"
-        )
-    if broken(lo):
-        lo = 0.0  # transition below double resolution
-    if lo == 0.0 or math.sqrt(lo * hi) < _DOUBLE_PRECISION_FLOOR:
-        if template.kind is not ModelKind.XY_MAGNON:
-            raise NoTransition(
-                "transition below double-precision resolution for a "
-                "non-tridiagonal model"
-            )
-        return _numeric_boundary_highprec(template.N, control_value, rel_tol)
-    iterations = int(math.ceil(math.log2(math.log(hi / lo) / rel_tol))) + 2
-    for _ in range(iterations):
-        mid = math.sqrt(lo * hi)
-        if broken(mid):
-            hi = mid
-        else:
-            lo = mid
-    gc = math.sqrt(lo * hi)
-    # Just above gamma_c, max|Im eps| stays below the threshold 1e-10*(1+V)
-    # over a band of gamma, so the bisection can stop above the boundary: by
-    # more than rel_tol for gamma_c near 1e-6, and at the threshold itself
-    # at large V.  The exact predicate at gc*(1 - rel_tol) detects both.
-    if template.kind is ModelKind.XY_MAGNON and (
-            gc < _DOUBLE_PRECISION_FLOOR
-            or _magnon_broken(template.N, control_value,
-                              mp.mpf(gc) * (1 - rel_tol))):
-        return _numeric_boundary_highprec(template.N, control_value, rel_tol)
-    return gc
+    if not broken(10.0):
+        raise NoTransition(f"spectrum stays real up to gamma=10 at "
+                           f"{name}={control_value}")
+    if not broken(1e-12):
+        gc = _bisect(broken, 1e-12, 10.0, _REL_TOL)
+        # Just above gamma_c, max|Im eps| stays below the threshold 1e-10*(1+V)
+        # over a band of gamma, so the bisection can stop above the boundary:
+        # by more than _REL_TOL for gamma_c near 1e-6, and at the threshold
+        # itself at large V.  The exact predicate at gc*(1 - _REL_TOL) sees both.
+        if not magnon or not (
+                gc < _DOUBLE_PRECISION_FLOOR
+                or _magnon_broken(template.N, control_value,
+                                  mp.mpf(gc) * (1 - _REL_TOL))):
+            return gc
+    elif not magnon:
+        raise NoTransition("transition below double-precision resolution "
+                           "for a non-tridiagonal model")
+    return _numeric_boundary_highprec(template.N, control_value, _REL_TOL)
 
 
 def boundary_curve(method: str, template: ModelSpec,
@@ -416,8 +411,7 @@ def fit_boundary_slope(curve: BoundaryCurve) -> float:
 
 
 def optimize_gamma(template: ModelSpec, target: StateVector, t_max: float,
-                   n_steps: int = 2000, iterations: int = 30,
-                   init: StateVector | None = None) -> tuple[float, float]:
+                   n_steps: int = 2000) -> tuple[float, float]:
     """Golden-section maximization of f(t_max) over gamma in (gamma_c, 10 gamma_c].
 
     Returns (best gamma, fidelity at t_max).  f(t_max) is the end point of the
@@ -425,10 +419,9 @@ def optimize_gamma(template: ModelSpec, target: StateVector, t_max: float,
     squaring of the step propagator.  The broken region is located with the
     numeric boundary scan first; NoTransition propagates if there is none.
     """
-    control = template.Delta if template.kind is ModelKind.TRANSVERSE_ISING else template.V
-    gamma_c = numeric_boundary_gamma(template, control)
-    if init is None:
-        init = default_initial_state(template)
+    gamma_c = numeric_boundary_gamma(template,
+                                     getattr(template, template.kind.control))
+    init = default_initial_state(template)
 
     def fidelity_at(g: float) -> float:
         spec = _with_params(template, "gamma", g)
@@ -439,7 +432,7 @@ def optimize_gamma(template: ModelSpec, target: StateVector, t_max: float,
     c = hi - (hi - lo) * invphi
     d = lo + (hi - lo) * invphi
     fc, fd = fidelity_at(c), fidelity_at(d)
-    for _ in range(iterations):
+    for _ in range(30):
         if fc > fd:
             hi, d, fd = d, c, fc
             c = hi - (hi - lo) * invphi

@@ -109,11 +109,10 @@ def scattering_condition(k: float, N: int, V: float, gamma: float) -> float:
     )
 
 
-def scattering_roots(N: int, gamma: float, V: float = 0.0,
-                     samples: int = SCAN_SAMPLES) -> list[BetheRoot]:
+def scattering_roots(N: int, gamma: float, V: float = 0.0) -> list[BetheRoot]:
     """All real scattering momenta in (0, pi), by grid bracketing + brentq."""
-    eps = math.pi / (10 * samples)
-    grid = np.linspace(eps, math.pi - eps, samples)
+    eps = math.pi / (10 * SCAN_SAMPLES)
+    grid = np.linspace(eps, math.pi - eps, SCAN_SAMPLES)
     vals = np.array([scattering_condition(k, N, V, gamma) for k in grid])
     roots: list[BetheRoot] = []
     for i in range(len(grid) - 1):
@@ -130,12 +129,11 @@ def scattering_roots(N: int, gamma: float, V: float = 0.0,
     return roots
 
 
-def scattering_ep(N: int, k0: float = 1.5, gamma0: float = 0.9,
-                  max_iter: int = 100) -> tuple[float, float]:
+def scattering_ep(N: int) -> tuple[float, float]:
     """Exceptional point of the scattering branch: F = dF/dk = 0.
 
-    Two-dimensional Newton iteration in (k, gamma); for even N the solution
-    is (pi/2, 1).
+    Two-dimensional Newton iteration in (k, gamma) from (1.5, 0.9), at most
+    100 steps; for even N the solution is (pi/2, 1).
     """
     if N % 2 != 0:
         raise ValueError("scattering_ep requires even N")
@@ -143,8 +141,8 @@ def scattering_ep(N: int, k0: float = 1.5, gamma0: float = 0.9,
     def dF(k: float, g: float) -> float:
         return (N + 1) * math.cos(k * (N + 1)) + g ** 2 * (N - 1) * math.cos(k * (N - 1))
 
-    k, g = k0, gamma0
-    for _ in range(max_iter):
+    k, g = 1.5, 0.9
+    for _ in range(100):
         f1 = scattering_F(k, N, g)
         f2 = dF(k, g)
         j11 = f2
@@ -213,11 +211,10 @@ def _bound_digamma_deriv(kappa: complex, N: int, V: float, gamma: float) -> comp
     )
 
 
-def real_bound_roots(N: int, V: float, gamma: float,
-                     samples: int = SCAN_SAMPLES) -> list[BetheRoot]:
+def real_bound_roots(N: int, V: float, gamma: float) -> list[BetheRoot]:
     """Real kappa > 0 roots of the bound-state condition (unbroken phase)."""
     kmax = math.acosh(max(abs(V), 2.0)) + 2.0
-    grid = np.linspace(1e-9, kmax, samples)
+    grid = np.linspace(1e-9, kmax, SCAN_SAMPLES)
     vals = np.array([bound_digamma(k, N, V, gamma) for k in grid])
     roots: list[BetheRoot] = []
     for i in range(len(grid) - 1):
@@ -230,13 +227,12 @@ def real_bound_roots(N: int, V: float, gamma: float,
     return roots
 
 
-def complex_bound_pair(N: int, V: float, gamma: float,
-                       max_iter: int = 200) -> list[BetheRoot]:
+def complex_bound_pair(N: int, V: float, gamma: float) -> list[BetheRoot]:
     """Complex-conjugate bound pair in the broken phase, |V| > 2.
 
-    Newton iteration on the bound-state condition in complex kappa, seeded
-    from the effective two-site model (independently of any matrix
-    diagonalization).
+    Newton iteration (at most 200 steps) on the bound-state condition in
+    complex kappa, seeded from the effective two-site model (independently
+    of any matrix diagonalization).
     """
     if abs(V) <= 2:
         raise NoRoot("complex bound pair requires |V| > 2")
@@ -245,7 +241,7 @@ def complex_bound_pair(N: int, V: float, gamma: float,
     im_seed = math.sqrt(max(gamma ** 2 - lam ** 2, 1e-30))
     eps_seed = complex(abs(V) + eff.V_eff, im_seed)
     kappa = cmath.acosh(eps_seed / 2.0)
-    for _ in range(max_iter):
+    for _ in range(200):
         f = bound_digamma(kappa, N, abs(V), gamma)
         df = _bound_digamma_deriv(kappa, N, abs(V), gamma)
         if df == 0:
@@ -431,14 +427,13 @@ def perturbative_boundary(N: int, V: float) -> float:
 # ---------------------------------------------------------------------------
 # scattering eigenstates, V = 0
 
-def bethe_scattering_state(k: float, N: int, gamma: float,
-                           root_tol: float = ROOT_RESIDUAL_TOL) -> StateVector:
+def bethe_scattering_state(k: float, N: int, gamma: float) -> StateVector:
     """Assemble the V=0 scattering eigenstate A e^{ikj} + B e^{-ikj}.
 
     (A, B) is the null vector of the 2x2 boundary-matching matrix; the result
     is Dirac-normalized and satisfies ||H psi - 2cos(k) psi|| < 1e-8.
     """
-    if abs(scattering_F(k, N, gamma)) > root_tol:
+    if abs(scattering_F(k, N, gamma)) > ROOT_RESIDUAL_TOL:
         raise ValueError(f"k={k} is not a root of the quantization condition")
     eps_k = 2.0 * math.cos(k)
     up = 1j * gamma - eps_k

@@ -46,16 +46,15 @@ def _model_spec(args, full_space: bool = False) -> models.ModelSpec:
         kind = models.ModelKind.TRANSVERSE_ISING
     else:
         raise ConfigError(f"--model must be xy or ising, got {args.model!r}")
-    boundary = models.IsingBoundary(getattr(args, "boundary", "periodic"))
     try:
         return models.ModelSpec(
             kind=kind,
             N=args.n,
-            V=getattr(args, "v", 0.0),
-            gamma=getattr(args, "gamma", 0.0),
-            J=getattr(args, "j", 1.0),
-            Delta=getattr(args, "delta", 0.0),
-            ising_boundary=boundary,
+            V=args.v,
+            gamma=args.gamma,
+            J=args.j,
+            Delta=args.delta,
+            ising_boundary=models.IsingBoundary(args.boundary),
         )
     except (ValueError, EpchainError) as exc:
         flag = _offending_flag(str(exc))
@@ -146,7 +145,7 @@ def _save_plot(plt, path: str, panels) -> None:
 # subcommands
 
 def cmd_spectrum(args) -> int:
-    spec = _model_spec(args, full_space=getattr(args, "full_space", False))
+    spec = _model_spec(args, full_space=args.full_space)
     h = models.build_hamiltonian(spec)
     spectrum = linalg.eig(h)
     if args.format == "json":
@@ -175,9 +174,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_phase_diagram(args) -> int:
     spec = _model_spec(args)
-    x_name = "Delta" if args.model == "ising" else "V"
     plt = _pyplot(args.plot)
-    x_axis = _parse_axis(args.x_range, "--x-range", spec, x_name)
+    x_axis = _parse_axis(args.x_range, "--x-range", spec, spec.kind.control)
     y_axis = _parse_axis(args.gamma_range, "--gamma-range", spec, "gamma")
     grid = analysis.sweep_grid(spec, x_axis, y_axis)
     if args.format == "json":
@@ -232,8 +230,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_boundary(args) -> int:
     spec = _model_spec(args)
-    axis = _parse_axis(args.x_range, "--x-range", spec,
-                       "V" if args.model == "xy" else "Delta")
+    axis = _parse_axis(args.x_range, "--x-range", spec, spec.kind.control)
     rows = []
     for control in axis.values:
         numeric = analysis.numeric_boundary_gamma(spec, float(control))
@@ -258,21 +255,21 @@ def cmd_boundary(args) -> int:
 # its manifest) run by _grid_figure or _trace_figure, which write the
 # figure's CSVs and return the manifest parameters and the plot panels.
 
-def _figure_spec(control: str, params: dict, n: int, **values) -> models.ModelSpec:
-    """The Ising ring when the figure's control is Delta, else the magnon chain."""
-    kind = (models.ModelKind.TRANSVERSE_ISING if control == "Delta"
-            else models.ModelKind.XY_MAGNON)
+def _figure_spec(kind: models.ModelKind, params: dict, n: int,
+                 **values) -> models.ModelSpec:
     return models.ModelSpec(kind, N=n, J=params.get("J", 1.0), **values)
 
 
 def _grid_figure(prefix: str, params: dict, out_dir: str):
     """sweep_grid per N over "<control>_range" x "gamma_range", and the
     exact boundary at "exact_overlay_V" when listed."""
-    control = "Delta" if "Delta_range" in params else "V"
+    kind = (models.ModelKind.TRANSVERSE_ISING if "Delta_range" in params
+            else models.ModelKind.XY_MAGNON)
+    control = kind.control
     panels = []
     for n in params["N"]:
         grid = analysis.sweep_grid(
-            _figure_spec(control, params, n),
+            _figure_spec(kind, params, n),
             analysis.AxisSpec.from_range(control, *params[f"{control}_range"]),
             analysis.AxisSpec.from_range("gamma", *params["gamma_range"]),
         )
@@ -295,7 +292,9 @@ def _trace_figure(prefix: str, params: dict, out_dir: str):
     "gammas" for every N, or at optimize_gamma's gamma* for every
     (N, control, t_max) of "runs", recorded as "optimized_gammas"."""
     target_name = params["target"]
-    control = "Delta" if target_name == "ghz" else "V"
+    kind = (models.ModelKind.TRANSVERSE_ISING if target_name == "ghz"
+            else models.ModelKind.XY_MAGNON)
+    control = kind.control
     if "runs" in params:
         runs = [(r["N"], r[control], r["t_max"], None) for r in params["runs"]]
         params = dict(params, optimized_gammas={})
@@ -304,10 +303,11 @@ def _trace_figure(prefix: str, params: dict, out_dir: str):
                 for n in params["N"] for g in params["gammas"]]
     curves = {}
     for n, c, t_max, gamma in runs:
-        spec = _figure_spec(control, params, n, **{control: c})
+        spec = _figure_spec(kind, params, n, **{control: c})
         target = models.target_state(target_name, n)
         if gamma is None:
-            gamma, _ = analysis.optimize_gamma(spec, target, t_max)
+            gamma, _ = analysis.optimize_gamma(spec, target, t_max,
+                                               params["steps"])
             label = f"N{n}_{control}{c}"
             params["optimized_gammas"][label] = gamma
         else:

@@ -36,6 +36,11 @@ class ModelKind(enum.Enum):
     XY_FULL_SPACE = "xy_full_space"
     TRANSVERSE_ISING = "transverse_ising"
 
+    @property
+    def control(self) -> str:
+        """The parameter swept against gamma: Delta for Ising, V otherwise."""
+        return "Delta" if self is ModelKind.TRANSVERSE_ISING else "V"
+
 
 class IsingBoundary(enum.Enum):
     PERIODIC = "periodic"

@@ -1,8 +1,7 @@
 """CSV / JSON serialization of traces, grids and boundary tables.
 
-CSV output is deterministic: header row always present, floats printed with
-17 significant digits, row order fixed by construction.  A phase-grid JSON
-payload round trips back into an equal PhaseGrid.
+Writers only.  CSV output is deterministic: header row always present,
+floats printed with 17 significant digits, row order fixed by construction.
 """
 
 from __future__ import annotations
@@ -12,11 +11,9 @@ import json
 import os
 import tempfile
 
-import numpy as np
-
-from .analysis import AxisSpec, PhaseGrid
+from .analysis import BROKEN_THRESHOLD, PhaseGrid
 from .dynamics import EvolutionTrace
-from .models import IsingBoundary, ModelKind, ModelSpec
+from .models import ModelSpec
 
 
 def fmt(x: float) -> str:
@@ -47,18 +44,6 @@ def spec_to_dict(spec: ModelSpec) -> dict:
         "Delta": spec.Delta,
         "ising_boundary": spec.ising_boundary.value,
     }
-
-
-def spec_from_dict(d: dict) -> ModelSpec:
-    return ModelSpec(
-        kind=ModelKind(d["kind"]),
-        N=int(d["N"]),
-        V=float(d["V"]),
-        gamma=float(d["gamma"]),
-        J=float(d["J"]),
-        Delta=float(d["Delta"]),
-        ising_boundary=IsingBoundary(d["ising_boundary"]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -118,26 +103,9 @@ def grid_to_json(grid: PhaseGrid) -> str:
                 "values": [float(v) for v in grid.y_axis.values],
             },
             "values": [[float(v) for v in row] for row in grid.values],
-            "broken_threshold": grid.broken_threshold,
+            "broken_threshold": BROKEN_THRESHOLD,
         },
         indent=2,
-    )
-
-
-def grid_from_json(text: str) -> PhaseGrid:
-    d = json.loads(text)
-    if d.get("type") != "phase_grid":
-        raise ValueError("not a phase_grid payload")
-
-    def axis(a) -> AxisSpec:
-        return AxisSpec(a["name"], a["scale"], np.array(a["values"]))
-
-    return PhaseGrid(
-        template=spec_from_dict(d["template"]),
-        x_axis=axis(d["x_axis"]),
-        y_axis=axis(d["y_axis"]),
-        values=np.array(d["values"]),
-        broken_threshold=float(d["broken_threshold"]),
     )
 
 

@@ -244,6 +244,94 @@ def test_numeric_boundary_no_transition():
         analysis.numeric_boundary_gamma(ising(4, J=0.0, Delta=20.0), 20.0)
 
 
+# The reference is the boundary scan before its two bisection loops became
+# analysis._bisect: the double-precision loop, the 60-digit loop, and their
+# escalation tests, as they stood, with their thresholds written out.
+
+def _reference_highprec(N, V, rel_tol):
+    with mp.workdps(60):
+        lo, hi = mp.mpf(10) ** -45, mp.mpf(10)
+        if not analysis._magnon_broken(N, V, hi):
+            raise NoTransition(f"no transition in gamma for N={N}, V={V}")
+        while analysis._magnon_broken(N, V, lo):
+            lo *= mp.mpf(10) ** -10
+        iterations = int(math.ceil(math.log2(float(mp.log(hi / lo)) / rel_tol))) + 2
+        for _ in range(iterations):
+            mid = mp.sqrt(lo * hi)
+            if analysis._magnon_broken(N, V, mid):
+                hi = mid
+            else:
+                lo = mid
+        return float(mp.sqrt(lo * hi))
+
+
+def _reference_numeric_boundary(template, control_value, rel_tol=1e-6):
+    name = "Delta" if template.kind is ModelKind.TRANSVERSE_ISING else "V"
+    base = analysis._with_params(template, name, control_value)
+    scaled_threshold = 1e-10 * (1 + abs(control_value))
+    if template.kind is not ModelKind.XY_MAGNON:
+        scaled_threshold = max(scaled_threshold, 3e-4 * (1 + control_value ** 2))
+
+    def broken(g):
+        return (analysis._model_max_im_epsilon(
+            analysis._with_params(base, "gamma", g)) > scaled_threshold)
+
+    lo, hi = 1e-12, 10.0
+    if not broken(hi):
+        raise NoTransition("spectrum stays real up to gamma=10")
+    if broken(lo):
+        lo = 0.0
+    if lo == 0.0 or math.sqrt(lo * hi) < 1e-6:
+        if template.kind is not ModelKind.XY_MAGNON:
+            raise NoTransition("transition below double-precision resolution")
+        return _reference_highprec(template.N, control_value, rel_tol)
+    iterations = int(math.ceil(math.log2(math.log(hi / lo) / rel_tol))) + 2
+    for _ in range(iterations):
+        mid = math.sqrt(lo * hi)
+        if broken(mid):
+            hi = mid
+        else:
+            lo = mid
+    gc = math.sqrt(lo * hi)
+    if template.kind is ModelKind.XY_MAGNON and (
+            gc < 1e-6
+            or analysis._magnon_broken(template.N, control_value,
+                                       mp.mpf(gc) * (1 - rel_tol))):
+        return _reference_highprec(template.N, control_value, rel_tol)
+    return gc
+
+
+@pytest.mark.parametrize("template, control", [
+    (xy(6), 0.0), (xy(6), 5.0), (xy(6), 31.072325059538581), (xy(6), 97.0),
+    (xy(8), 3.07), (xy(8), 97.0),
+    (ising(4, J=1.0), 1.4), (ising(6, J=1.0), 0.75), (ising(4, J=0.0), 1.0),
+])
+def test_numeric_boundary_bitwise_equals_reference(template, control):
+    got = analysis.numeric_boundary_gamma(template, control)
+    assert got.hex() == _reference_numeric_boundary(template, control).hex()
+
+
+def test_numeric_boundary_no_transition_like_reference():
+    for scan in (analysis.numeric_boundary_gamma, _reference_numeric_boundary):
+        with pytest.raises(NoTransition):
+            scan(ising(4, J=0.0), 20.0)
+
+
+@pytest.mark.parametrize("sqrt, num", [(math.sqrt, float), (mp.sqrt, mp.mpf)])
+def test_bisect_locates_onset_in_its_iteration_count(sqrt, num):
+    rel_tol, calls = 1e-6, []
+    with mp.workdps(60):
+        onset = num(mp.pi) / 1000
+
+        def broken(g):
+            calls.append(g)
+            return g > onset
+
+        got = analysis._bisect(broken, num("1e-12"), num(10), rel_tol, sqrt)
+    assert abs(got / (math.pi / 1000) - 1) <= rel_tol
+    assert len(calls) == math.ceil(math.log2(math.log(1e13) / rel_tol)) + 2
+
+
 # ---------------------------------------------------------------------------
 # exact broken-phase predicate (integer Sturm count)
 #

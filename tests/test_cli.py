@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from epchain import cli, serialize
+from epchain import cli
 
 
 def run(argv):
@@ -88,10 +88,11 @@ def test_phase_diagram_single_node_json_roundtrip(tmp_path):
               "--x-range", "0:0:lin:1", "--gamma-range", "1.5:1.5:lin:1",
               "--format", "json", "--out", str(out)])
     assert rc == 0
-    grid = serialize.grid_from_json(out.read_text())
-    assert grid.values.shape == (1, 1)
+    grid = json.loads(out.read_text())
+    assert np.array(grid["values"]).shape == (1, 1)
     # V=0, gamma=1.5 sits in the broken phase: indicator is positive
-    assert grid.values[0, 0] > 0.1
+    assert grid["values"][0][0] > 0.1
+    assert grid["broken_threshold"] == 1e-10
 
 
 def test_phase_diagram_bad_range_exit_code(tmp_path, capsys):
@@ -268,6 +269,20 @@ def test_reproduce_fig3_outputs(tmp_path):
     assert all(g > 0 for g in params["optimized_gammas"].values())
     # the figure table itself is left as it was
     assert "optimized_gammas" not in cli.FIGURES[3][1]
+
+
+def test_trace_figure_optimizes_with_the_table_step_count(tmp_path, monkeypatch):
+    seen = []
+
+    def optimize_gamma(spec, target, t_max, n_steps=2000):
+        seen.append(n_steps)
+        return 1.5, 0.5
+
+    monkeypatch.setattr(cli.analysis, "optimize_gamma", optimize_gamma)
+    params = {"runs": [{"N": 4, "V": 0.0, "t_max": 1.0}], "steps": 7,
+              "target": "w", "gamma": "optimized"}
+    cli._trace_figure("fig", params, str(tmp_path))
+    assert seen == [7]
 
 
 # ---------------------------------------------------------------------------

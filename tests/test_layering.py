@@ -82,3 +82,19 @@ def test_only_linalg_diagonalizes_or_exponentiates():
     users = {m: list(_kernel_uses(ast.parse((SRC / f"{m}.py").read_text())))
              for m in LAYERS}
     assert {m for m, lines in users.items() if lines} == {"linalg"}, users
+
+
+# each model kind's control parameter is chosen in one place
+def _v_or_delta_choices(tree: ast.AST):
+    """Line numbers of conditional expressions choosing "V" or "Delta"."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.IfExp) and all(
+                isinstance(b, ast.Constant) for b in (node.body, node.orelse)) \
+                and {node.body.value, node.orelse.value} == {"V", "Delta"}:
+            yield node.lineno
+
+
+def test_only_models_chooses_the_control_parameter():
+    users = {m: list(_v_or_delta_choices(ast.parse((SRC / f"{m}.py").read_text())))
+             for m in LAYERS}
+    assert {m for m, lines in users.items() if lines} == {"models"}, users
