@@ -22,6 +22,7 @@ import mpmath as mp
 import numpy as np
 
 from . import bethe, linalg
+from .bethe import _bisect
 from .dynamics import default_initial_state, final_fidelity
 from .errors import (ConfigError, DegenerateFit, EpchainError,
                      NonConvergence, NoTransition)
@@ -305,22 +306,6 @@ def _magnon_broken(N: int, V: float, g) -> bool:
     """
     real, distinct = _sturm_root_counts(_magnon_int_charpoly(N, V, g))
     return real < distinct
-
-
-def _bisect(broken, lo, hi, rel_tol: float, sqrt=math.sqrt):
-    """Geometric bisection of the onset of broken, relative rel_tol.
-
-    broken is false at lo and true at hi; sqrt is math.sqrt for doubles or
-    mp.sqrt for mpmath reals.  Returns the geometric mean of the last bracket.
-    """
-    iterations = int(math.ceil(math.log2(float(mp.log(hi / lo)) / rel_tol))) + 2
-    for _ in range(iterations):
-        mid = sqrt(lo * hi)
-        if broken(mid):
-            hi = mid
-        else:
-            lo = mid
-    return float(sqrt(lo * hi))
 
 
 def _numeric_boundary_highprec(N: int, V: float, rel_tol: float) -> float:

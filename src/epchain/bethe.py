@@ -3,6 +3,8 @@
 Scattering and bound-state quantization conditions, the double-root
 equations locating exceptional points, the exact phase-boundary condition
 for |V| > 2, and the large-V effective two-site model for the end sites.
+Every one-dimensional search (grid roots, broken-pair kappa, exact boundary
+and the boundary scan in analysis) is the one geometric bisection, _bisect.
 
 Transcription notes (verified against exact diagonalization):
 
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DegenerateOmega,
@@ -109,24 +110,45 @@ def scattering_condition(k: float, N: int, V: float, gamma: float) -> float:
     )
 
 
+def _bisect(broken, lo, hi, rel_tol: float, sqrt=math.sqrt):
+    """Geometric bisection of the onset of broken, relative rel_tol.
+
+    broken is false at lo and true at hi; sqrt is math.sqrt for doubles or
+    mp.sqrt for mpmath reals.  Returns the geometric mean of the last bracket.
+    The search also ends once lo and hi round to the same double: rounding is
+    monotone, so every later mean rounds to that double as well.
+    """
+    iterations = int(math.ceil(math.log2(float(mp.log(hi / lo)) / rel_tol))) + 2
+    for _ in range(iterations):
+        if float(lo) == float(hi):
+            break
+        mid = sqrt(lo * hi)
+        if broken(mid):
+            hi = mid
+        else:
+            lo = mid
+    return float(sqrt(lo * hi))
+
+
+def _grid_roots(f, grid):
+    """(root, |f(root)|) at each zero of f on an increasing positive grid and
+    at each sign change between neighbours, bisected to double resolution."""
+    vals = [f(k) for k in grid]
+    for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
+        if fa == 0.0:
+            yield float(a), 0.0
+        elif fa * fb < 0:
+            root = _bisect(lambda k: f(k) * fa <= 0, float(a), float(b), 2.0 ** -52)
+            yield root, abs(f(root))
+
+
 def scattering_roots(N: int, gamma: float, V: float = 0.0) -> list[BetheRoot]:
-    """All real scattering momenta in (0, pi), by grid bracketing + brentq."""
+    """All real scattering momenta in (0, pi), by grid bracketing + _bisect."""
     eps = math.pi / (10 * SCAN_SAMPLES)
     grid = np.linspace(eps, math.pi - eps, SCAN_SAMPLES)
-    vals = np.array([scattering_condition(k, N, V, gamma) for k in grid])
-    roots: list[BetheRoot] = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            k0 = float(grid[i])
-        elif vals[i] * vals[i + 1] < 0:
-            k0 = brentq(scattering_condition, grid[i], grid[i + 1],
-                        args=(N, V, gamma), xtol=1e-15, rtol=8.9e-16)
-        else:
-            continue
-        res = abs(scattering_condition(k0, N, V, gamma))
-        if res < ROOT_RESIDUAL_TOL:
-            roots.append(BetheRoot("scattering", k0, 2.0 * math.cos(k0), res))
-    return roots
+    roots = _grid_roots(lambda k: scattering_condition(k, N, V, gamma), grid)
+    return [BetheRoot("scattering", k, 2.0 * math.cos(k), res)
+            for k, res in roots if res < ROOT_RESIDUAL_TOL]
 
 
 def scattering_ep(N: int) -> tuple[float, float]:
@@ -169,7 +191,8 @@ def broken_pair_kappa(N: int, gamma: float) -> BetheRoot:
 
     Solves gamma^2 cosh[(N-1)k] = cosh[(N+1)k] (even-N form of the
     quantization condition at momentum pi/2 + i k); the pair energies are
-    +-2i sinh(k).
+    +-2i sinh(k).  The bisection starts at k = 1e-150, where
+    g = gamma^2 - 1 > 0; the root exceeds 4e-9 for every double gamma > 1.
     """
     if gamma <= 1.0:
         raise NoRoot(f"gamma={gamma} <= 1: spectrum is real (unbroken phase)")
@@ -180,7 +203,7 @@ def broken_pair_kappa(N: int, gamma: float) -> BetheRoot:
     hi = math.log(gamma) + 1.0
     while g(hi) > 0:
         hi *= 2.0
-    kappa = brentq(g, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
+    kappa = _bisect(lambda k: g(k) <= 0, 1e-150, hi, 2.0 ** -52)
     return BetheRoot("bound", complex(math.pi / 2, kappa),
                      2j * math.sinh(kappa), abs(g(kappa)))
 
@@ -215,16 +238,9 @@ def real_bound_roots(N: int, V: float, gamma: float) -> list[BetheRoot]:
     """Real kappa > 0 roots of the bound-state condition (unbroken phase)."""
     kmax = math.acosh(max(abs(V), 2.0)) + 2.0
     grid = np.linspace(1e-9, kmax, SCAN_SAMPLES)
-    vals = np.array([bound_digamma(k, N, V, gamma) for k in grid])
-    roots: list[BetheRoot] = []
-    for i in range(len(grid) - 1):
-        if vals[i] * vals[i + 1] < 0:
-            k0 = brentq(bound_digamma, grid[i], grid[i + 1],
-                        args=(N, V, gamma), xtol=1e-15, rtol=8.9e-16)
-            res = abs(bound_digamma(k0, N, V, gamma))
-            if res < ROOT_RESIDUAL_TOL * (1 + V ** 2) * math.cosh(N * k0):
-                roots.append(BetheRoot("bound", k0, 2.0 * math.cosh(k0), res))
-    return roots
+    roots = _grid_roots(lambda k: bound_digamma(k, N, V, gamma), grid)
+    return [BetheRoot("bound", k, 2.0 * math.cosh(k), res) for k, res in roots
+            if res < ROOT_RESIDUAL_TOL * (1 + V ** 2) * math.cosh(N * k)]
 
 
 def complex_bound_pair(N: int, V: float, gamma: float) -> list[BetheRoot]:
@@ -339,22 +355,19 @@ def exact_boundary_gamma(N: int, V: float) -> float:
 
         lo = min(mp.mpf(10) ** -50, vv ** -(N - 2) * mp.mpf(10) ** -10)
         hi = mp.mpf(1)
-        while isinstance(f(hi), mp.mpc) or not mp.isfinite(f(hi)):
+        fhi = f(hi)
+        while isinstance(fhi, mp.mpc) or not mp.isfinite(fhi):
             hi = hi / 2
             if hi < lo:
                 raise NoBracket("no real-branch gamma found below 1")
-        flo, fhi = f(lo), f(hi)
+            fhi = f(hi)
+        flo = f(lo)
         if flo * fhi > 0:
             raise NoBracket(
                 f"no sign change of the boundary condition in [{float(lo)}, {float(hi)}]"
             )
-        for _ in range(240):
-            mid = mp.sqrt(lo * hi)
-            if f(mid) * flo > 0:
-                lo = mid
-            else:
-                hi = mid
-        return float(mp.sqrt(lo * hi))
+        # rel_tol at the working precision: the float exit ends the search
+        return _bisect(lambda g: f(g) * flo <= 0, lo, hi, float(mp.eps), mp.sqrt)
 
 
 # ---------------------------------------------------------------------------

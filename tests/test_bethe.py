@@ -4,10 +4,12 @@ effective model)."""
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from epchain import bethe, models
 from epchain.analysis import numeric_boundary_gamma
@@ -366,3 +368,97 @@ def test_eta_factors_transcription():
     em = eta.eta_minus
     assert eta.F_factor == pytest.approx(v * (2 * n * ep + em)
                                          / (4 * n * (ep - 1)))
+
+
+# ---------------------------------------------------------------------------
+# bethe._bisect against the searches it replaced
+#
+# The references are the previous solvers as they stood: the exact boundary's
+# fixed 240-step bisection, and scipy's brentq (imported here only) on the
+# same brackets, at xtol=1e-15, rtol=8.9e-16.
+
+def _reference_exact_boundary(N, V):
+    v = abs(V)
+    with mp.workdps(max(60, math.ceil(3 * (N - 1) * math.log10(v)))):
+        vv = mp.mpf(v)
+
+        def f(g):
+            return bethe._boundary_log_residual(N, vv, g)
+
+        lo = min(mp.mpf(10) ** -50, vv ** -(N - 2) * mp.mpf(10) ** -10)
+        hi = mp.mpf(1)
+        while isinstance(f(hi), mp.mpc) or not mp.isfinite(f(hi)):
+            hi = hi / 2
+        flo = f(lo)
+        for _ in range(240):
+            mid = mp.sqrt(lo * hi)
+            if f(mid) * flo > 0:
+                lo = mid
+            else:
+                hi = mid
+        return float(mp.sqrt(lo * hi))
+
+
+@pytest.mark.parametrize("N, V", [(n, v) for n in (6, 8, 10)
+                                  for v in (3.0, 5.0, 10.0, 20.0, 40.0, 70.0, 100.0)]
+                         + [(12, 1e4), (4, 2.5), (6, -10.0), (6, 2.0000001)])
+def test_exact_boundary_bitwise_equals_reference_in_fewer_steps(N, V, monkeypatch):
+    residual, calls = bethe._boundary_log_residual, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return residual(*args)
+
+    monkeypatch.setattr(bethe, "_boundary_log_residual", counted)
+    got = bethe.exact_boundary_gamma(N, V)
+    assert calls[0] < 100
+    monkeypatch.undo()
+    assert got.hex() == _reference_exact_boundary(N, V).hex()
+
+
+def _reference_grid_roots(f, grid, tol):
+    """Each sign change on grid, solved by brentq, kept if |f| < tol(root)."""
+    vals = [f(k) for k in grid]
+    roots = [brentq(f, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16)
+             for i in range(len(grid) - 1) if vals[i] * vals[i + 1] < 0]
+    return [k for k in roots if abs(f(k)) < tol(k)]
+
+
+@pytest.mark.parametrize("N", [4, 6, 8, 12])
+@pytest.mark.parametrize("V", [0.0, 0.5, 3.0, 10.0])
+def test_grid_roots_match_brentq(N, V):
+    eps = math.pi / (10 * bethe.SCAN_SAMPLES)
+    k_grid = np.linspace(eps, math.pi - eps, bethe.SCAN_SAMPLES)
+    kappa_grid = np.linspace(1e-9, math.acosh(max(V, 2.0)) + 2.0,
+                             bethe.SCAN_SAMPLES)
+    tol = bethe.ROOT_RESIDUAL_TOL
+    for gamma in (1e-4, 0.3, 0.9, 1.5):
+        ref = _reference_grid_roots(
+            lambda k: bethe.scattering_condition(k, N, V, gamma), k_grid,
+            lambda k: tol)
+        ref_bound = _reference_grid_roots(
+            lambda k: bethe.bound_digamma(k, N, V, gamma), kappa_grid,
+            lambda k: tol * (1 + V ** 2) * math.cosh(N * k))
+        for got, want in [(bethe.scattering_roots(N, gamma, V), ref),
+                          (bethe.real_bound_roots(N, V, gamma), ref_bound)]:
+            assert len(got) == len(want), (gamma, got, want)
+            for root, k in zip(got, want):
+                assert abs(root.momentum - k) <= 1e-12, (gamma, root, k)
+
+
+@pytest.mark.parametrize("N", [4, 6, 8, 12])
+@pytest.mark.parametrize("gamma", [1 + 1e-12, 1 + 1e-6, 1.01, 1.1, 2.0, 10.0, 1e3])
+def test_broken_pair_kappa_matches_brentq(N, gamma):
+    def g(k):
+        return gamma ** 2 * math.cosh((N - 1) * k) - math.cosh((N + 1) * k)
+
+    hi = math.log(gamma) + 1.0
+    while g(hi) > 0:
+        hi *= 2.0
+    ref = brentq(g, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
+    kappa = bethe.broken_pair_kappa(N, gamma).momentum.imag
+    if gamma >= 1.01:
+        assert abs(kappa - ref) <= 1e-12 * ref
+    else:
+        # g is flat at roundoff over the last digits of kappa
+        assert abs(g(kappa)) <= 4.5e-16

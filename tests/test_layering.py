@@ -5,7 +5,10 @@ level, so the package has no import cycle to break with a lazy import.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -98,3 +101,15 @@ def test_only_models_chooses_the_control_parameter():
     users = {m: list(_v_or_delta_choices(ast.parse((SRC / f"{m}.py").read_text())))
              for m in LAYERS}
     assert {m for m, lines in users.items() if lines} == {"models"}, users
+
+
+# the package's root searches are bethe._bisect, so no module needs
+# scipy.optimize, whose import costs about 0.3 s of every process start
+def test_cli_import_does_not_load_scipy_optimize():
+    code = ("import sys, epchain.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.optimize')))")
+    paths = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]", out
