@@ -22,7 +22,6 @@ import mpmath as mp
 import numpy as np
 
 from . import bethe, linalg
-from .bethe import _bisect
 from .dynamics import default_initial_state, final_fidelity
 from .errors import (ConfigError, DegenerateFit, EpchainError,
                      NonConvergence, NoTransition)
@@ -322,7 +321,7 @@ def _numeric_boundary_highprec(N: int, V: float, rel_tol: float) -> float:
             raise NoTransition(f"no transition in gamma for N={N}, V={V}")
         while _magnon_broken(N, V, lo):
             lo *= mp.mpf(10) ** -10
-        return _bisect(lambda g: _magnon_broken(N, V, g), lo, hi, rel_tol, mp.sqrt)
+        return bethe._bisect(lambda g: _magnon_broken(N, V, g), lo, hi, rel_tol, mp.sqrt)
 
 
 def numeric_boundary_gamma(template: ModelSpec, control_value: float) -> float:
@@ -350,7 +349,7 @@ def numeric_boundary_gamma(template: ModelSpec, control_value: float) -> float:
         raise NoTransition(f"spectrum stays real up to gamma=10 at "
                            f"{name}={control_value}")
     if not broken(1e-12):
-        gc = _bisect(broken, 1e-12, 10.0, _REL_TOL)
+        gc = bethe._bisect(broken, 1e-12, 10.0, _REL_TOL)
         # Just above gamma_c, max|Im eps| stays below the threshold 1e-10*(1+V)
         # over a band of gamma, so the bisection can stop above the boundary:
         # by more than _REL_TOL for gamma_c near 1e-6, and at the threshold

@@ -192,7 +192,8 @@ def broken_pair_kappa(N: int, gamma: float) -> BetheRoot:
     Solves gamma^2 cosh[(N-1)k] = cosh[(N+1)k] (even-N form of the
     quantization condition at momentum pi/2 + i k); the pair energies are
     +-2i sinh(k).  The bisection starts at k = 1e-150, where
-    g = gamma^2 - 1 > 0; the root exceeds 4e-9 for every double gamma > 1.
+    g = gamma^2 - 1 > 0; the root, about sqrt((gamma^2 - 1) / 2N), is far
+    above 1e-150 for every double gamma > 1.
     """
     if gamma <= 1.0:
         raise NoRoot(f"gamma={gamma} <= 1: spectrum is real (unbroken phase)")
@@ -366,8 +367,9 @@ def exact_boundary_gamma(N: int, V: float) -> float:
             raise NoBracket(
                 f"no sign change of the boundary condition in [{float(lo)}, {float(hi)}]"
             )
-        # rel_tol at the working precision: the float exit ends the search
-        return _bisect(lambda g: f(g) * flo <= 0, lo, hi, float(mp.eps), mp.sqrt)
+        # a fixed rel_tol far below double resolution: the float exit ends the
+        # search, and the step cap (~1000) stays finite at any precision
+        return _bisect(lambda g: f(g) * flo <= 0, lo, hi, 1e-300, mp.sqrt)
 
 
 # ---------------------------------------------------------------------------

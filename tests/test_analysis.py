@@ -245,7 +245,7 @@ def test_numeric_boundary_no_transition():
 
 
 # The reference is the boundary scan before its two bisection loops became
-# analysis._bisect: the double-precision loop, the 60-digit loop, and their
+# bethe._bisect: the double-precision loop, the 60-digit loop, and their
 # escalation tests, as they stood, with their thresholds written out.
 
 def _reference_highprec(N, V, rel_tol):
@@ -327,7 +327,7 @@ def test_bisect_locates_onset_in_its_iteration_count(sqrt, num):
             calls.append(g)
             return g > onset
 
-        got = analysis._bisect(broken, num("1e-12"), num(10), rel_tol, sqrt)
+        got = bethe._bisect(broken, num("1e-12"), num(10), rel_tol, sqrt)
     assert abs(got / (math.pi / 1000) - 1) <= rel_tol
     assert len(calls) == math.ceil(math.log2(math.log(1e13) / rel_tol)) + 2
 

@@ -401,7 +401,8 @@ def _reference_exact_boundary(N, V):
 
 @pytest.mark.parametrize("N, V", [(n, v) for n in (6, 8, 10)
                                   for v in (3.0, 5.0, 10.0, 20.0, 40.0, 70.0, 100.0)]
-                         + [(12, 1e4), (4, 2.5), (6, -10.0), (6, 2.0000001)])
+                         + [(12, 1e4), (12, 1e10), (28, 1e4), (4, 2.5), (6, -10.0),
+                            (6, 2.0000001)])
 def test_exact_boundary_bitwise_equals_reference_in_fewer_steps(N, V, monkeypatch):
     residual, calls = bethe._boundary_log_residual, [0]
 
