@@ -10,8 +10,6 @@ numeric phase boundaries.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -149,26 +147,12 @@ def cmd_spectrum(args) -> int:
     h = models.build_hamiltonian(spec)
     spectrum = linalg.eig(h)
     if args.format == "json":
-        payload = {
-            "type": "spectrum",
-            "spec": serialize.spec_to_dict(spec),
-            "eigenvalues": [[float(e.real), float(e.imag)]
-                            for e in spectrum.eigenvalues],
-            "max_residual": spectrum.max_residual(),
-        }
-        serialize.atomic_write(args.out, json.dumps(payload, indent=2))
+        serialize.atomic_write(args.out, serialize.spectrum_to_json(spec, spectrum))
     else:
-        lines = ["re,im,residual"]
-        for e, r in zip(spectrum.eigenvalues, spectrum.residuals):
-            lines.append(f"{serialize.fmt(e.real)},{serialize.fmt(e.imag)},"
-                         f"{serialize.fmt(r)}")
-        serialize.atomic_write(args.out, "\n".join(lines) + "\n")
+        serialize.atomic_write(args.out, serialize.spectrum_to_csv(spectrum))
     if args.vectors:
-        lines = ["eigenvalue_index,component_index,re,im"]
-        for n in range(spectrum.dim):
-            for i, a in enumerate(spectrum.right_vectors[:, n]):
-                lines.append(f"{n},{i},{serialize.fmt(a.real)},{serialize.fmt(a.imag)}")
-        serialize.atomic_write(args.out + ".vectors.csv", "\n".join(lines) + "\n")
+        serialize.atomic_write(args.out + ".vectors.csv",
+                               serialize.eigenvectors_to_csv(spectrum))
     return 0
 
 
@@ -178,10 +162,8 @@ def cmd_phase_diagram(args) -> int:
     x_axis = _parse_axis(args.x_range, "--x-range", spec, spec.kind.control)
     y_axis = _parse_axis(args.gamma_range, "--gamma-range", spec, "gamma")
     grid = analysis.sweep_grid(spec, x_axis, y_axis)
-    if args.format == "json":
-        serialize.atomic_write(args.out, serialize.grid_to_json(grid))
-    else:
-        serialize.atomic_write(args.out, serialize.grid_to_csv(grid))
+    write = serialize.grid_to_json if args.format == "json" else serialize.grid_to_csv
+    serialize.atomic_write(args.out, write(grid))
     if plt:
         _save_plot(plt, os.path.splitext(args.out)[0] + ".svg",
                    [("", _grid_panel, grid)])
@@ -210,18 +192,14 @@ def cmd_evolve(args) -> int:
     plt = _pyplot(args.plot)
     trace = dynamics.evolve_trace(spec, init, target, args.t_max, args.steps,
                                   target_name=args.target)
-    if args.format == "json":
-        serialize.atomic_write(args.out, serialize.trace_to_json(trace))
-    else:
-        serialize.atomic_write(args.out, serialize.trace_to_csv(trace))
+    write = serialize.trace_to_json if args.format == "json" else serialize.trace_to_csv
+    serialize.atomic_write(args.out, write(trace))
     t_conv = dynamics.convergence_time(trace, tol=args.tol)
     try:
         f_dom = dynamics.steady_fidelity(spec, target)
-        dom_text = serialize.fmt(f_dom)
     except EpchainError:
-        dom_text = "nan"
-    print(f"convergence_time={serialize.fmt(t_conv) if math.isfinite(t_conv) else 'inf'} "
-          f"dominant_fidelity={dom_text}")
+        f_dom = float("nan")
+    print(serialize.evolve_summary(t_conv, f_dom))
     if plt:
         _save_plot(plt, os.path.splitext(args.out)[0] + ".svg",
                    [("", _trace_panel, [(args.target, trace)])])
@@ -278,11 +256,9 @@ def _grid_figure(prefix: str, params: dict, out_dir: str):
         overlay = [(v, bethe.exact_boundary_gamma(n, v))
                    for v in params.get("exact_overlay_V", [])]
         if overlay:
-            lines = ["v,gamma_c_exact"]
-            lines += [f"{serialize.fmt(v)},{serialize.fmt(g)}" for v, g in overlay]
             serialize.atomic_write(
                 os.path.join(out_dir, f"{prefix}_exact_boundary_N{n}.csv"),
-                "\n".join(lines) + "\n")
+                serialize.exact_boundary_csv(overlay))
         panels.append((f"N={n}", _grid_panel, grid, overlay))
     return params, panels
 
@@ -354,14 +330,8 @@ def cmd_reproduce(args) -> int:
     prefix = f"fig{args.figure}"
     make, params = FIGURES[args.figure]
     params, panels = make(prefix, params, args.out_dir)
-    manifest = {
-        "figure": args.figure,
-        "note": "parameters chosen to match the qualitative claims; "
-                "source publication prints no figure parameter values",
-        "parameters": params,
-    }
     serialize.atomic_write(os.path.join(args.out_dir, f"{prefix}_manifest.json"),
-                           json.dumps(manifest, indent=2, default=str))
+                           serialize.manifest_to_json(args.figure, params))
     if plt:
         _save_plot(plt, os.path.join(args.out_dir, f"{prefix}.svg"), panels)
     return 0

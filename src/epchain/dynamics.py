@@ -44,7 +44,6 @@ class EvolutionTrace:
     log_norms: np.ndarray
     target_name: str
     spec: ModelSpec
-    gamma_used: float
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -117,8 +116,7 @@ def evolve_trace(spec: ModelSpec, init: StateVector, target: StateVector,
             fidelities[i] = min(abs(np.vdot(tgt, psi)), 1.0)
             log_norms[i] = log_norm
     return EvolutionTrace(times=times, fidelities=fidelities,
-                          log_norms=log_norms, target_name=target_name,
-                          spec=spec, gamma_used=spec.gamma)
+                          log_norms=log_norms, target_name=target_name, spec=spec)
 
 
 def final_fidelity(spec: ModelSpec, init: StateVector, target: StateVector,
@@ -133,14 +131,15 @@ def final_fidelity(spec: ModelSpec, init: StateVector, target: StateVector,
     """
     _, u, psi, tgt = _step_setup(spec, init, target, t_max, n_steps)
     n = n_steps
-    while n:
-        if n & 1:
-            psi = u @ psi
-            psi /= np.linalg.norm(psi)
-        n >>= 1
-        if n:
-            u = u @ u
-            u /= np.linalg.norm(u)
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN is checked below
+        while n:
+            if n & 1:
+                psi = u @ psi
+                psi /= np.linalg.norm(psi)
+            n >>= 1
+            if n:
+                u = u @ u
+                u /= np.linalg.norm(u)
     f = float(min(abs(np.vdot(tgt, psi)), 1.0))
     if math.isnan(f):
         raise NonConvergence("a power of the step propagator overflows; "

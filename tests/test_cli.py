@@ -1,5 +1,6 @@
 """In-process tests of the command-line surface."""
 
+import csv
 import json
 import math
 import sys
@@ -137,6 +138,16 @@ def test_evolve_prints_summary(tmp_path, capsys):
     assert "convergence_time=" in msg and "dominant_fidelity=" in msg
     f_dom = float(msg.split("dominant_fidelity=")[1].split()[0])
     assert 0.9 < f_dom <= 1.0
+
+
+def test_evolve_unbroken_prints_nan_dominant_fidelity(tmp_path, capsys):
+    # gamma below the W chain's boundary: real spectrum, no dominant state
+    rc = run(["evolve", "--model", "xy", "--n", "6", "--gamma", "0.3",
+              "--target", "w", "--t-max", "10", "--out", str(tmp_path / "t.csv")])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.startswith("convergence_time=")
+    assert out.endswith(" dominant_fidelity=nan\n")
 
 
 def test_evolve_gamma_zero_norm_constant(tmp_path):
@@ -283,6 +294,42 @@ def test_trace_figure_optimizes_with_the_table_step_count(tmp_path, monkeypatch)
               "target": "w", "gamma": "optimized"}
     cli._trace_figure("fig", params, str(tmp_path))
     assert seen == [7]
+
+
+def test_every_csv_table_is_rectangular(tmp_path):
+    # the six CSV tables: spectrum, eigenvectors, phase grid, trace,
+    # boundary table and the exact-boundary overlay of a grid figure
+    out = str(tmp_path / "x")
+    model = ["--model", "xy", "--n", "4", "--v", "3", "--gamma", "0.5"]
+    for argv in (["spectrum", *model, "--vectors", "--out", out + "_spec.csv"],
+                 ["phase-diagram", *model, "--x-range", "2.5:10:log:3",
+                  "--gamma-range", "1e-3:1:log:2", "--out", out + "_grid.csv"],
+                 ["evolve", *model, "--target", "w", "--t-max", "5", "--steps", "4",
+                  "--out", out + "_trace.csv"],
+                 ["boundary", *model, "--x-range", "0:3:lin:2",
+                  "--out", out + "_boundary.csv"]):
+        assert run(argv) == 0
+    cli._grid_figure("fig", {"N": [4], "V_range": [2.5, 10.0, "log", 2],
+                             "gamma_range": [1e-3, 1.0, "log", 2],
+                             "exact_overlay_V": [3, 10]}, str(tmp_path))
+    headers = {
+        "x_spec.csv": ["re", "im", "residual"],
+        "x_spec.csv.vectors.csv": ["eigenvalue_index", "component_index", "re", "im"],
+        "x_grid.csv": ["v", "gamma", "max_im_eps", "broken"],
+        "x_trace.csv": ["t", "fidelity", "log_norm"],
+        "x_boundary.csv": ["control_value", "gamma_exact", "gamma_perturbative",
+                           "gamma_numeric", "rel_gap_exact_numeric",
+                           "validation_mismatch"],
+        "fig_exact_boundary_N4.csv": ["v", "gamma_c_exact"],
+    }
+    rows = {"x_spec.csv": 4, "x_spec.csv.vectors.csv": 16, "x_grid.csv": 6,
+            "x_trace.csv": 4, "x_boundary.csv": 2, "fig_exact_boundary_N4.csv": 2}
+    for name, header in headers.items():
+        with open(tmp_path / name, newline="") as fh:
+            table = list(csv.reader(fh))
+        assert table[0] == header, name
+        assert len(table) == 1 + rows[name], name
+        assert {len(row) for row in table} == {len(header)}, name
 
 
 # ---------------------------------------------------------------------------

@@ -311,7 +311,6 @@ def test_convergence_time_never_settled_returns_last_sample():
         log_norms=np.zeros(10),
         target_name="w",
         spec=xy(4, gamma=1.2),
-        gamma_used=1.2,
     )
     assert dynamics.convergence_time(tr, tol=1e-6) == pytest.approx(10.0)
 
@@ -322,12 +321,12 @@ def test_trace_rejects_bad_arrays():
         dynamics.EvolutionTrace(times=np.array([2.0, 1.0]),
                                 fidelities=np.array([0.5, 0.5]),
                                 log_norms=np.zeros(2), target_name="w",
-                                spec=spec, gamma_used=1.2)
+                                spec=spec)
     with pytest.raises(ValueError):
         dynamics.EvolutionTrace(times=np.array([1.0, 2.0]),
                                 fidelities=np.array([0.5, 1.5]),
                                 log_norms=np.zeros(2), target_name="w",
-                                spec=spec, gamma_used=1.2)
+                                spec=spec)
 
 
 def test_trace_rejects_nan_fidelity():
@@ -335,4 +334,4 @@ def test_trace_rejects_nan_fidelity():
         dynamics.EvolutionTrace(times=np.array([1.0, 2.0]),
                                 fidelities=np.array([0.5, np.nan]),
                                 log_norms=np.zeros(2), target_name="w",
-                                spec=xy(4, gamma=1.2), gamma_used=1.2)
+                                spec=xy(4, gamma=1.2))

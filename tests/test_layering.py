@@ -113,3 +113,24 @@ def test_cli_import_does_not_load_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]", out
+
+
+# serialize is the one module that knows the output format: no other module
+# imports json or names the cell formatter fmt
+def _format_uses(tree: ast.AST):
+    """Line numbers where tree imports json or names fmt."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name == "json" for a in node.names):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and (
+                node.module == "json" or any(a.name == "fmt" for a in node.names)):
+            yield node.lineno
+        elif (isinstance(node, ast.Name) and node.id == "fmt") or (
+                isinstance(node, ast.Attribute) and node.attr == "fmt"):
+            yield node.lineno
+
+
+def test_only_serialize_knows_the_output_format():
+    users = {m: list(_format_uses(ast.parse((SRC / f"{m}.py").read_text())))
+             for m in LAYERS}
+    assert {m for m, lines in users.items() if lines} == {"serialize"}, users
