@@ -44,6 +44,7 @@ from .models import (
     ModelSpec,
     StateVector,
     bitstring_state,
+    block_coordinates,
     build_h_chain_full,
     build_h_eq,
     build_h_ghz,

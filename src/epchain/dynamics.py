@@ -7,6 +7,14 @@ the fidelity of the right eigenvector with the largest imaginary eigenvalue
 part.  When only the end point is needed, final_fidelity applies the same
 step propagator n_steps times by repeated squaring, in about log2(n_steps)
 matrix products instead of n_steps matrix-vector steps.
+
+Both run in the symmetry blocks of models.hamiltonian_blocks, through one
+core: the blocks' step propagators are zero-padded to one (k, d, d) stack
+that every product advances at once, the states are their block coordinates
+(models.block_coordinates), and norms and overlaps are taken over the whole
+stack.  On the Ising ring these are its N momentum blocks, so no 2^N x 2^N
+matrix is exponentiated or multiplied; every other model is one block, its
+whole matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +30,8 @@ from .models import (
     ModelKind,
     ModelSpec,
     StateVector,
-    build_hamiltonian,
+    block_coordinates,
+    hamiltonian_blocks,
     magnon_basis,
     single_flip_state,
     site_state,
@@ -71,21 +80,60 @@ def default_initial_state(spec: ModelSpec) -> StateVector:
     return single_flip_state(spec.N, 1)
 
 
-def _step_setup(spec: ModelSpec, init: StateVector, target: StateVector,
-                t_max: float, n_steps: int):
-    """Validated (dt, step propagator, normalized init, normalized target)."""
+def _block_setup(spec: ModelSpec, init: StateVector, target: StateVector,
+                 t_max: float, n_steps: int):
+    """Validated (dt, u, psi, tgt) in the symmetry blocks of spec.
+
+    u is the (k, d, d) stack of the step propagators of the k blocks of
+    models.hamiltonian_blocks, zero-padded to the largest block dimension d;
+    psi and tgt are the (k, d, 1) block coordinates of init and target, each
+    normalized over the whole stack.  The padding is exact: zero rows and
+    columns keep the padded amplitudes zero.  A model that is one block runs
+    the arithmetic of its whole matrix unchanged.
+    """
     if n_steps < 2:
         raise ValueError("n_steps must be >= 2")
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    h = build_hamiltonian(spec)
-    if init.basis.dim != h.shape[0] or target.basis.dim != h.shape[0]:
+    if init.basis.dim != spec.dim or target.basis.dim != spec.dim:
         raise DimensionMismatch("state dimension does not match the Hamiltonian")
     dt = t_max / n_steps
-    u = linalg.propagator(h, dt)
-    tgt = target.amplitudes / np.linalg.norm(target.amplitudes)
-    psi = init.amplitudes / np.linalg.norm(init.amplitudes)
-    return dt, u, psi, tgt
+    steps = [linalg.propagator(h, dt) for h in hamiltonian_blocks(spec)]
+    d = max(len(step) for step in steps)
+    u = np.zeros((len(steps), d, d), dtype=complex)
+    for b, step in enumerate(steps):
+        u[b, :len(step), :len(step)] = step
+
+    def stacked(state: StateVector) -> np.ndarray:
+        x = np.zeros((len(steps), d, 1), dtype=complex)
+        for b, c in enumerate(block_coordinates(spec, state.amplitudes)):
+            x[b, :len(c), 0] = c
+        return x / np.linalg.norm(x)
+
+    return dt, u, stacked(init), stacked(target)
+
+
+def _normalized_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """(a @ b / ||a @ b||, ln ||a @ b||), the norm taken over the whole stack.
+
+    Only where the plain product or its norm is not finite, a, b and then
+    their product are divided by their largest |entry| and the logs added
+    back, so a finite norm is never lost to overflow.  NonConvergence if
+    the product vanishes.  Call under np.errstate(over="ignore",
+    invalid="ignore").
+    """
+    x = a @ b
+    norm = np.linalg.norm(x)
+    if 0.0 < norm < math.inf:
+        return x / norm, math.log(norm)
+    scales = [float(np.max(np.abs(m))) for m in (a, b)]
+    x = (a / scales[0]) @ (b / scales[1])
+    scales.append(float(np.max(np.abs(x))))
+    if scales[-1] == 0.0:
+        raise NonConvergence("the propagated state vanishes; use more steps")
+    x = x / scales[-1]
+    norm = np.linalg.norm(x)
+    return x / norm, sum(map(math.log, scales)) + math.log(norm)
 
 
 def evolve_trace(spec: ModelSpec, init: StateVector, target: StateVector,
@@ -94,24 +142,19 @@ def evolve_trace(spec: ModelSpec, init: StateVector, target: StateVector,
     """Propagate init under the model Hamiltonian, sampling n_steps times.
 
     Uses the Pade propagator for one fixed step reused across the run
-    (robust arbitrarily close to exceptional points).  NonConvergence when
-    the norm of one step's state leaves the double range.
+    (robust arbitrarily close to exceptional points), one batched product
+    over the blocks per step.  NonConvergence when a block's step
+    propagator overflows.
     """
-    dt, u, psi, tgt = _step_setup(spec, init, target, t_max, n_steps)
+    dt, u, psi, tgt = _block_setup(spec, init, target, t_max, n_steps)
     times = np.empty(n_steps)
     fidelities = np.empty(n_steps)
     log_norms = np.empty(n_steps)
     log_norm = 0.0
-    with np.errstate(over="ignore"):  # the norm is checked below
+    with np.errstate(over="ignore", invalid="ignore"):  # see _normalized_product
         for i in range(n_steps):
-            psi = u @ psi
-            step_norm = np.linalg.norm(psi)
-            if not 0.0 < step_norm < math.inf:
-                raise NonConvergence(
-                    f"the state norm overflows at step {i + 1} of {n_steps} "
-                    f"(dt={dt:.6g}); use more steps")
-            log_norm += math.log(step_norm)
-            psi = psi / step_norm
+            psi, log_step = _normalized_product(u, psi)
+            log_norm += log_step
             times[i] = (i + 1) * dt
             fidelities[i] = min(abs(np.vdot(tgt, psi)), 1.0)
             log_norms[i] = log_norm
@@ -123,28 +166,39 @@ def final_fidelity(spec: ModelSpec, init: StateVector, target: StateVector,
                    t_max: float, n_steps: int) -> float:
     """evolve_trace(...).fidelities[-1] without the intermediate samples.
 
-    The same step propagator u is applied n_steps times by square-and-multiply.
-    The state is renormalized after each multiply and the running power of u
-    after each squaring; both factors cancel in the normalized fidelity, so
-    deep in the broken phase (growth e^{sigma t_max}) nothing overflows
-    unless u itself is near the double range: then NonConvergence.
+    The same step propagators are applied n_steps times by square-and-multiply.
+    The state is renormalized after each multiply and the running power of
+    the propagators after each squaring; both factors cancel in the
+    normalized fidelity, so deep in the broken phase (growth e^{sigma t_max})
+    nothing overflows unless a block's step propagator itself does: then
+    NonConvergence.
     """
-    _, u, psi, tgt = _step_setup(spec, init, target, t_max, n_steps)
+    _, u, psi, tgt = _block_setup(spec, init, target, t_max, n_steps)
     n = n_steps
-    with np.errstate(over="ignore", invalid="ignore"):  # NaN is checked below
+    with np.errstate(over="ignore", invalid="ignore"):  # see _normalized_product
         while n:
             if n & 1:
-                psi = u @ psi
-                psi /= np.linalg.norm(psi)
+                psi, _ = _normalized_product(u, psi)
             n >>= 1
             if n:
-                u = u @ u
-                u /= np.linalg.norm(u)
-    f = float(min(abs(np.vdot(tgt, psi)), 1.0))
-    if math.isnan(f):
-        raise NonConvergence("a power of the step propagator overflows; "
-                             "use more steps")
-    return f
+                u, _ = _normalized_product(u, u)
+    return float(min(abs(np.vdot(tgt, psi)), 1.0))
+
+
+def _dominant_index(eigenvalues: np.ndarray) -> int:
+    """Index of the unique eigenvalue with maximal imaginary part.
+
+    NoDominantState when the spectrum is real (unbroken phase: no steady
+    selection) or the maximal imaginary part is degenerate.
+    """
+    im = eigenvalues.imag
+    order = np.argsort(im)
+    scale = 1.0 + float(np.max(np.abs(eigenvalues)))
+    if im[order[-1]] <= DOMINANT_GAP_TOL * scale:
+        raise NoDominantState("spectrum is real: no exponentially selected state")
+    if len(im) > 1 and im[order[-1]] - im[order[-2]] <= DOMINANT_GAP_TOL * scale:
+        raise NoDominantState("maximal imaginary part is degenerate")
+    return int(order[-1])
 
 
 def dominant_state(m, basis=None) -> StateVector:
@@ -156,30 +210,32 @@ def dominant_state(m, basis=None) -> StateVector:
     matrix dimension.
     """
     spectrum = linalg.eig(m)
-    im = spectrum.eigenvalues.imag
-    order = np.argsort(im)
-    scale = 1.0 + float(np.max(np.abs(spectrum.eigenvalues)))
-    if im[order[-1]] <= DOMINANT_GAP_TOL * scale:
-        raise NoDominantState("spectrum is real: no exponentially selected state")
-    if len(im) > 1 and im[order[-1]] - im[order[-2]] <= DOMINANT_GAP_TOL * scale:
-        raise NoDominantState("maximal imaginary part is degenerate")
-    vec = spectrum.right_vectors[:, order[-1]]
+    vec = spectrum.right_vectors[:, _dominant_index(spectrum.eigenvalues)]
     if basis is None:
         basis = magnon_basis(len(vec))
     return StateVector(basis, vec / np.linalg.norm(vec))
 
 
 def steady_fidelity(spec: ModelSpec, target: StateVector) -> float:
-    """|<target|dominant right eigenvector>| (the long-time fidelity limit)."""
-    state = dominant_state(build_hamiltonian(spec), basis=target.basis)
-    tgt = target.amplitudes / np.linalg.norm(target.amplitudes)
-    return float(abs(np.vdot(tgt, state.amplitudes)))
+    """|<target|dominant right eigenvector>| (the long-time fidelity limit).
+
+    The dominant eigenvector is chosen among the eigenvalues of all symmetry
+    blocks together and read in the coordinates of its own block.
+    """
+    spectra = [linalg.eig(h) for h in hamiltonian_blocks(spec)]
+    n = _dominant_index(np.concatenate([s.eigenvalues for s in spectra]))
+    b, j = [(b, j) for b, s in enumerate(spectra) for j in range(s.dim)][n]
+    coords = block_coordinates(spec, target.amplitudes)
+    tgt = coords[b] / np.linalg.norm(np.concatenate(coords))
+    vec = spectra[b].right_vectors[:, j]
+    return float(abs(np.vdot(tgt, vec / np.linalg.norm(vec))))
 
 
 def convergence_time(trace: EvolutionTrace, tol: float = 1e-3) -> float:
     """Smallest sampled t with |f(s) - f(t_max)| < tol for all sampled s >= t.
 
-    Returns +inf if the trace never settles to within tol.
+    The condition holds at s = t_max itself, so a trace that never settles
+    earlier returns its last sample time.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -190,6 +246,4 @@ def convergence_time(trace: EvolutionTrace, tol: float = 1e-3) -> float:
     bad = np.nonzero(~settled)[0]
     if len(bad) == 0:
         return float(trace.times[0])
-    if bad[-1] == len(f) - 1:
-        return float("inf")
     return float(trace.times[bad[-1] + 1])

@@ -2,7 +2,8 @@
 
 Covers the open XY chain with imaginary boundary fields (full spin space and
 its single-magnon reduction) and the transverse-field Ising model with an
-imaginary longitudinal field, whole or, on the ring, in momentum blocks.
+imaginary longitudinal field, whole or, on the ring, in momentum blocks
+together with each block's coordinates of a state.
 Conventions:
 
 * magnon basis: position states |1> .. |N>, stored as indices 0 .. N-1;
@@ -285,7 +286,8 @@ def _ring_momentum_structure(N: int):
     orthonormal basis.  If sx_l |a> = T^s |b> with b a representative, then
     <b(k)| sx_l |a(k)> = e^{iks} sqrt(p_a / p_b).
 
-    Returns the sz values of the representatives and, per m = 0 .. N-1, the
+    Returns, per representative a, its sz values, its orbit T^r a for
+    r = 0 .. N-1 (as columns) and sqrt(p_a); and, per m = 0 .. N-1, the
     positions of its representatives in that list and the block's
     sum_l sx_l template.  The arrays are read-only: they are shared.
     """
@@ -316,9 +318,18 @@ def _ring_momentum_structure(N: int):
         members.setflags(write=False)
         template.setflags(write=False)
         blocks.append((members, template))
+    orbits = rots[:, reps]
+    root_period = np.sqrt(period)
     z = _spin_z(N)[1][reps]
-    z.setflags(write=False)
-    return z, tuple(blocks)
+    for a in (z, orbits, root_period):
+        a.setflags(write=False)
+    return (z, orbits, root_period), tuple(blocks)
+
+
+def _momentum_ring(spec: ModelSpec) -> bool:
+    """True where hamiltonian_blocks splits spec into momentum blocks."""
+    return (spec.kind is ModelKind.TRANSVERSE_ISING and spec.J != 0
+            and spec.ising_boundary is IsingBoundary.PERIODIC)
 
 
 def hamiltonian_blocks(spec: ModelSpec) -> list[np.ndarray]:
@@ -333,10 +344,9 @@ def hamiltonian_blocks(spec: ModelSpec) -> list[np.ndarray]:
     only.  The block spectra together are the spectrum of
     build_hamiltonian(spec).
     """
-    if (spec.kind is not ModelKind.TRANSVERSE_ISING or spec.J == 0
-            or spec.ising_boundary is not IsingBoundary.PERIODIC):
+    if not _momentum_ring(spec):
         return [build_hamiltonian(spec)]
-    z, blocks = _ring_momentum_structure(spec.N)
+    (z, _, _), blocks = _ring_momentum_structure(spec.N)
     diag = _ising_diagonal(spec, z)
     out = []
     for members, template in blocks:
@@ -344,6 +354,24 @@ def hamiltonian_blocks(spec: ModelSpec) -> list[np.ndarray]:
         h[np.diag_indices_from(h)] = diag[members]
         out.append(h)
     return out
+
+
+def block_coordinates(spec: ModelSpec, amplitudes: np.ndarray) -> list[np.ndarray]:
+    """Coordinates of a state in the orthonormal basis of each block of
+    hamiltonian_blocks(spec), block by block: B_b^dagger psi for the
+    embedding B_b of block b.
+
+    On the momentum ring the coordinate of the Bloch state |a(k)>,
+    k = 2 pi m / N, is <a(k)|psi> = sqrt(p_a) ifft_r(psi[T^r a])[m]: a gather
+    along each orbit and one inverse FFT, with no 2^N x d basis matrix.
+    Every other spec is one block in its own basis, so the coordinates are
+    [amplitudes] themselves.
+    """
+    if not _momentum_ring(spec):
+        return [amplitudes]
+    (_, orbits, root_period), blocks = _ring_momentum_structure(spec.N)
+    coef = np.fft.ifft(amplitudes[orbits], axis=0) * root_period
+    return [coef[m, members] for m, (members, _) in enumerate(blocks)]
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,45 @@ def test_other_models_come_back_whole(spec):
     assert np.array_equal(h, models.build_hamiltonian(spec))
 
 
+def _block_adjoints(spec):
+    """B_b^dagger of every block b, as dense matrices, from the coordinates
+    of the spin-z basis states."""
+    eye = np.eye(spec.dim, dtype=complex)
+    coords = [models.block_coordinates(spec, eye[:, j]) for j in range(spec.dim)]
+    return [np.array([c[b] for c in coords]).T for b in range(len(coords[0]))]
+
+
+@pytest.mark.parametrize("N, J, Delta, gamma", _ring_params())
+def test_block_basis_reduces_the_dense_matrix_to_each_block(N, J, Delta, gamma):
+    spec = ring(N, J=J, Delta=Delta, gamma=gamma)
+    h = models.build_h_ghz(spec)
+    blocks = models.hamiltonian_blocks(spec)
+    adjoints = _block_adjoints(spec)
+    assert [a.shape for a in adjoints] == [(len(b), 2 ** N) for b in blocks]
+    for a, block in zip(adjoints, blocks):
+        assert np.max(np.abs(a @ h @ a.conj().T - block)) <= 1e-13 * (1 + np.abs(h).max())
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_block_coordinates_preserve_inner_products(N):
+    spec = ring(N, Delta=0.5, gamma=0.1)
+    rng = np.random.default_rng(N)
+    phi, psi = rng.normal(size=(2, 2 ** N)) + 1j * rng.normal(size=(2, 2 ** N))
+    cphi, cpsi = (models.block_coordinates(spec, x) for x in (phi, psi))
+    assert sum(np.vdot(a, a).real for a in cpsi) == pytest.approx(
+        np.vdot(psi, psi).real, rel=1e-13)
+    overlap = sum(np.vdot(a, b) for a, b in zip(cphi, cpsi))
+    assert abs(overlap - np.vdot(phi, psi)) <= 1e-13 * np.linalg.norm(phi) * np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_ghz_target_lies_in_the_zero_momentum_block(N):
+    spec = ring(N, Delta=0.5, gamma=0.1)
+    coords = models.block_coordinates(spec, models.target_state("ghz", N).amplitudes)
+    assert np.linalg.norm(coords[0]) == pytest.approx(1.0, rel=1e-15)
+    assert all(np.max(np.abs(c), initial=0.0) <= 1e-16 for c in coords[1:])
+
+
 def test_block_templates_are_shared_read_only():
     a = models.hamiltonian_blocks(ring(6, Delta=0.5, gamma=0.1))
     b = models.hamiltonian_blocks(ring(6, Delta=0.5, gamma=0.1))

@@ -2,6 +2,9 @@
 prediction."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -150,31 +153,144 @@ def test_deep_broken_ghz_overflowing_step_raises(n_steps):
         dynamics.evolve_trace(spec, init, target, 1e4, n_steps)
 
 
-@pytest.mark.parametrize("n_steps", [5, 10])
-def test_final_fidelity_overflowing_power_raises(n_steps):
-    # the step propagator is finite, a product of its powers is not
+@pytest.mark.parametrize("n_steps", range(5, 14))
+def test_final_fidelity_overflowing_power_is_finite(n_steps):
+    # the step propagator is finite, the first plain squaring of it is not
     spec = _ghz_deep_broken()
-    with pytest.raises(NonConvergence):
-        dynamics.final_fidelity(spec, dynamics.default_initial_state(spec),
-                                models.target_state("ghz", 6), 1e4, n_steps)
+    target = models.target_state("ghz", 6)
+    init = dynamics.default_initial_state(spec)
+    f = dynamics.final_fidelity(spec, init, target, 1e4, n_steps)
+    stepped = dynamics.evolve_trace(spec, init, target, 1e4, n_steps)
+    assert math.isfinite(f)
+    assert abs(f - stepped.fidelities[-1]) < 1e-10
 
 
 @pytest.mark.parametrize("n_steps", range(5, 10))
-def test_evolve_trace_overflowing_state_norm_raises(n_steps, tmp_path, capsys):
-    # the step propagator is finite, the norm of one step's state is not
+def test_evolve_trace_overflowing_state_norm_is_finite(n_steps):
+    # the norm of one step's state is representable, its sum of squares is
+    # not: ln ||u psi|| from the dense step rescaled by its largest entry
+    spec = _ghz_deep_broken()
+    init = dynamics.default_initial_state(spec)
+    trace = dynamics.evolve_trace(spec, init, models.target_state("ghz", 6),
+                                  1e4, n_steps)
+    raw = linalg.propagator(models.build_hamiltonian(spec),
+                            1e4 / n_steps) @ init.amplitudes
+    scale = np.max(np.abs(raw))
+    expected = math.log(scale) + math.log(np.linalg.norm(raw / scale))
+    assert expected > math.log(np.sqrt(np.finfo(float).max))
+    assert trace.log_norms[0] == pytest.approx(expected, rel=1e-12)
+
+
+def test_vanishing_product_raises():
+    a = np.array([[[1.0, 0.0], [0.0, 0.0]]], dtype=complex)
+    b = np.array([[[0.0], [1.0]]], dtype=complex)
+    with pytest.raises(NonConvergence, match="vanishes"):
+        dynamics._normalized_product(a, b)
+
+
+def test_evolve_cli_overflowing_step_exits_3(tmp_path, capsys):
+    # n_steps = 2: the step propagator itself overflows
     from epchain import cli
 
     spec = _ghz_deep_broken()
-    with pytest.raises(NonConvergence, match="state norm overflows at step 1"):
-        dynamics.evolve_trace(spec, dynamics.default_initial_state(spec),
-                              models.target_state("ghz", 6), 1e4, n_steps)
     rc = cli.main(["evolve", "--model", "ising", "--n", "6", "--delta", "0.75",
                    "--gamma", repr(spec.gamma), "--target", "ghz",
-                   "--t-max", "1e4", "--steps", str(n_steps),
+                   "--t-max", "1e4", "--steps", "2",
                    "--out", str(tmp_path / "t.csv")])
     assert rc == 3
-    assert "state norm overflows" in capsys.readouterr().err
+    assert "exp(-i H dt) overflows" in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# the block core against plain dense stepping of the whole matrix
+
+def _dense_stepped(spec, init, target, t_max, n_steps):
+    """(fidelities, log_norms) of the whole matrix's step propagator applied
+    n_steps times, the state rescaled by its largest entry before each norm."""
+    u = linalg.propagator(models.build_hamiltonian(spec), t_max / n_steps)
+    psi = init.amplitudes / np.linalg.norm(init.amplitudes)
+    tgt = target.amplitudes / np.linalg.norm(target.amplitudes)
+    fidelities, log_norms, log_norm = [], [], 0.0
+    for _ in range(n_steps):
+        psi = u @ psi
+        scale = np.max(np.abs(psi))
+        norm = np.linalg.norm(psi / scale)
+        log_norm += math.log(scale) + math.log(norm)
+        psi = psi / scale / norm
+        fidelities.append(min(abs(np.vdot(tgt, psi)), 1.0))
+        log_norms.append(log_norm)
+    return np.array(fidelities), np.array(log_norms)
+
+
+# fig5's runs at their optimized gamma, evolve ghz runs, the deep-broken case
+_DENSE_REFERENCE_CASES = [
+    (ising(6, 0.5, 0.005988964345216479), 2e4, 2000),
+    (ising(6, 0.75, 0.06040278364816692), 1e4, 2000),
+    (ising(6, 1.0, 0.23627093767361632), 5e3, 2000),
+    (ising(8, 0.5, 0.0010610238509671517), 2e5, 2000),
+    (ising(6, 0.75, 0.05), 500.0, 2000),
+    (ising(8, 0.5, 0.1), 1e3, 2000),
+    ("deep_broken", 1e4, 5),
+    ("deep_broken", 1e4, 13),
+    ("deep_broken", 1e4, 2001),
+]
+
+
+@pytest.mark.parametrize("spec, t_max, n_steps", _DENSE_REFERENCE_CASES)
+def test_block_dynamics_match_dense_stepping(spec, t_max, n_steps):
+    if spec == "deep_broken":
+        spec = _ghz_deep_broken()
+    target = models.target_state("ghz", spec.N)
+    init = dynamics.default_initial_state(spec)
+    fidelities, log_norms = _dense_stepped(spec, init, target, t_max, n_steps)
+    trace = dynamics.evolve_trace(spec, init, target, t_max, n_steps)
+    f = dynamics.final_fidelity(spec, init, target, t_max, n_steps)
+    assert np.max(np.abs(trace.fidelities - fidelities)) <= 1e-12
+    assert abs(f - fidelities[-1]) <= 1e-12
+    assert np.all(np.abs(trace.log_norms - log_norms)
+                  <= 1e-12 * (1 + np.abs(log_norms)))
+
+
+def test_zero_weight_blocks_stay_finite():
+    # |0...0> and the GHZ target have amplitude in the m = 0 block only
+    spec = ising(6, 0.75, 0.05)
+    init = models.bitstring_state("000000")
+    target = models.target_state("ghz", 6)
+    fidelities, log_norms = _dense_stepped(spec, init, target, 500.0, 200)
+    trace = dynamics.evolve_trace(spec, init, target, 500.0, 200)
+    f = dynamics.final_fidelity(spec, init, target, 500.0, 200)
+    assert np.all(np.isfinite(trace.log_norms))
+    assert np.max(np.abs(trace.fidelities - fidelities)) <= 1e-12
+    assert np.all(np.abs(trace.log_norms - log_norms)
+                  <= 1e-12 * (1 + np.abs(log_norms)))
+    assert abs(f - fidelities[-1]) <= 1e-12
+
+
+_RING_DYNAMICS_SCRIPT = """
+from epchain import dynamics, models, serialize
+spec = models.ModelSpec(models.ModelKind.TRANSVERSE_ISING, N=8, Delta=0.5,
+                        gamma=0.0010610238509671517)
+init = dynamics.default_initial_state(spec)
+target = models.target_state("ghz", 8)
+print(dynamics.final_fidelity(spec, init, target, 2e5, 2000).hex())
+print(serialize.trace_to_csv(dynamics.evolve_trace(spec, init, target, 2e5, 50)))
+"""
+
+
+def test_ring_ghz_dynamics_byte_identical_across_blas_threads():
+    # the whole 256 x 256 ring's products are threaded in BLAS and moved its
+    # last bits with the thread count; its momentum blocks are not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dynamics.__file__)))
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        outs.append(subprocess.run([sys.executable, "-c", _RING_DYNAMICS_SCRIPT],
+                                   env=env, check=True, capture_output=True,
+                                   text=True).stdout)
+    assert outs[0] == outs[1]
 
 
 def test_final_fidelity_validation():
@@ -225,6 +341,22 @@ def test_steady_fidelity_matches_trace_limit():
     tr = dynamics.evolve_trace(spec, dynamics.default_initial_state(spec), w,
                                200.0, 2000, target_name="w")
     assert abs(tr.fidelities[-1] - dynamics.steady_fidelity(spec, w)) < 1e-6
+
+
+@pytest.mark.parametrize("N, Delta, gamma", [(6, 0.75, 0.05), (6, 0.5, 0.3),
+                                            (8, 0.5, 0.1)])
+def test_ring_steady_fidelity_matches_dense_dominant_state(N, Delta, gamma):
+    # chosen among all momentum blocks, read in its own block's coordinates
+    spec = ising(N, Delta, gamma)
+    target = models.target_state("ghz", N)
+    state = dynamics.dominant_state(models.build_hamiltonian(spec), target.basis)
+    dense = abs(np.vdot(target.amplitudes, state.amplitudes))
+    assert dynamics.steady_fidelity(spec, target) == pytest.approx(dense, abs=1e-10)
+
+
+def test_ring_steady_fidelity_unbroken_raises():
+    with pytest.raises(NoDominantState):
+        dynamics.steady_fidelity(ising(6, 0.75, 1e-4), models.target_state("ghz", 6))
 
 
 def test_limit_identity_property():

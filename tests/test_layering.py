@@ -134,3 +134,30 @@ def test_only_serialize_knows_the_output_format():
     users = {m: list(_format_uses(ast.parse((SRC / f"{m}.py").read_text())))
              for m in LAYERS}
     assert {m for m, lines in users.items() if lines} == {"serialize"}, users
+
+
+# dynamics propagates through the symmetry blocks only, and only models knows
+# the Bloch basis behind them
+def _names(tree: ast.AST):
+    """(line, name) of every identifier, attribute and imported name in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield node.lineno, alias.name
+
+
+def test_dynamics_does_not_build_the_whole_hamiltonian():
+    tree = ast.parse((SRC / "dynamics.py").read_text())
+    assert [line for line, name in _names(tree)
+            if name == "build_hamiltonian"] == []
+
+
+def test_only_models_knows_the_momentum_structure():
+    users = {m for m in LAYERS
+             if any(name == "_ring_momentum_structure" for _, name
+                    in _names(ast.parse((SRC / f"{m}.py").read_text())))}
+    assert users == {"models"}, users
