@@ -32,7 +32,6 @@ from .dynamics import (
     EvolutionTrace,
     convergence_time,
     default_initial_state,
-    dominant_state,
     evolve_trace,
     final_fidelity,
     steady_fidelity,

@@ -111,12 +111,6 @@ class BoundaryCurve:
         return np.array([g for _, g in self.points])
 
 
-def max_im_epsilon(m) -> float:
-    """Largest |Im eps| over the spectrum (residual-verified decomposition)."""
-    spectrum = linalg.eig(m)
-    return float(np.max(np.abs(spectrum.eigenvalues.imag)))
-
-
 def _max_im_epsilons(nodes) -> np.ndarray:
     """max|Im eps| of each node, the largest over its symmetry blocks.
 
@@ -154,11 +148,12 @@ def _max_im_epsilons(nodes) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
-def _model_max_im_epsilon(spec: ModelSpec) -> float:
-    """max|Im eps| of one model, the one-node case of _max_im_epsilons.
+def max_im_epsilon(spec: ModelSpec) -> float:
+    """max|Im eps| of one model over its symmetry blocks, the broken-phase
+    indicator; the one-node case of _max_im_epsilons.
 
-    The boundary scan needs an answer at every gamma it probes, so a failed
-    block raises NonConvergence here instead of giving NaN.
+    The boundary scan needs an answer at every gamma it probes, so a block
+    the eigen kernel flags raises NonConvergence here instead of giving NaN.
     """
     value = float(_max_im_epsilons([hamiltonian_blocks(spec)])[0])
     if math.isnan(value):
@@ -342,7 +337,7 @@ def numeric_boundary_gamma(template: ModelSpec, control_value: float) -> float:
                                _FULL_SPACE_SCAN_FLOOR * (1 + control_value ** 2))
 
     def broken(g: float) -> bool:
-        return (_model_max_im_epsilon(_with_params(base, "gamma", g))
+        return (max_im_epsilon(_with_params(base, "gamma", g))
                 > scaled_threshold)
 
     if not broken(10.0):

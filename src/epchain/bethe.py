@@ -8,11 +8,12 @@ and the boundary scan in analysis) is the one geometric bisection, _bisect.
 
 Transcription notes (verified against exact diagonalization):
 
-* For even N the complex-pair equation at V=0 is
-  gamma^2 cosh[(N-1) kappa] = cosh[(N+1) kappa]
-  (obtained from the scattering condition at k = pi/2 + i kappa).  The
-  published sinh form has no root matching the spectrum for gamma slightly
-  above 1 and is implemented here in the cosh form.
+* The complex-pair equation at V=0, the scattering condition at
+  k = pi/2 + i kappa, is gamma^2 cosh[(N-1) kappa] = cosh[(N+1) kappa] for
+  even N.  The published sinh form gamma^2 sinh[(N-1) kappa] =
+  sinh[(N+1) kappa] is the odd-N equation: it has a root only for
+  gamma^2 > (N+1)/(N-1), so for even N it misses the pair for gamma
+  slightly above 1.  Each parity is implemented in its own form.
 * The closed-form large-V coefficient published for the effective end-to-end
   coupling vanishes identically for even N; the n-sum itself decays as
   1/V^(N-2) (it equals 1/U_{N-2}(V/2), a monic Chebyshev polynomial of the
@@ -186,20 +187,29 @@ def scattering_ep(N: int) -> tuple[float, float]:
     return k, abs(g)
 
 
-def broken_pair_kappa(N: int, gamma: float) -> BetheRoot:
-    """Decay rate of the complex-conjugate pair at V=0, gamma > 1.
+def _has_broken_pair(N: int, gamma: float) -> bool:
+    """True where the V=0 chain has its complex pair: gamma > 1 for even N,
+    gamma^2 > (N+1)/(N-1) for odd N."""
+    return gamma ** 2 * (N - 1) > N + 1 if N % 2 else gamma > 1.0
 
-    Solves gamma^2 cosh[(N-1)k] = cosh[(N+1)k] (even-N form of the
-    quantization condition at momentum pi/2 + i k); the pair energies are
-    +-2i sinh(k).  The bisection starts at k = 1e-150, where
-    g = gamma^2 - 1 > 0; the root, about sqrt((gamma^2 - 1) / 2N), is far
-    above 1e-150 for every double gamma > 1.
+
+def broken_pair_kappa(N: int, gamma: float) -> BetheRoot:
+    """Decay rate of the complex-conjugate pair at V=0 (_has_broken_pair).
+
+    Solves the quantization condition at momentum pi/2 + i k,
+    gamma^2 cosh[(N-1)k] = cosh[(N+1)k] for even N and
+    gamma^2 sinh[(N-1)k] = sinh[(N+1)k] for odd N; the pair energies are
+    +-2i sinh(k).  The bisection starts at k = 1e-150, where g > 0: it is
+    gamma^2 - 1 for even N, (gamma^2 (N-1) - (N+1)) k for odd N.  The root,
+    about sqrt((gamma^2 - 1) / 2N) for even N, is far above 1e-150 for every
+    double gamma past the onset.
     """
-    if gamma <= 1.0:
-        raise NoRoot(f"gamma={gamma} <= 1: spectrum is real (unbroken phase)")
+    if not _has_broken_pair(N, gamma):
+        raise NoRoot(f"gamma={gamma} at N={N}: spectrum is real (unbroken phase)")
+    f = math.sinh if N % 2 else math.cosh
 
     def g(k: float) -> float:
-        return gamma ** 2 * math.cosh((N - 1) * k) - math.cosh((N + 1) * k)
+        return gamma ** 2 * f((N - 1) * k) - f((N + 1) * k)
 
     hi = math.log(gamma) + 1.0
     while g(hi) > 0:
@@ -236,9 +246,16 @@ def _bound_digamma_deriv(kappa: complex, N: int, V: float, gamma: float) -> comp
 
 
 def real_bound_roots(N: int, V: float, gamma: float) -> list[BetheRoot]:
-    """Real kappa > 0 roots of the bound-state condition (unbroken phase)."""
+    """Real kappa > 0 roots of the bound-state condition (unbroken phase).
+
+    The grid is split at every extremum of the condition (a sign change of
+    its derivative), so two roots that share a grid cell are both bracketed.
+    """
     kmax = math.acosh(max(abs(V), 2.0)) + 2.0
     grid = np.linspace(1e-9, kmax, SCAN_SAMPLES)
+    extrema = _grid_roots(
+        lambda k: _bound_digamma_deriv(k, N, V, gamma).real, grid)
+    grid = np.union1d(grid, [k for k, _ in extrema])
     roots = _grid_roots(lambda k: bound_digamma(k, N, V, gamma), grid)
     return [BetheRoot("bound", k, 2.0 * math.cosh(k), res) for k, res in roots
             if res < ROOT_RESIDUAL_TOL * (1 + V ** 2) * math.cosh(N * k)]
@@ -285,12 +302,14 @@ def complex_bound_pair(N: int, V: float, gamma: float) -> list[BetheRoot]:
 def all_bethe_energies(N: int, V: float, gamma: float) -> list[complex]:
     """Combined scattering + bound energy multiset for the supported regimes.
 
-    Supported: V = 0 (any gamma != 1) and |V| > 2.  The caller is expected to
-    check completeness against the matrix dimension.
+    Supported: V = 0 (any gamma off the pair's onset) and |V| > 2.  The
+    caller is expected to check completeness against the matrix dimension.
     """
+    if V < 0:  # staggered gauge: the spectrum at -V is minus the one at V
+        return [-e for e in all_bethe_energies(N, -V, gamma)]
     energies = [r.energy for r in scattering_roots(N, gamma, V=V)]
     if V == 0.0:
-        if gamma > 1.0:
+        if _has_broken_pair(N, gamma):
             root = broken_pair_kappa(N, gamma)
             energies += [root.energy, -root.energy]
     elif abs(V) > 2:

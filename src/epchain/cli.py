@@ -75,17 +75,22 @@ def _parse_init(text: str, spec: models.ModelSpec) -> models.StateVector:
             raise ConfigError(f"--init site index: {exc}") from exc
         if not 1 <= site <= spec.N:
             raise ConfigError(f"--init site index must be in 1..{spec.N}")
-        if spec.kind is models.ModelKind.XY_MAGNON:
-            return models.site_state(spec.N, site)
-        return models.single_flip_state(spec.N, site)
+        return models.site_excitation(spec, site)
     if text.startswith("bits:"):
-        bits = text[5:]
-        if len(bits) != spec.N or any(b not in "01" for b in bits):
-            raise ConfigError(f"--init bits must be {spec.N} characters of 0/1")
-        if spec.kind is models.ModelKind.XY_MAGNON:
-            raise ConfigError("--init bits requires a full-space model")
-        return models.bitstring_state(bits)
+        return _model_state(spec, f"--init {text}", models.bitstring_state,
+                            text[5:])
     raise ConfigError(f"--init must be site:<k> or bits:<string>, got {text!r}")
+
+
+def _model_state(spec: models.ModelSpec, flag: str, make,
+                 *args) -> models.StateVector:
+    """make(*args) if it lives in spec's space, else ConfigError naming flag."""
+    try:
+        state = make(*args)
+        models.check_basis(spec, state)
+    except (ValueError, EpchainError) as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
+    return state
 
 
 def _pyplot(enabled: bool):
@@ -176,11 +181,8 @@ def cmd_phase_diagram(args) -> int:
 
 def cmd_evolve(args) -> int:
     spec = _model_spec(args, full_space=False)
-    if args.target == "ghz" and args.model != "ising":
-        raise ConfigError("--target ghz requires --model ising")
-    if args.target in ("w", "bell") and args.model != "xy":
-        raise ConfigError(f"--target {args.target} requires --model xy")
-    target = models.target_state(args.target, spec.N)
+    target = _model_state(spec, f"--target {args.target}", models.target_state,
+                          args.target, spec.N)
     init = (_parse_init(args.init, spec) if args.init
             else dynamics.default_initial_state(spec))
     if not args.t_max > 0:  # NaN too

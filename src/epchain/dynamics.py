@@ -14,7 +14,8 @@ that every product advances at once, the states are their block coordinates
 (models.block_coordinates), and norms and overlaps are taken over the whole
 stack.  On the Ising ring these are its N momentum blocks, so no 2^N x 2^N
 matrix is exponentiated or multiplied; every other model is one block, its
-whole matrix.
+whole matrix.  Every entry raises DimensionMismatch unless its states live in
+the model's space (models.check_basis).
 """
 
 from __future__ import annotations
@@ -27,14 +28,12 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch, NoDominantState, NonConvergence
 from .models import (
-    ModelKind,
     ModelSpec,
     StateVector,
     block_coordinates,
+    check_basis,
     hamiltonian_blocks,
-    magnon_basis,
-    single_flip_state,
-    site_state,
+    site_excitation,
 )
 
 DOMINANT_GAP_TOL = 1e-10
@@ -70,14 +69,9 @@ class EvolutionTrace:
 
 
 def default_initial_state(spec: ModelSpec) -> StateVector:
-    """|1> of the magnon basis, or its single-flip embedding in spin space.
-
-    The full-space reading of "initial state |1>" is ambiguous; the single
-    flip at site 1 is the literal magnon-basis state embedded in spin space.
-    """
-    if spec.kind is ModelKind.XY_MAGNON:
-        return site_state(spec.N, 1)
-    return single_flip_state(spec.N, 1)
+    """The paper's initial state |1>: site_excitation(spec, 1), in spin
+    space the literal magnon state embedded, s+_1 |down...down>."""
+    return site_excitation(spec, 1)
 
 
 def _block_setup(spec: ModelSpec, init: StateVector, target: StateVector,
@@ -95,8 +89,7 @@ def _block_setup(spec: ModelSpec, init: StateVector, target: StateVector,
         raise ValueError("n_steps must be >= 2")
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    if init.basis.dim != spec.dim or target.basis.dim != spec.dim:
-        raise DimensionMismatch("state dimension does not match the Hamiltonian")
+    check_basis(spec, init, target)
     dt = t_max / n_steps
     steps = [linalg.propagator(h, dt) for h in hamiltonian_blocks(spec)]
     d = max(len(step) for step in steps)
@@ -201,27 +194,14 @@ def _dominant_index(eigenvalues: np.ndarray) -> int:
     return int(order[-1])
 
 
-def dominant_state(m, basis=None) -> StateVector:
-    """Right eigenvector of the unique eigenvalue with maximal imaginary part.
-
-    Raises NoDominantState when the spectrum is real (unbroken phase: no
-    steady selection) or the maximal imaginary part is degenerate.  basis
-    tags the returned state; defaults to the magnon position basis of the
-    matrix dimension.
-    """
-    spectrum = linalg.eig(m)
-    vec = spectrum.right_vectors[:, _dominant_index(spectrum.eigenvalues)]
-    if basis is None:
-        basis = magnon_basis(len(vec))
-    return StateVector(basis, vec / np.linalg.norm(vec))
-
-
 def steady_fidelity(spec: ModelSpec, target: StateVector) -> float:
     """|<target|dominant right eigenvector>| (the long-time fidelity limit).
 
     The dominant eigenvector is chosen among the eigenvalues of all symmetry
     blocks together and read in the coordinates of its own block.
+    DimensionMismatch unless target lives in spec.basis.
     """
+    check_basis(spec, target)
     spectra = [linalg.eig(h) for h in hamiltonian_blocks(spec)]
     n = _dominant_index(np.concatenate([s.eigenvalues for s in spectra]))
     b, j = [(b, j) for b, s in enumerate(spectra) for j in range(s.dim)][n]

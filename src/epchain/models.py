@@ -74,17 +74,15 @@ class ModelSpec:
                 raise ValueError(f"{name} must be finite")
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
-        if self.kind in (ModelKind.XY_FULL_SPACE, ModelKind.TRANSVERSE_ISING):
-            if 2 ** self.N > FULL_SPACE_CAP:
-                raise DimensionCap(
-                    f"2^{self.N} exceeds the full-space cap {FULL_SPACE_CAP}"
-                )
+        self.basis  # a spin space over FULL_SPACE_CAP raises DimensionCap
 
     @property
-    def dim(self) -> int:
+    def basis(self) -> Basis:
+        """The space the model's states live in: the N magnon positions of
+        the chain, or the 2^N spin-z configurations of the other kinds."""
         if self.kind is ModelKind.XY_MAGNON:
-            return self.N
-        return 2 ** self.N
+            return magnon_basis(self.N)
+        return spin_basis(self.N)
 
 
 class BasisKind(enum.Enum):
@@ -94,8 +92,15 @@ class BasisKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Basis:
+    """N sites in one of the two spaces; DimensionCap over FULL_SPACE_CAP."""
+
     kind: BasisKind
     N: int
+
+    def __post_init__(self):
+        if self.kind is BasisKind.SPIN_Z and 2 ** self.N > FULL_SPACE_CAP:
+            raise DimensionCap(
+                f"2^{self.N} exceeds the full-space cap {FULL_SPACE_CAP}")
 
     @property
     def dim(self) -> int:
@@ -142,10 +147,10 @@ def bitstring_state(bits: str) -> StateVector:
     """Spin-z product state from a bitstring, site 1 first, '1' = spin up."""
     if not bits or any(b not in "01" for b in bits):
         raise ValueError(f"invalid bitstring {bits!r}")
-    N = len(bits)
-    amps = np.zeros(2 ** N, dtype=complex)
+    basis = spin_basis(len(bits))
+    amps = np.zeros(basis.dim, dtype=complex)
     amps[int(bits, 2)] = 1.0
-    return StateVector(spin_basis(N), amps)
+    return StateVector(basis, amps)
 
 
 def single_flip_state(N: int, l: int) -> StateVector:
@@ -153,6 +158,23 @@ def single_flip_state(N: int, l: int) -> StateVector:
     bits = ["0"] * N
     bits[l - 1] = "1"
     return bitstring_state("".join(bits))
+
+
+def site_excitation(spec: ModelSpec, l: int) -> StateVector:
+    """One excitation at site l = 1..N in spec's space: |l> on the magnon
+    chain, its embedding s+_l |down...down> in spin space."""
+    if spec.basis.kind is BasisKind.MAGNON_POSITION:
+        return site_state(spec.N, l)
+    return single_flip_state(spec.N, l)
+
+
+def check_basis(spec: ModelSpec, *states: StateVector) -> None:
+    """DimensionMismatch unless every state lives in spec's space, spec.basis."""
+    for state in states:
+        if state.basis != spec.basis:
+            raise DimensionMismatch(
+                f"a {state.basis.kind.value} state of N={state.basis.N} is not in "
+                f"the {spec.basis.kind.value} space of the model, N={spec.N}")
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +420,10 @@ def target_state(name: str, N: int) -> StateVector:
         amps[N - 1] = -1j / np.sqrt(2)
         return StateVector(magnon_basis(N), amps)
     if key == "ghz":
-        amps = np.zeros(2 ** N, dtype=complex)
+        basis = spin_basis(N)
+        amps = np.zeros(basis.dim, dtype=complex)
         amps[0] = amps[-1] = 1.0 / np.sqrt(2)
-        return StateVector(spin_basis(N), amps)
+        return StateVector(basis, amps)
     raise ValueError(f"unknown target state {name!r}")
 
 

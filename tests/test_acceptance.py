@@ -75,6 +75,30 @@ def test_criterion_3_bethe_completeness(gamma, v):
     assert_multiset_close(bethe_set, direct, 1e-8)
 
 
+@pytest.mark.criterion(3, clause="odd N at V=0, below and above the pair's onset")
+@pytest.mark.parametrize("factor", [0.9, 0.99, 1.01, 2.0])
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_criterion_3_odd_n_completeness(n, factor):
+    # odd N: the pair leaves the real axis at gamma^2 = (N+1)/(N-1)
+    gamma = factor * math.sqrt((n + 1) / (n - 1))
+    direct = np.linalg.eigvals(models.build_h_eq(xy(n, gamma=gamma)))
+    assert_multiset_close(bethe.all_bethe_energies(n, 0.0, gamma), direct, 1e-8)
+
+
+@pytest.mark.criterion(3, clause="bound regime |V| > 2, both signs of V")
+@pytest.mark.parametrize("v", [2.5, 3.0, 5.0, 10.0, -2.5, -3.0, -5.0, -10.0])
+@pytest.mark.parametrize("n", [6, 8])
+def test_criterion_3_bound_regime_completeness(n, v):
+    # 0.1 and 0.5 gamma_c are unbroken: at large V the two bound roots share
+    # one cell of the kappa grid
+    gamma_c = bethe.exact_boundary_gamma(n, v)
+    for factor in (0.1, 0.5, 2.0):
+        gamma = factor * gamma_c
+        direct = np.linalg.eigvals(models.build_h_eq(xy(n, V=v, gamma=gamma)))
+        assert_multiset_close(bethe.all_bethe_energies(n, v, gamma), direct,
+                              1e-8 * (1 + abs(v)))
+
+
 # ---------------------------------------------------------------------------
 # 4. Broken-pair formula
 

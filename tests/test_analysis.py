@@ -26,13 +26,12 @@ def ising(N, J=1.0, Delta=0.0, gamma=0.0):
 # max_im_epsilon
 
 def test_max_im_hermitian_is_zero():
-    h = models.build_h_eq(xy(6, V=2.0))
-    assert analysis.max_im_epsilon(h) < 1e-10
+    assert analysis.max_im_epsilon(xy(6, V=2.0)) < 1e-10
 
 
 def test_max_im_matches_broken_pair_formula():
     root = bethe.broken_pair_kappa(6, 1.2)
-    got = analysis.max_im_epsilon(models.build_h_w(6, 1.2))
+    got = analysis.max_im_epsilon(xy(6, gamma=1.2))
     assert got == pytest.approx(2 * math.sinh(root.momentum.imag), abs=1e-8)
 
 
@@ -40,11 +39,11 @@ def test_max_im_ising_kronecker_sum():
     # J=0 chain is a sum of independent single spins: the largest imaginary
     # part is N*sqrt(gamma^2 - Delta^2) (all sites contributing coherently);
     # checked against direct diagonalization only
-    h = models.build_h_ghz(ising(4, J=0.0, Delta=1.0, gamma=2.0))
+    spec = ising(4, J=0.0, Delta=1.0, gamma=2.0)
     expected = 4 * math.sqrt(2.0 ** 2 - 1.0 ** 2)
-    assert analysis.max_im_epsilon(h) == pytest.approx(expected, rel=1e-10)
-    direct = np.max(np.abs(np.linalg.eigvals(h).imag))
-    assert analysis.max_im_epsilon(h) == pytest.approx(direct, rel=1e-12)
+    assert analysis.max_im_epsilon(spec) == pytest.approx(expected, rel=1e-10)
+    direct = np.max(np.abs(np.linalg.eigvals(models.build_h_ghz(spec)).imag))
+    assert analysis.max_im_epsilon(spec) == pytest.approx(direct, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +272,7 @@ def _reference_numeric_boundary(template, control_value, rel_tol=1e-6):
         scaled_threshold = max(scaled_threshold, 3e-4 * (1 + control_value ** 2))
 
     def broken(g):
-        return (analysis._model_max_im_epsilon(
+        return (analysis.max_im_epsilon(
             analysis._with_params(base, "gamma", g)) > scaled_threshold)
 
     lo, hi = 1e-12, 10.0
@@ -438,7 +437,7 @@ def test_magnon_broken_three_sites_matches_dense(V):
     with mp.workdps(60):
         for factor in (0.1, 0.5, 2.0, 5.0):
             g = gc * factor
-            dense = analysis.max_im_epsilon(models.build_h_eq(xy(3, V, g)))
+            dense = analysis.max_im_epsilon(xy(3, V, g))
             assert analysis._magnon_broken(3, V, mp.mpf(g)) == (dense > 1e-6)
             assert (dense > 1e-6) == (factor > 1)
 

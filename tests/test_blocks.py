@@ -77,8 +77,9 @@ def test_other_models_come_back_whole(spec):
 def _block_adjoints(spec):
     """B_b^dagger of every block b, as dense matrices, from the coordinates
     of the spin-z basis states."""
-    eye = np.eye(spec.dim, dtype=complex)
-    coords = [models.block_coordinates(spec, eye[:, j]) for j in range(spec.dim)]
+    eye = np.eye(spec.basis.dim, dtype=complex)
+    coords = [models.block_coordinates(spec, eye[:, j])
+              for j in range(spec.basis.dim)]
     return [np.array([c[b] for c in coords]).T for b in range(len(coords[0]))]
 
 
@@ -157,9 +158,9 @@ def _fig4_axes():
 def test_fig4_ring_grid_matches_dense_reference():
     x_axis, y_axis = _fig4_axes()
     grid = analysis.sweep_grid(ring(6, J=1.0), x_axis, y_axis)
-    dense = np.array([[analysis.max_im_epsilon(models.build_h_ghz(
-        ring(6, J=1.0, Delta=float(d), gamma=float(g)))) for g in y_axis.values]
-        for d in x_axis.values])
+    dense = np.array([[np.max(np.abs(linalg.eig(models.build_h_ghz(
+        ring(6, J=1.0, Delta=float(d), gamma=float(g)))).eigenvalues.imag))
+        for g in y_axis.values] for d in x_axis.values])
     broken = dense > analysis.BROKEN_THRESHOLD
     assert np.array_equal(grid.broken_mask, broken)
     assert 0 < broken.sum() < broken.size

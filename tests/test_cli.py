@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from epchain import cli
+from epchain import cli, dynamics, models, serialize
 
 
 def run(argv):
@@ -193,6 +193,45 @@ def test_evolve_init_parsing(tmp_path, capsys):
               "--gamma", "0.2", "--target", "ghz", "--t-max", "10",
               "--init", "bits:101", "--out", str(tmp_path / "t.csv")])
     assert rc == 0
+
+
+XY6 = (["--model", "xy", "--n", "6", "--gamma", "1.2", "--target", "w"],
+       models.ModelSpec(models.ModelKind.XY_MAGNON, N=6, gamma=1.2), "w")
+RING4 = (["--model", "ising", "--n", "4", "--delta", "0.5", "--gamma", "0.3",
+          "--target", "ghz"],
+         models.ModelSpec(models.ModelKind.TRANSVERSE_ISING, N=4, Delta=0.5,
+                          gamma=0.3), "ghz")
+INIT_RUNS = {"xy-site3": (XY6, "site:3", models.site_state(6, 3)),
+             "ring-site2": (RING4, "site:2", models.single_flip_state(4, 2)),
+             "ring-bits0000": (RING4, "bits:0000", models.bitstring_state("0000"))}
+
+
+@pytest.mark.parametrize("case", INIT_RUNS)
+def test_evolve_init_evolves_the_named_state(tmp_path, case):
+    (flags, spec, target), init, state = INIT_RUNS[case]
+    out = tmp_path / "t.csv"
+    rc = run(["evolve", *flags, "--t-max", "20", "--steps", "50",
+              "--init", init, "--out", str(out)])
+    assert rc == 0
+    trace = dynamics.evolve_trace(spec, state, models.target_state(target, spec.N),
+                                  20.0, 50, target_name=target)
+    assert out.read_text() == serialize.trace_to_csv(trace)
+
+
+@pytest.mark.parametrize("model, init", [
+    (["--model", "ising", "--n", "4", "--delta", "0.5", "--target", "ghz"],
+     "bits:101"),
+    (["--model", "xy", "--n", "4", "--gamma", "1.2", "--target", "w"],
+     "bits:0101"),
+    (["--model", "xy", "--n", "4", "--gamma", "1.2", "--target", "w"], "sites:1"),
+], ids=["bits-wrong-length", "bits-on-xy", "unknown-prefix"])
+def test_evolve_bad_init_exits_before_evolving(tmp_path, capsys, model, init):
+    out = tmp_path / "t.csv"
+    rc = run(["evolve", *model, "--t-max", "10", "--init", init,
+              "--out", str(out)])
+    assert rc == 2
+    assert "--init" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, flag", [(["--init", "site:abc"], "--init"),

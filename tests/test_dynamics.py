@@ -306,22 +306,20 @@ def test_default_initial_state_embeddings():
 
 
 # ---------------------------------------------------------------------------
-# dominant_state / steady_fidelity
+# _dominant_index / steady_fidelity
 
-def test_dominant_state_diagonal_case():
-    state = dynamics.dominant_state(np.diag([1j, -1j]))
-    assert abs(state.amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
-    assert abs(state.amplitudes[1]) < 1e-12
+def test_dominant_index_picks_the_largest_imaginary_part():
+    assert dynamics._dominant_index(np.array([-1j, 0.5 + 1j, 3.0])) == 1
 
 
-def test_dominant_state_unbroken_raises():
+def test_steady_fidelity_unbroken_raises():
     with pytest.raises(NoDominantState):
-        dynamics.dominant_state(models.build_h_w(6, 0.5))
+        dynamics.steady_fidelity(xy(6, gamma=0.5), models.target_state("w", 6))
 
 
-def test_dominant_state_degenerate_raises():
+def test_dominant_index_degenerate_raises():
     with pytest.raises(NoDominantState):
-        dynamics.dominant_state(np.diag([1j, 1j, -1j]))
+        dynamics._dominant_index(np.array([1j, 1j, -1j]))
 
 
 def test_steady_fidelity_matches_trace_limit():
@@ -338,14 +336,42 @@ def test_ring_steady_fidelity_matches_dense_dominant_state(N, Delta, gamma):
     # chosen among all momentum blocks, read in its own block's coordinates
     spec = ising(N, Delta, gamma)
     target = models.target_state("ghz", N)
-    state = dynamics.dominant_state(models.build_hamiltonian(spec), target.basis)
-    dense = abs(np.vdot(target.amplitudes, state.amplitudes))
+    spectrum = linalg.eig(models.build_hamiltonian(spec))
+    vec = spectrum.right_vectors[:, np.argmax(spectrum.eigenvalues.imag)]
+    dense = abs(np.vdot(target.amplitudes, vec / np.linalg.norm(vec)))
     assert dynamics.steady_fidelity(spec, target) == pytest.approx(dense, abs=1e-10)
 
 
 def test_ring_steady_fidelity_unbroken_raises():
     with pytest.raises(NoDominantState):
         dynamics.steady_fidelity(ising(6, 0.75, 1e-4), models.target_state("ghz", 6))
+
+
+# a state of the other space with the same dimension: 4 magnon positions and
+# the 2^2 spin-z configurations
+FOREIGN_STATES = {
+    "magnon_N4_spin_state": (xy(4, gamma=1.2), models.target_state("w", 4),
+                             models.bitstring_state("01")),
+    "ising_N2_ring_magnon_state": (ising(2, 0.5, 0.6), models.target_state("ghz", 2),
+                                   models.target_state("w", 4)),
+}
+
+
+@pytest.mark.parametrize("case", FOREIGN_STATES)
+def test_dynamics_reject_a_state_of_the_other_space(case):
+    spec, own, foreign = FOREIGN_STATES[case]
+    assert foreign.basis.dim == own.basis.dim
+    for fn in (dynamics.evolve_trace, dynamics.final_fidelity):
+        for init, target in ((foreign, own), (own, foreign)):
+            with pytest.raises(DimensionMismatch):
+                fn(spec, init, target, 10.0, 100)
+    with pytest.raises(DimensionMismatch):
+        dynamics.steady_fidelity(spec, foreign)
+
+
+def test_ring_steady_fidelity_rejects_a_target_of_other_size():
+    with pytest.raises(DimensionMismatch):
+        dynamics.steady_fidelity(ising(6, 0.75, 0.05), models.target_state("ghz", 4))
 
 
 def test_limit_identity_property():

@@ -161,3 +161,16 @@ def test_only_models_knows_the_momentum_structure():
              if any(name == "_ring_momentum_structure" for _, name
                     in _names(ast.parse((SRC / f"{m}.py").read_text())))}
     assert users == {"models"}, users
+
+
+# ModelSpec.basis is the one rule from a model kind to the space of its
+# states: no other module names the basis kinds or the per-space site states
+# (the package root only re-exports them)
+SPACE_NAMES = {"BasisKind", "site_state", "single_flip_state"}
+
+
+def test_only_models_chooses_the_space_of_a_state():
+    users = {m: [line for line, name in _names(ast.parse((SRC / f"{m}.py").read_text()))
+                 if name in SPACE_NAMES]
+             for m in LAYERS if m != "__init__"}
+    assert {m for m, lines in users.items() if lines} == {"models"}, users
