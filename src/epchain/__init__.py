@@ -55,6 +55,7 @@ from .models import (
     reduce_to_magnon_sector,
     single_flip_state,
     site_state,
+    spectrum_blocks,
     spin_basis,
     target_state,
     total_sz,

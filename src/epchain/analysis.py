@@ -1,9 +1,10 @@
 """Phase-diagram sweeps, boundary extraction and the gamma optimizer.
 
 max|Im eps| over parameter grids is the broken-phase indicator, taken over
-the symmetry blocks of models.hamiltonian_blocks (the momentum blocks of the
-periodic Ising ring, the whole matrix otherwise); a sweep diagonalizes a
-row's same-shape blocks as one stack (linalg.eigvals_stack).  The numeric
+the blocks of models.spectrum_blocks: the momentum blocks k = 0 .. pi of the
+periodic Ising ring (block N-m mirrors block m, so its spectrum is never
+computed), the whole matrix otherwise.  A sweep diagonalizes a row's
+same-shape blocks as one stack (linalg.eigvals_stack).  The numeric
 boundary is located by bisection on that indicator; for the magnon chain the
 critical gamma can fall far below double-precision resolution (it decays as
 1/V^(N-2)), so the scan escalates, when needed, to a bisection in mpmath
@@ -25,7 +26,7 @@ from . import bethe, linalg
 from .dynamics import default_initial_state, final_fidelity
 from .errors import (ConfigError, DegenerateFit, EpchainError,
                      NonConvergence, NoTransition)
-from .models import ModelKind, ModelSpec, StateVector, hamiltonian_blocks
+from .models import ModelKind, ModelSpec, StateVector, spectrum_blocks
 
 BROKEN_THRESHOLD = 1e-10
 
@@ -149,13 +150,15 @@ def _max_im_epsilons(nodes) -> np.ndarray:
 
 
 def max_im_epsilon(spec: ModelSpec) -> float:
-    """max|Im eps| of one model over its symmetry blocks, the broken-phase
-    indicator; the one-node case of _max_im_epsilons.
+    """max|Im eps| of one model over models.spectrum_blocks(spec), the
+    broken-phase indicator; the one-node case of _max_im_epsilons.  On the
+    ring that is m = 0 .. N//2 of the N momentum blocks: the rest repeat
+    their mirror blocks' spectra.
 
     The boundary scan needs an answer at every gamma it probes, so a block
     the eigen kernel flags raises NonConvergence here instead of giving NaN.
     """
-    value = float(_max_im_epsilons([hamiltonian_blocks(spec)])[0])
+    value = float(_max_im_epsilons([spectrum_blocks(spec)])[0])
     if math.isnan(value):
         raise NonConvergence(f"eigendecomposition failed at {spec}")
     return value
@@ -193,7 +196,7 @@ def sweep_grid(template: ModelSpec, x_axis: AxisSpec, y_axis: AxisSpec) -> Phase
 
     def node_blocks(x: float, g: float) -> list[np.ndarray] | None:
         try:
-            return hamiltonian_blocks(_with_params(
+            return spectrum_blocks(_with_params(
                 _with_params(template, x_axis.name, x), "gamma", g))
         except (EpchainError, ValueError):
             return None

@@ -154,7 +154,9 @@ def bitstring_state(bits: str) -> StateVector:
 
 
 def single_flip_state(N: int, l: int) -> StateVector:
-    """s+_l |down...down> in the spin-z basis."""
+    """s+_l |down...down> in the spin-z basis, l = 1..N."""
+    if not 1 <= l <= N:
+        raise ValueError(f"site index {l} outside 1..{N}")
     bits = ["0"] * N
     bits[l - 1] = "1"
     return bitstring_state("".join(bits))
@@ -354,28 +356,46 @@ def _momentum_ring(spec: ModelSpec) -> bool:
             and spec.ising_boundary is IsingBoundary.PERIODIC)
 
 
-def hamiltonian_blocks(spec: ModelSpec) -> list[np.ndarray]:
-    """Diagonal blocks of the Hamiltonian in an orthonormal symmetry basis.
-
-    The periodic Ising ring with J != 0 splits into its N momentum blocks,
-    k = 2 pi m / N for m = 0 .. N-1 (Sandvik, arXiv:1101.3281),
-    each filled from a structure cached per N.  Every other spec comes back
-    whole, as [build_hamiltonian(spec)].  That includes the J = 0 ring: its
-    sites decouple into highly degenerate eigenvalue clusters, and the
-    boundary scan's accuracy there is established for the dense eigensolver
-    only.  The block spectra together are the spectrum of
-    build_hamiltonian(spec).
-    """
+def _first_blocks(spec: ModelSpec, count: int) -> list[np.ndarray]:
+    """Momentum blocks m = 0 .. count-1 of the J != 0 ring, each filled from
+    the structure cached per N; every other spec whole, whatever count."""
     if not _momentum_ring(spec):
         return [build_hamiltonian(spec)]
     (z, _, _), blocks = _ring_momentum_structure(spec.N)
     diag = _ising_diagonal(spec, z)
     out = []
-    for members, template in blocks:
+    for members, template in blocks[:count]:
         h = spec.Delta * template
         h[np.diag_indices_from(h)] = diag[members]
         out.append(h)
     return out
+
+
+def hamiltonian_blocks(spec: ModelSpec) -> list[np.ndarray]:
+    """Diagonal blocks of the Hamiltonian in an orthonormal symmetry basis.
+
+    The periodic Ising ring with J != 0 splits into its N momentum blocks,
+    k = 2 pi m / N for m = 0 .. N-1 (Sandvik, arXiv:1101.3281).  Every
+    other spec comes back whole, as [build_hamiltonian(spec)].  That
+    includes the J = 0 ring: its sites decouple into highly degenerate
+    eigenvalue clusters, and the boundary scan's accuracy there is
+    established for the dense eigensolver only.  The block spectra together
+    are the spectrum of build_hamiltonian(spec).
+    """
+    return _first_blocks(spec, spec.N)
+
+
+def spectrum_blocks(spec: ModelSpec) -> list[np.ndarray]:
+    """The blocks of hamiltonian_blocks(spec) whose eigenvalues, taken as a
+    set, are the whole spectrum: m = 0 .. N//2 on the momentum ring, the
+    one block otherwise.
+
+    Site reflection R commutes with the ring Hamiltonian and R T R^-1 =
+    T^-1, so R maps momentum k onto -k: block N-m is unitarily similar to
+    block m and has the same eigenvalues with the same multiplicities.  The
+    blocks m > N//2 are therefore never built here.
+    """
+    return _first_blocks(spec, spec.N // 2 + 1)
 
 
 def block_coordinates(spec: ModelSpec, amplitudes: np.ndarray) -> list[np.ndarray]:

@@ -1,5 +1,6 @@
-"""Momentum blocks of the periodic Ising ring (models.hamiltonian_blocks) and
-the block-wise broken-phase indicator built on them."""
+"""Momentum blocks of the periodic Ising ring (models.hamiltonian_blocks and
+its mirror-free part, models.spectrum_blocks) and the block-wise broken-phase
+indicator built on them."""
 
 import numpy as np
 import pytest
@@ -72,6 +73,47 @@ def test_two_site_ring_blocks():
 def test_other_models_come_back_whole(spec):
     (h,) = models.hamiltonian_blocks(spec)
     assert np.array_equal(h, models.build_hamiltonian(spec))
+    (h,) = models.spectrum_blocks(spec)
+    assert np.array_equal(h, models.build_hamiltonian(spec))
+
+
+@pytest.mark.parametrize("J", [1.0, -0.7])
+@pytest.mark.parametrize("N", range(2, 11))
+def test_mirror_blocks_have_equal_spectra(N, J):
+    # the oracle for spectrum_blocks: block N-m repeats the spectrum of block m
+    for Delta in (0.0, 0.3, 1.3):
+        for gamma in (0.0, 0.05, 0.8, 3.0):
+            spec = ring(N, J=J, Delta=Delta, gamma=gamma)
+            blocks = models.hamiltonian_blocks(spec)
+            kept = models.spectrum_blocks(spec)
+            assert len(kept) == N // 2 + 1
+            for a, b in zip(kept, blocks):
+                assert np.array_equal(a, b)
+            # the blocks are H in an orthonormal basis, so they hold its norm
+            scale = 1 + np.sqrt(sum(np.linalg.norm(b) ** 2 for b in blocks))
+            for m in range(1, N - N // 2):
+                assert _multiset_distance(np.linalg.eigvals(blocks[m]),
+                                          np.linalg.eigvals(blocks[N - m])) \
+                    <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("N, dims", [(4, [6, 3, 4]), (5, [8, 6, 6])])
+@pytest.mark.parametrize("entry", ["max_im_epsilon", "sweep_grid"])
+def test_ring_node_diagonalizes_blocks_up_to_k_pi(monkeypatch, N, dims, entry):
+    kernel, sent = linalg.eigvals_stack, []
+
+    def counted(stack):
+        sent.extend([stack.shape[1]] * len(stack))
+        return kernel(stack)
+
+    monkeypatch.setattr(linalg, "eigvals_stack", counted)
+    spec = ring(N, Delta=1.0, gamma=0.5)
+    if entry == "max_im_epsilon":
+        analysis.max_im_epsilon(spec)
+    else:
+        analysis.sweep_grid(spec, analysis.AxisSpec("Delta", "lin", np.array([1.0])),
+                            analysis.AxisSpec("gamma", "lin", np.array([0.5])))
+    assert sent == dims
 
 
 def _block_adjoints(spec):

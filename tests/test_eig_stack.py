@@ -47,7 +47,8 @@ def reference_eig(m):
 
 
 def reference_grid(template, x_axis, y_axis):
-    """The node-by-node sweep: max over blocks of the reference max|Im eps|."""
+    """The node-by-node sweep: max over the indicator's blocks
+    (models.spectrum_blocks) of the reference max|Im eps|."""
     out = np.empty((len(x_axis.values), len(y_axis.values)))
     for i, x in enumerate(x_axis.values):
         for j, g in enumerate(y_axis.values):
@@ -55,7 +56,7 @@ def reference_grid(template, x_axis, y_axis):
                 analysis._with_params(template, x_axis.name, x), "gamma", g)
             out[i, j] = max(
                 float(np.max(np.abs(reference_eig(h).eigenvalues.imag)))
-                for h in models.hamiltonian_blocks(spec))
+                for h in models.spectrum_blocks(spec))
     return out
 
 

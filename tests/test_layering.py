@@ -156,6 +156,13 @@ def test_dynamics_does_not_build_the_whole_hamiltonian():
             if name == "build_hamiltonian"] == []
 
 
+def test_analysis_reads_only_the_mirror_free_blocks():
+    # the indicator diagonalizes models.spectrum_blocks, never all N blocks
+    tree = ast.parse((SRC / "analysis.py").read_text())
+    assert [line for line, name in _names(tree)
+            if name == "hamiltonian_blocks"] == []
+
+
 def test_only_models_knows_the_momentum_structure():
     users = {m for m in LAYERS
              if any(name == "_ring_momentum_structure" for _, name

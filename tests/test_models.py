@@ -367,3 +367,11 @@ def test_bitstring_and_single_flip_convention():
     assert np.argmax(np.abs(s.amplitudes)) == 4
     f = models.single_flip_state(3, 3)
     assert np.argmax(np.abs(f.amplitudes)) == 1
+
+
+@pytest.mark.parametrize("build", [models.site_state, models.single_flip_state])
+@pytest.mark.parametrize("l", [0, 4])
+def test_site_states_reject_sites_outside_the_chain(build, l):
+    # l = 0 must not wrap round to site N
+    with pytest.raises(ValueError, match=r"site index .* outside 1\.\.3"):
+        build(3, l)
