@@ -3,9 +3,8 @@ non-Hermitian XY and transverse-field Ising spin chains."""
 
 from .analysis import (
     AxisSpec,
-    BoundaryCurve,
     PhaseGrid,
-    fit_boundary_slope,
+    boundary_table,
     max_im_epsilon,
     numeric_boundary_gamma,
     optimize_gamma,

@@ -24,8 +24,7 @@ import numpy as np
 
 from . import bethe, linalg
 from .dynamics import default_initial_state, final_fidelity
-from .errors import (ConfigError, DegenerateFit, EpchainError,
-                     NonConvergence, NoTransition)
+from .errors import ConfigError, EpchainError, NonConvergence, NoTransition
 from .models import ModelKind, ModelSpec, StateVector, spectrum_blocks
 
 BROKEN_THRESHOLD = 1e-10
@@ -42,6 +41,9 @@ _STACK_BYTES = 1 << 18
 _DOUBLE_PRECISION_FLOOR = 1e-6
 # relative accuracy of the numeric boundary scan
 _REL_TOL = 1e-6
+# relative gap between the exact and numeric boundaries that flags a
+# boundary_table row as a validation mismatch
+BOUNDARY_REL_TOL = 1e-3
 
 # Full-space spectra develop exponentially ill-conditioned eigenvector bases
 # near their exceptional points (condition ~ (scale/gap)^N), so eigensolver
@@ -88,28 +90,6 @@ class PhaseGrid:
     @property
     def broken_mask(self) -> np.ndarray:
         return self.values > BROKEN_THRESHOLD
-
-
-@dataclass(frozen=True)
-class BoundaryCurve:
-    """(control parameter, critical gamma) points from one extraction method."""
-
-    method: str  # "exact_epts" | "perturbative" | "numeric_scan"
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        pts = tuple(sorted((float(c), float(g)) for c, g in self.points))
-        if any(g <= 0 for _, g in pts):
-            raise ValueError("critical gamma must be positive")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def controls(self) -> np.ndarray:
-        return np.array([c for c, _ in self.points])
-
-    @property
-    def gammas(self) -> np.ndarray:
-        return np.array([g for _, g in self.points])
 
 
 def _max_im_epsilons(nodes) -> np.ndarray:
@@ -363,33 +343,29 @@ def numeric_boundary_gamma(template: ModelSpec, control_value: float) -> float:
     return _numeric_boundary_highprec(template.N, control_value, _REL_TOL)
 
 
-def boundary_curve(method: str, template: ModelSpec,
-                   control_values) -> BoundaryCurve:
-    """Boundary points over a list of control values, by the named method."""
-    points = []
-    for control in control_values:
-        if method == "numeric_scan":
-            gc = numeric_boundary_gamma(template, control)
-        elif method == "exact_epts":
-            gc = bethe.exact_boundary_gamma(template.N, control)
-        elif method == "perturbative":
-            gc = bethe.perturbative_boundary(template.N, control)
-        else:
-            raise ValueError(f"unknown boundary method {method!r}")
-        points.append((control, gc))
-    return BoundaryCurve(method=method, points=tuple(points))
+def boundary_table(template: ModelSpec, control_values) -> list[tuple]:
+    """Critical gamma by every method that applies, one row per control value.
 
-
-def fit_boundary_slope(curve: BoundaryCurve) -> float:
-    """Least-squares slope of ln(gamma_c) versus ln(control)."""
-    if len(curve.points) < 3:
-        raise DegenerateFit("need at least 3 boundary points")
-    x = np.log(curve.controls)
-    y = np.log(curve.gammas)
-    if np.ptp(x) == 0:
-        raise DegenerateFit("boundary points share one control value")
-    slope, _ = np.polyfit(x, y, 1)
-    return float(slope)
+    Rows are (control, exact, perturbative, numeric, rel_gap, mismatch), the
+    columns of serialize.boundary_table_csv, with None where a method does not
+    apply.  The numeric scan applies everywhere.  On the magnon chain at
+    |V| > 2 the exact exceptional-point condition applies, and a row whose
+    exact and numeric values differ by more than BOUNDARY_REL_TOL relative
+    is flagged as a mismatch; there, for even N >= 6, so does the large-V
+    perturbative boundary.
+    """
+    rows = []
+    for control in map(float, control_values):
+        numeric = numeric_boundary_gamma(template, control)
+        exact = pert = gap = None
+        if template.kind is ModelKind.XY_MAGNON and abs(control) > 2:
+            exact = bethe.exact_boundary_gamma(template.N, control)
+            gap = abs(exact - numeric) / numeric
+            if template.N >= 6 and template.N % 2 == 0:
+                pert = bethe.perturbative_boundary(template.N, control)
+        rows.append((control, exact, pert, numeric, gap,
+                     gap is not None and gap > BOUNDARY_REL_TOL))
+    return rows
 
 
 def optimize_gamma(template: ModelSpec, target: StateVector, t_max: float,

@@ -19,8 +19,6 @@ import numpy as np
 from . import analysis, bethe, dynamics, linalg, models, serialize
 from .errors import ConfigError, EpchainError, ValidationMismatch
 
-BOUNDARY_REL_TOL = 1e-3
-
 
 def _parse_axis(text: str, flag: str, spec: models.ModelSpec,
                 name: str) -> analysis.AxisSpec:
@@ -211,18 +209,7 @@ def cmd_evolve(args) -> int:
 def cmd_boundary(args) -> int:
     spec = _model_spec(args)
     axis = _parse_axis(args.x_range, "--x-range", spec, spec.kind.control)
-    rows = []
-    for control in axis.values:
-        numeric = analysis.numeric_boundary_gamma(spec, float(control))
-        exact = pert = gap = None
-        mismatch = False
-        if args.model == "xy" and abs(control) > 2:
-            exact = bethe.exact_boundary_gamma(spec.N, float(control))
-            gap = abs(exact - numeric) / numeric
-            mismatch = gap > BOUNDARY_REL_TOL
-            if spec.N >= 6 and spec.N % 2 == 0:
-                pert = bethe.perturbative_boundary(spec.N, float(control))
-        rows.append((float(control), exact, pert, numeric, gap, mismatch))
+    rows = analysis.boundary_table(spec, axis.values)
     serialize.atomic_write(args.out, serialize.boundary_table_csv(rows))
     if any(mismatch for *_, mismatch in rows):
         raise ValidationMismatch("exact boundary disagrees with numeric scan; "

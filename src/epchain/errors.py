@@ -53,9 +53,5 @@ class NoTransition(EpchainError):
     """No symmetry-breaking transition found for gamma <= 10."""
 
 
-class DegenerateFit(EpchainError):
-    """Boundary points do not support a least-squares slope fit."""
-
-
 class ConfigError(EpchainError):
     """Invalid command-line or run configuration value."""

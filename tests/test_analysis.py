@@ -8,8 +8,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from epchain import analysis, bethe, cli, dynamics, linalg, models
-from epchain.errors import ConfigError, DegenerateFit, NoTransition
+from epchain import analysis, bethe, cli, dynamics, linalg, models, serialize
+from epchain.errors import ConfigError, NoTransition
 from epchain.models import ModelKind, ModelSpec
 
 
@@ -443,23 +443,25 @@ def test_magnon_broken_three_sites_matches_dense(V):
 
 
 # ---------------------------------------------------------------------------
-# boundary curves and slope fitting
+# boundary table and log-log slopes
+
+def boundary_columns(template, vs):
+    """(exact, perturbative, numeric) columns of the boundary table over vs."""
+    _, exact, pert, numeric, _, _ = zip(*analysis.boundary_table(template, vs))
+    return exact, pert, numeric
+
+
+def loglog_slope(vs, gammas):
+    """Least-squares slope of ln(gamma_c) against ln(V)."""
+    return float(np.polyfit(np.log(vs), np.log(gammas), 1)[0])
+
 
 def test_boundary_curve_methods_consistent():
-    vs = [10.0, 30.0]
-    numeric = analysis.boundary_curve("numeric_scan", xy(6), vs)
-    exact = analysis.boundary_curve("exact_epts", xy(6), vs)
-    pert = analysis.boundary_curve("perturbative", xy(6), vs)
-    for gn, ge, gp in zip(numeric.gammas, exact.gammas, pert.gammas):
+    exact, pert, numeric = boundary_columns(xy(6), [10.0, 30.0])
+    for gn, ge, gp in zip(numeric, exact, pert):
         assert abs(gn - ge) / ge < 1e-3
         assert abs(gp - ge) / ge < 0.10
         assert gp >= ge  # ordered: perturbative overshoots slightly
-
-
-def test_fit_boundary_slope_exact_power_law():
-    curve = analysis.BoundaryCurve(
-        "perturbative", tuple((v, v ** -3) for v in (10.0, 20.0, 40.0)))
-    assert analysis.fit_boundary_slope(curve) == pytest.approx(-3.0, abs=1e-12)
 
 
 @pytest.mark.xfail(
@@ -469,34 +471,53 @@ def test_fit_boundary_slope_exact_power_law():
     "coefficient that vanishes identically for even N",
 )
 def test_perturbative_slope_minus_two_as_stated():
-    curve = analysis.boundary_curve("perturbative", xy(6), [10.0, 30.0, 100.0])
-    slope = analysis.fit_boundary_slope(curve)
+    vs = [10.0, 30.0, 100.0]
+    _, pert, _ = boundary_columns(xy(6), vs)
+    slope = loglog_slope(vs, pert)
     assert abs(slope - (-2.0)) < 0.05 * 2.0
 
 
 def test_perturbative_slope_is_minus_n_minus_two():
-    curve = analysis.boundary_curve("perturbative", xy(6), [10.0, 30.0, 100.0])
-    slope = analysis.fit_boundary_slope(curve)
+    vs = [10.0, 30.0, 100.0]
+    _, pert, _ = boundary_columns(xy(6), vs)
+    slope = loglog_slope(vs, pert)
     assert slope == pytest.approx(-4.0, rel=0.05)
 
 
 def test_numeric_slope_matches_perturbative_power():
-    curve = analysis.boundary_curve("numeric_scan", xy(6),
-                                    [10.0, 30.0, 100.0])
-    slope = analysis.fit_boundary_slope(curve)
+    vs = [10.0, 30.0, 100.0]
+    _, _, numeric = boundary_columns(xy(6), vs)
+    slope = loglog_slope(vs, numeric)
     assert slope == pytest.approx(-4.0, rel=0.05)
 
 
-def test_fit_boundary_slope_degenerate():
-    with pytest.raises(ValueError):
-        analysis.BoundaryCurve("perturbative", ((10.0, -1.0),))
-    with pytest.raises(DegenerateFit):
-        analysis.fit_boundary_slope(
-            analysis.BoundaryCurve("perturbative", ((10.0, 0.1), (20.0, 0.2))))
-    with pytest.raises(DegenerateFit):
-        analysis.fit_boundary_slope(
-            analysis.BoundaryCurve(
-                "perturbative", ((10.0, 0.1), (10.0, 0.2), (10.0, 0.3))))
+# empty: the columns left None in every row, among exact (1), perturbative (2)
+# and rel_gap (4); the numeric column (3) is always filled
+@pytest.mark.parametrize("template, controls, empty", [
+    (xy(6), [0.0, 2.0], (1, 2, 4)),  # the exact rule is strictly |V| > 2
+    (xy(6), [3.0, -3.0], ()),
+    (xy(5), [10.0], (2,)),  # odd N: no perturbative boundary
+    (xy(4), [10.0], (2,)),  # even N below 6: none either
+    (ising(4), [0.5], (1, 2, 4)),  # the Ising chain: numeric column only
+    (ModelSpec(ModelKind.TRANSVERSE_ISING, N=4,
+               ising_boundary=models.IsingBoundary.OPEN), [0.5], (1, 2, 4)),
+])
+def test_boundary_table_columns_follow_the_domain_rules(template, controls,
+                                                        empty):
+    rows = analysis.boundary_table(template, controls)
+    assert [row[0] for row in rows] == controls
+    for row in rows:
+        assert [i for i in (1, 2, 4) if row[i] is None] == list(empty), row
+        assert row[3] > 0
+        assert row[5] is False
+
+
+def test_boundary_command_writes_the_table(tmp_path):
+    out = tmp_path / "boundary.csv"
+    assert cli.main(["boundary", "--model", "xy", "--n", "6",
+                     "--x-range=-10:-3:lin:2", "--out", str(out)]) == 0
+    rows = analysis.boundary_table(xy(6), [-10.0, -3.0])
+    assert out.read_bytes() == serialize.boundary_table_csv(rows).encode()
 
 
 # ---------------------------------------------------------------------------

@@ -181,3 +181,28 @@ def test_only_models_chooses_the_space_of_a_state():
                  if name in SPACE_NAMES]
              for m in LAYERS if m != "__init__"}
     assert {m for m, lines in users.items() if lines} == {"models"}, users
+
+
+# every public top-level function or class has a caller in the package other
+# than its own definition and its re-export from the package root, except the
+# paper-facing API: transcriptions of the paper's formulas that the acceptance
+# criteria and unit tests compare against, kept public by decision
+PAPER_API = {"biorthogonal_overlap", "check_pt_spectrum", "total_sz",
+             "reduce_to_magnon_sector", "effective_spectrum", "eta_factors",
+             "bethe_scattering_state", "scattering_ep", "all_bethe_energies"}
+
+
+def test_every_public_name_has_a_package_caller():
+    trees = {m: ast.parse((SRC / f"{m}.py").read_text())
+             for m in LAYERS if m != "__init__"}
+    uncalled = set()
+    for tree in trees.values():
+        for defn in tree.body:
+            if (isinstance(defn, (ast.FunctionDef, ast.ClassDef))
+                    and not defn.name.startswith("_")
+                    and not any(name == defn.name
+                                for other in trees.values()
+                                for stmt in other.body if stmt is not defn
+                                for _, name in _names(stmt))):
+                uncalled.add(defn.name)
+    assert uncalled == PAPER_API
