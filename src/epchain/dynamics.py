@@ -9,8 +9,9 @@ step propagator n_steps times by repeated squaring, in about log2(n_steps)
 matrix products instead of n_steps matrix-vector steps.
 
 Both run in the symmetry blocks of models.hamiltonian_blocks, through one
-core: the blocks' step propagators are zero-padded to one (k, d, d) stack
-that every product advances at once, the states are their block coordinates
+core: the blocks are zero-padded to one (k, d, d) stack, exponentiated in one
+linalg.propagator call, and every product advances the whole stack of step
+propagators at once; the states are their block coordinates
 (models.block_coordinates), and norms and overlaps are taken over the whole
 stack.  On the Ising ring these are its N momentum blocks, so no 2^N x 2^N
 matrix is exponentiated or multiplied; every other model is one block, its
@@ -78,12 +79,13 @@ def _block_setup(spec: ModelSpec, init: StateVector, target: StateVector,
                  t_max: float, n_steps: int):
     """Validated (dt, u, psi, tgt) in the symmetry blocks of spec.
 
-    u is the (k, d, d) stack of the step propagators of the k blocks of
-    models.hamiltonian_blocks, zero-padded to the largest block dimension d;
-    psi and tgt are the (k, d, 1) block coordinates of init and target, each
-    normalized over the whole stack.  The padding is exact: zero rows and
-    columns keep the padded amplitudes zero.  A model that is one block runs
-    the arithmetic of its whole matrix unchanged.
+    The k blocks of models.hamiltonian_blocks are zero-padded to the largest
+    block dimension d, and u, the (k, d, d) stack of their step propagators,
+    is one linalg.propagator call.  psi and tgt are the (k, d, 1) block
+    coordinates of init and target, each normalized over the whole stack.
+    The padding is exact: the exponential of a zero-padded block is its own
+    exponential beside the identity on the padded coordinates, which couples
+    to nothing, so the padded amplitudes stay exactly zero.
     """
     if n_steps < 2:
         raise ValueError("n_steps must be >= 2")
@@ -91,14 +93,15 @@ def _block_setup(spec: ModelSpec, init: StateVector, target: StateVector,
         raise ValueError("t_max must be positive")
     check_basis(spec, init, target)
     dt = t_max / n_steps
-    steps = [linalg.propagator(h, dt) for h in hamiltonian_blocks(spec)]
-    d = max(len(step) for step in steps)
-    u = np.zeros((len(steps), d, d), dtype=complex)
-    for b, step in enumerate(steps):
-        u[b, :len(step), :len(step)] = step
+    blocks = hamiltonian_blocks(spec)
+    d = max(len(h) for h in blocks)
+    h = np.zeros((len(blocks), d, d), dtype=complex)
+    for b, block in enumerate(blocks):
+        h[b, :len(block), :len(block)] = block
+    u = linalg.propagator(h, dt)
 
     def stacked(state: StateVector) -> np.ndarray:
-        x = np.zeros((len(steps), d, 1), dtype=complex)
+        x = np.zeros((len(blocks), d, 1), dtype=complex)
         for b, c in enumerate(block_coordinates(spec, state.amplitudes)):
             x[b, :len(c), 0] = c
         return x / np.linalg.norm(x)

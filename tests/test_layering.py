@@ -60,9 +60,10 @@ def test_no_function_local_package_import(module):
                             f"inside {func.name}()")
 
 
-# the one eigen kernel and the one propagation path live in linalg.py
+# the one eigen kernel and the one propagation path, with its Pade solve,
+# live in linalg.py
 KERNEL_CALLS = {f"{mod}.{fn}" for mod in ("np.linalg", "numpy.linalg")
-                for fn in ("eig", "eigvals")} | {"scipy.linalg.expm"}
+                for fn in ("eig", "eigvals", "solve")} | {"scipy.linalg.expm"}
 
 
 def _dotted(node: ast.AST) -> str:
@@ -103,16 +104,35 @@ def test_only_models_chooses_the_control_parameter():
     assert {m for m, lines in users.items() if lines} == {"models"}, users
 
 
-# the package's root searches are bethe._bisect, so no module needs
-# scipy.optimize, whose import costs about 0.3 s of every process start
-def test_cli_import_does_not_load_scipy_optimize():
-    code = ("import sys, epchain.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith('scipy.optimize')))")
+def _run_python(code: str) -> str:
+    """stdout of a fresh interpreter running code with this package on its path."""
     paths = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+# the runtime is numpy and mpmath: the package's root searches are
+# bethe._bisect and its propagator is linalg's own Pade kernel, so importing
+# the CLI loads no scipy module, nor numpy.f2py, which scipy.linalg pulls in
+def test_cli_import_does_not_load_scipy():
+    out = _run_python(
+        "import sys, epchain.cli; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy' or m.startswith('numpy.f2py')))")
     assert out.strip() == "[]", out
+
+
+# a scipy import inside a function passes the guard above: a propagating run
+# and a figure with scipy unimportable catch it
+def test_cli_runs_without_scipy(tmp_path):
+    evolve = ["evolve", "--model", "ising", "--n", "6", "--delta", "0.75",
+              "--gamma", "0.006", "--target", "ghz", "--t-max", "1e4",
+              "--out", str(tmp_path / "ghz.csv")]
+    reproduce = ["reproduce", "--figure", "1", "--out-dir", str(tmp_path)]
+    _run_python("import sys; sys.modules['scipy'] = None\n"
+                "from epchain import cli\n"
+                f"assert cli.main({evolve!r}) == 0\n"
+                f"assert cli.main({reproduce!r}) == 0\n")
 
 
 # serialize is the one module that knows the output format: no other module

@@ -2,14 +2,16 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epchain import linalg, models
 from epchain.errors import DimensionMismatch
-from epchain.models import ModelKind, ModelSpec
+from epchain.models import IsingBoundary, ModelKind, ModelSpec
 
 
 def h_eq(N, V, gamma):
@@ -184,3 +186,91 @@ def test_hermitian_limit_real_spectrum_and_norm():
     psi = models.site_state(6, 3).amplitudes
     out = linalg.propagator(h, 5.0) @ psi
     assert abs(np.linalg.norm(out) - 1.0) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# propagator against independent oracles: scipy.linalg.expm (imported by the
+# tests only; the package runs on numpy) and mpmath's expm at 50 digits
+
+def _rel(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+# every model kind at its figures' step sizes: (kind, parameters, dt)
+_MODEL_STEPS = {
+    "xy_magnon": (ModelKind.XY_MAGNON, {"V": 5.0, "gamma": 0.0015}, 10.0),
+    "xy_full_space": (ModelKind.XY_FULL_SPACE, {"V": 5.0, "gamma": 0.0015}, 10.0),
+    "ising_periodic": (ModelKind.TRANSVERSE_ISING,
+                       {"Delta": 0.75, "gamma": 0.006}, 5.0),
+    "ising_open": (ModelKind.TRANSVERSE_ISING,
+                   {"Delta": 0.75, "gamma": 0.006,
+                    "ising_boundary": IsingBoundary.OPEN}, 5.0),
+}
+
+
+@pytest.mark.parametrize("N", range(4, 11))
+@pytest.mark.parametrize("model", sorted(_MODEL_STEPS))
+def test_propagator_matches_scipy_on_model_blocks(model, N):
+    kind, values, dt = _MODEL_STEPS[model]
+    for h in models.hamiltonian_blocks(ModelSpec(kind, N=N, **values)):
+        assert _rel(linalg.propagator(h, dt),
+                    scipy.linalg.expm(-1j * dt * h)) <= 1e-12
+
+
+@pytest.mark.parametrize("norm1", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
+def test_propagator_matches_scipy_on_random_generators(norm1):
+    # H = Hermitian hopping + i * gain/loss on the diagonal, like the models,
+    # so exp(-i dt H) stays finite at every 1-norm of -i dt H
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 5, 12):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = (a + a.conj().T) / 2 + 0.1j * np.diag(rng.normal(size=d))
+        dt = norm1 / np.linalg.norm(h, 1)
+        ref = scipy.linalg.expm(-1j * dt * h)
+        assert np.all(np.isfinite(ref))
+        assert _rel(linalg.propagator(h, dt), ref) <= 1e-12
+
+
+# fig3's runs at their optimized gamma: (N, V, gamma*, dt = t_max / 2000)
+_FIG3_STEPS = [(6, 5.0, 0.001536004868946402, 10.0),
+               (6, 10.0, 9.900017752849266e-05, 100.0),
+               (8, 5.0, 6.144154979930002e-05, 1000.0)]
+
+
+@pytest.mark.parametrize("N, V, gamma, dt", _FIG3_STEPS)
+def test_propagator_matches_mpmath_at_fig3_steps(N, V, gamma, dt):
+    h = h_eq(N, V, gamma)
+    with mpmath.workdps(50):
+        ref = mpmath.expm(mpmath.matrix((-1j * dt * h).tolist()))
+        ref = np.array(ref.tolist(), dtype=complex)
+    assert _rel(linalg.propagator(h, dt), ref) <= 1e-12
+
+
+@pytest.mark.parametrize("N, dt", [(6, 5.0), (8, 100.0)])
+def test_propagator_stack_matches_single_calls(N, dt):
+    # the ring's momentum blocks, of unequal sizes, zero-padded to one stack
+    spec = ModelSpec(ModelKind.TRANSVERSE_ISING, N=N, Delta=0.75, gamma=0.006)
+    blocks = models.hamiltonian_blocks(spec)
+    d = max(len(h) for h in blocks)
+    assert min(len(h) for h in blocks) < d
+    stack = np.zeros((len(blocks), d, d), dtype=complex)
+    for b, h in enumerate(blocks):
+        stack[b, :len(h), :len(h)] = h
+    u = linalg.propagator(stack, dt)
+    for b, h in enumerate(blocks):
+        n = len(h)
+        assert _rel(u[b, :n, :n], linalg.propagator(h, dt)) <= 1e-13
+        # the padding couples to nothing, so padded amplitudes stay exactly 0;
+        # its own exponential is the identity up to the squarings' roundoff
+        assert not u[b, :n, n:].any() and not u[b, n:, :n].any()
+        assert np.allclose(u[b, n:, n:], np.eye(d - n), rtol=0, atol=1e-12)
+
+
+def test_propagator_rejects_nonsquare_and_nonfinite_stacks():
+    for shape in [(2, 3, 4), (0, 3, 3), (2, 2, 2, 2), (3,)]:
+        with pytest.raises(DimensionMismatch):
+            linalg.propagator(np.ones(shape), 1.0)
+    stack = np.zeros((2, 3, 3))
+    stack[1, 0, 2] = np.inf
+    with pytest.raises(ValueError):
+        linalg.propagator(stack, 1.0)
