@@ -5,11 +5,13 @@ the blocks of models.spectrum_blocks: the momentum blocks k = 0 .. pi of the
 periodic Ising ring (block N-m mirrors block m, so its spectrum is never
 computed), the whole matrix otherwise.  A sweep diagonalizes a row's
 same-shape blocks as one stack (linalg.eigvals_stack).  The numeric
-boundary is located by bisection on that indicator; for the magnon chain the
-critical gamma can fall far below double-precision resolution (it decays as
-1/V^(N-2)), so the scan escalates, when needed, to a bisection in mpmath
-gamma on an exact predicate: a Sturm count of the real roots of the chain's
-integer-scaled characteristic polynomial.
+boundary has one rule per model kind.  The XY chain, in either space, breaks
+exactly where its one-magnon block does (free-fermion map), so it is bisected
+in 53-bit mpmath gamma on an exact predicate: a Sturm count of the real roots
+of the magnon chain's integer-scaled characteristic polynomial.  That holds
+however far gamma_c falls below double precision (it decays as 1/V^(N-2)).
+The Ising chain is bisected on the indicator above a floor that grows as
+1 + Delta^2.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ _SWEEP_PARAMETERS = ("V", "Delta", "gamma")
 # ring's blocks, whose temporaries raise peak RSS, go one at a time.
 _STACK_BYTES = 1 << 18
 
-# below this critical gamma the double-precision indicator is unreliable
-_DOUBLE_PRECISION_FLOOR = 1e-6
 # relative accuracy of the numeric boundary scan
 _REL_TOL = 1e-6
 # relative gap between the exact and numeric boundaries that flags a
@@ -48,9 +48,9 @@ BOUNDARY_REL_TOL = 1e-3
 # Full-space spectra develop exponentially ill-conditioned eigenvector bases
 # near their exceptional points (condition ~ (scale/gap)^N), so eigensolver
 # noise in Im(eps) can reach well above 1e-10 just below the true boundary.
-# The boundary scan therefore uses this larger indicator threshold for
-# 2^N-dimensional models; the square-root growth of the true signal above
-# the boundary keeps the induced bias small (~(floor/signal_slope)^2).
+# The Ising boundary scan therefore counts the spectrum as broken only above
+# this floor times 1 + Delta^2; the square-root growth of the true signal
+# above the boundary keeps the induced bias small (~(floor/signal_slope)^2).
 _FULL_SPACE_SCAN_FLOOR = 3e-4
 
 
@@ -285,15 +285,17 @@ def _magnon_broken(N: int, V: float, g) -> bool:
     return real < distinct
 
 
-def _numeric_boundary_highprec(N: int, V: float, rel_tol: float) -> float:
-    """Bisection in mpf gamma on the exact predicate (XY magnon chain).
+def _magnon_boundary(N: int, V: float, rel_tol: float) -> float:
+    """Bisection in 53-bit mpf gamma on the exact predicate (XY chain).
 
-    gamma_c decays as V^-(N-2), so the lower bracket starts at 1e-45 and
-    steps down by 1e-10 until the chain is unbroken there.  That ends for
+    Every mpf is dyadic, so the Sturm count is exact at each midpoint, and mpf
+    has no exponent limit, so 53 bits locate gamma_c to rel_tol however small
+    it is.  gamma_c decays as V^-(N-2), so the lower bracket starts at 1e-45
+    and steps down by 1e-10 until the chain is unbroken there.  That ends for
     every finite V: at gamma = 0 the chain is a real Jacobi matrix, whose
     eigenvalues are real and simple, so they stay real for small gamma.
     """
-    with mp.workdps(60):
+    with mp.workprec(53):
         lo, hi = mp.mpf(10) ** -45, mp.mpf(10)
         if not _magnon_broken(N, V, hi):
             raise NoTransition(f"no transition in gamma for N={N}, V={V}")
@@ -303,44 +305,30 @@ def _numeric_boundary_highprec(N: int, V: float, rel_tol: float) -> float:
 
 
 def numeric_boundary_gamma(template: ModelSpec, control_value: float) -> float:
-    """Critical gamma from the diagonalization scan, relative _REL_TOL.
+    """Critical gamma, relative _REL_TOL; control_value sets the kind's
+    control parameter.
 
-    control_value sets the kind's control parameter.  Bisection on the
-    indicator max|Im eps| > BROKEN_THRESHOLD * (1 + |control|); when the
-    transition sits below double-precision resolution, or the exact predicate
-    shows that the double-precision result overshoots gamma_c by more than
-    _REL_TOL, it escalates to the 60-digit exact bisection (magnon chain only).
+    The XY chain, in either space, is bisected on the exact predicate of its
+    one-magnon block (_magnon_boundary).  The Ising chain is bisected on the
+    indicator max|Im eps| > _FULL_SPACE_SCAN_FLOOR * (1 + Delta^2) between
+    gamma = 1e-12 and 10.
     """
     name = template.kind.control
     base = _with_params(template, name, control_value)
-    scaled_threshold = BROKEN_THRESHOLD * (1 + abs(control_value))
-    magnon = template.kind is ModelKind.XY_MAGNON
-    if not magnon:
-        scaled_threshold = max(scaled_threshold,
-                               _FULL_SPACE_SCAN_FLOOR * (1 + control_value ** 2))
+    if template.kind is not ModelKind.TRANSVERSE_ISING:
+        return _magnon_boundary(base.N, base.V, _REL_TOL)
+    threshold = _FULL_SPACE_SCAN_FLOOR * (1 + control_value ** 2)
 
     def broken(g: float) -> bool:
-        return (max_im_epsilon(_with_params(base, "gamma", g))
-                > scaled_threshold)
+        return max_im_epsilon(_with_params(base, "gamma", g)) > threshold
 
     if not broken(10.0):
         raise NoTransition(f"spectrum stays real up to gamma=10 at "
                            f"{name}={control_value}")
-    if not broken(1e-12):
-        gc = bethe._bisect(broken, 1e-12, 10.0, _REL_TOL)
-        # Just above gamma_c, max|Im eps| stays below the threshold 1e-10*(1+V)
-        # over a band of gamma, so the bisection can stop above the boundary:
-        # by more than _REL_TOL for gamma_c near 1e-6, and at the threshold
-        # itself at large V.  The exact predicate at gc*(1 - _REL_TOL) sees both.
-        if not magnon or not (
-                gc < _DOUBLE_PRECISION_FLOOR
-                or _magnon_broken(template.N, control_value,
-                                  mp.mpf(gc) * (1 - _REL_TOL))):
-            return gc
-    elif not magnon:
+    if broken(1e-12):
         raise NoTransition("transition below double-precision resolution "
                            "for a non-tridiagonal model")
-    return _numeric_boundary_highprec(template.N, control_value, _REL_TOL)
+    return bethe._bisect(broken, 1e-12, 10.0, _REL_TOL)
 
 
 def boundary_table(template: ModelSpec, control_values) -> list[tuple]:

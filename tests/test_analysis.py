@@ -179,6 +179,31 @@ def test_numeric_boundary_v_zero_is_one():
     assert abs(gc - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("N", [3, 5, 7, 9])
+def test_numeric_boundary_v_zero_odd_n(N):
+    # at V = 0 and odd N the chain breaks at gamma_c = sqrt((N+1)/(N-1))
+    gc = analysis.numeric_boundary_gamma(xy(N), 0.0)
+    exact = math.sqrt((N + 1) / (N - 1))
+    assert abs(gc - exact) / exact < 1e-6
+
+
+@pytest.mark.parametrize("N, V", [(4, 3.0), (6, 5.0), (5, -2.5)])
+def test_full_space_xy_boundary_is_the_magnon_boundary(N, V):
+    # by the free-fermion map every 2^N eigenvalue is a sum of one-magnon
+    # eigenvalues, so the full chain breaks exactly where its magnon block does
+    gc = analysis.numeric_boundary_gamma(xy(N), V)
+    full = ModelSpec(ModelKind.XY_FULL_SPACE, N=N)
+    assert analysis.numeric_boundary_gamma(full, V).hex() == gc.hex()
+
+    def dense_max_im(g):
+        h = models.build_h_chain_full(
+            ModelSpec(ModelKind.XY_FULL_SPACE, N=N, V=V, gamma=g))
+        return np.max(np.abs(linalg.eig(h).eigenvalues.imag))
+
+    assert dense_max_im(gc * (1 - 1e-3)) <= 1e-10
+    assert dense_max_im(gc * (1 + 1e-3)) >= 1e-6
+
+
 def test_numeric_boundary_matches_exact():
     gn = analysis.numeric_boundary_gamma(xy(6, V=10.0), 10.0)
     ge = bethe.exact_boundary_gamma(6, 10.0)
@@ -196,12 +221,12 @@ def test_numeric_boundary_high_precision_escalation():
 @pytest.mark.parametrize("N, V", [(4, 1e3), (12, 1e4), (12, 1e5),
                                   (6, 31.072325059538581)])
 def test_numeric_boundary_large_v_is_not_the_scan_threshold(N, V):
-    # the double scan's threshold 1e-10*(1+V) stops the bisection near 1e-6
+    # a double-precision scan with the threshold 1e-10*(1+V) stops near 1e-6
     # at large V, and 4.5e-6 above gamma_c ~ 1.07e-6 at (6, 31.07); the
-    # exact predicate must send these to the exact bisection, whose lower
-    # bracket must reach gamma_c ~ V^-(N-2)
+    # exact bisection must agree with a 60-digit one, and its lower bracket
+    # must reach gamma_c ~ V^-(N-2)
     gn = analysis.numeric_boundary_gamma(xy(N, V=V), V)
-    gh = analysis._numeric_boundary_highprec(N, V, 1e-6)
+    gh = _reference_highprec(N, V, 1e-6, mp.workdps(60))
     assert abs(gn - gh) / gh < 1e-6
     with mp.workdps(60):
         assert not analysis._magnon_broken(N, V, mp.mpf(gn) * (1 - 2e-6))
@@ -243,12 +268,13 @@ def test_numeric_boundary_no_transition():
         analysis.numeric_boundary_gamma(ising(4, J=0.0, Delta=20.0), 20.0)
 
 
-# The reference is the boundary scan before its two bisection loops became
-# bethe._bisect: the double-precision loop, the 60-digit loop, and their
-# escalation tests, as they stood, with their thresholds written out.
+# The reference is the boundary scan with bethe._bisect written out: the XY
+# chain's exact bisection at a given working precision, and the Ising chain's
+# double-precision loop.  Its threshold keeps the 1e-10*(1+|Delta|) term,
+# which never wins over the floor 3e-4*(1+Delta^2).
 
-def _reference_highprec(N, V, rel_tol):
-    with mp.workdps(60):
+def _reference_highprec(N, V, rel_tol, precision):
+    with precision:
         lo, hi = mp.mpf(10) ** -45, mp.mpf(10)
         if not analysis._magnon_broken(N, V, hi):
             raise NoTransition(f"no transition in gamma for N={N}, V={V}")
@@ -265,11 +291,12 @@ def _reference_highprec(N, V, rel_tol):
 
 
 def _reference_numeric_boundary(template, control_value, rel_tol=1e-6):
-    name = "Delta" if template.kind is ModelKind.TRANSVERSE_ISING else "V"
-    base = analysis._with_params(template, name, control_value)
-    scaled_threshold = 1e-10 * (1 + abs(control_value))
-    if template.kind is not ModelKind.XY_MAGNON:
-        scaled_threshold = max(scaled_threshold, 3e-4 * (1 + control_value ** 2))
+    if template.kind is not ModelKind.TRANSVERSE_ISING:
+        return _reference_highprec(template.N, control_value, rel_tol,
+                                   mp.workprec(53))
+    base = analysis._with_params(template, "Delta", control_value)
+    scaled_threshold = max(1e-10 * (1 + abs(control_value)),
+                           3e-4 * (1 + control_value ** 2))
 
     def broken(g):
         return (analysis.max_im_epsilon(
@@ -279,11 +306,7 @@ def _reference_numeric_boundary(template, control_value, rel_tol=1e-6):
     if not broken(hi):
         raise NoTransition("spectrum stays real up to gamma=10")
     if broken(lo):
-        lo = 0.0
-    if lo == 0.0 or math.sqrt(lo * hi) < 1e-6:
-        if template.kind is not ModelKind.XY_MAGNON:
-            raise NoTransition("transition below double-precision resolution")
-        return _reference_highprec(template.N, control_value, rel_tol)
+        raise NoTransition("transition below double-precision resolution")
     iterations = int(math.ceil(math.log2(math.log(hi / lo) / rel_tol))) + 2
     for _ in range(iterations):
         mid = math.sqrt(lo * hi)
@@ -291,13 +314,7 @@ def _reference_numeric_boundary(template, control_value, rel_tol=1e-6):
             hi = mid
         else:
             lo = mid
-    gc = math.sqrt(lo * hi)
-    if template.kind is ModelKind.XY_MAGNON and (
-            gc < 1e-6
-            or analysis._magnon_broken(template.N, control_value,
-                                       mp.mpf(gc) * (1 - rel_tol))):
-        return _reference_highprec(template.N, control_value, rel_tol)
-    return gc
+    return math.sqrt(lo * hi)
 
 
 @pytest.mark.parametrize("template, control", [

@@ -281,10 +281,23 @@ def test_failed_spec_is_a_nan_node():
             analysis.AxisSpec("gamma", "lin", np.array([0.5])))
 
 
-def test_boundary_scan_raises_where_the_kernel_fails(monkeypatch):
-    def kernel_failing_everywhere(stack):
-        return np.full(stack.shape[:2], np.nan), np.zeros(len(stack), bool)
+def _kernel_failing_everywhere(stack):
+    return np.full(stack.shape[:2], np.nan), np.zeros(len(stack), bool)
 
-    monkeypatch.setattr(linalg, "eigvals_stack", kernel_failing_everywhere)
+
+def test_boundary_scan_raises_where_the_kernel_fails(monkeypatch):
+    monkeypatch.setattr(linalg, "eigvals_stack", _kernel_failing_everywhere)
     with pytest.raises(NonConvergence):
-        analysis.numeric_boundary_gamma(xy(6), 5.0)
+        analysis.numeric_boundary_gamma(ring(6, J=1.0), 0.75)
+
+
+def test_xy_boundary_runs_no_eigen_kernel(monkeypatch):
+    # the XY boundary is a Sturm count on the magnon chain's characteristic
+    # polynomial: it never diagonalizes, in either space
+    for kind in (ModelKind.XY_MAGNON, ModelKind.XY_FULL_SPACE):
+        template = ModelSpec(kind, N=6)
+        expected = analysis.numeric_boundary_gamma(template, 5.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "eigvals_stack", _kernel_failing_everywhere)
+            got = analysis.numeric_boundary_gamma(template, 5.0)
+        assert got.hex() == expected.hex()
