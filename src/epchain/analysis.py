@@ -35,8 +35,9 @@ _SWEEP_PARAMETERS = ("V", "Delta", "gamma")
 
 # Bytes of blocks a sweep row holds before they go to the eigen kernel, and
 # the most one kernel stack takes (one block at least).  A row of chain or
-# momentum blocks fits whole; dense 2^N matrices, and stacks of the N=10
-# ring's blocks, whose temporaries raise peak RSS, go one at a time.
+# momentum blocks fits whole; the dense 2^N matrices of the open Ising chain
+# and the full-space XY chain, and stacks of the N=10 ring's blocks, whose
+# temporaries raise peak RSS, go one at a time.
 _STACK_BYTES = 1 << 18
 
 # relative accuracy of the numeric boundary scan
@@ -144,12 +145,6 @@ def max_im_epsilon(spec: ModelSpec) -> float:
     return value
 
 
-def _with_params(template: ModelSpec, name: str, value: float) -> ModelSpec:
-    if name not in _SWEEP_PARAMETERS:
-        raise ValueError(f"unknown sweep parameter {name!r}")
-    return replace(template, **{name: float(value)})
-
-
 def _sweep_workers() -> int:
     env = os.environ.get("EPCHAIN_THREADS", "")
     if env:
@@ -176,8 +171,8 @@ def sweep_grid(template: ModelSpec, x_axis: AxisSpec, y_axis: AxisSpec) -> Phase
 
     def node_blocks(x: float, g: float) -> list[np.ndarray] | None:
         try:
-            return spectrum_blocks(_with_params(
-                _with_params(template, x_axis.name, x), "gamma", g))
+            return spectrum_blocks(replace(
+                template, **{x_axis.name: float(x), "gamma": float(g)}))
         except (EpchainError, ValueError):
             return None
 
@@ -301,7 +296,7 @@ def _magnon_boundary(N: int, V: float, rel_tol: float) -> float:
             raise NoTransition(f"no transition in gamma for N={N}, V={V}")
         while _magnon_broken(N, V, lo):
             lo *= mp.mpf(10) ** -10
-        return bethe._bisect(lambda g: _magnon_broken(N, V, g), lo, hi, rel_tol, mp.sqrt)
+        return bethe._bisect(lambda g: _magnon_broken(N, V, g), lo, hi, rel_tol)
 
 
 def numeric_boundary_gamma(template: ModelSpec, control_value: float) -> float:
@@ -309,25 +304,26 @@ def numeric_boundary_gamma(template: ModelSpec, control_value: float) -> float:
     control parameter.
 
     The XY chain, in either space, is bisected on the exact predicate of its
-    one-magnon block (_magnon_boundary).  The Ising chain is bisected on the
-    indicator max|Im eps| > _FULL_SPACE_SCAN_FLOOR * (1 + Delta^2) between
-    gamma = 1e-12 and 10.
+    one-magnon block (_magnon_boundary).  The Ising chain has gamma_c = 0 at
+    Delta = 0, where Im eps = gamma sum sz; elsewhere it is bisected on
+    max|Im eps| > _FULL_SPACE_SCAN_FLOOR * (1 + Delta^2) in [1e-12, 10].
     """
     name = template.kind.control
-    base = _with_params(template, name, control_value)
+    base = replace(template, **{name: float(control_value)})
     if template.kind is not ModelKind.TRANSVERSE_ISING:
         return _magnon_boundary(base.N, base.V, _REL_TOL)
+    if base.Delta == 0:
+        return 0.0
     threshold = _FULL_SPACE_SCAN_FLOOR * (1 + control_value ** 2)
 
     def broken(g: float) -> bool:
-        return max_im_epsilon(_with_params(base, "gamma", g)) > threshold
+        return max_im_epsilon(replace(base, gamma=g)) > threshold
 
     if not broken(10.0):
         raise NoTransition(f"spectrum stays real up to gamma=10 at "
                            f"{name}={control_value}")
     if broken(1e-12):
-        raise NoTransition("transition below double-precision resolution "
-                           "for a non-tridiagonal model")
+        raise NoTransition("the Ising chain is broken at gamma=1e-12")
     return bethe._bisect(broken, 1e-12, 10.0, _REL_TOL)
 
 
@@ -363,15 +359,18 @@ def optimize_gamma(template: ModelSpec, target: StateVector, t_max: float,
     Returns (best gamma, fidelity at t_max).  f(t_max) is the end point of the
     n_steps-step evolution, read by dynamics.final_fidelity from repeated
     squaring of the step propagator.  The broken region is located with the
-    numeric boundary scan first; NoTransition propagates if there is none.
+    numeric boundary scan first; NoTransition propagates if there is none,
+    or is raised where gamma_c = 0 leaves the bracket empty.
     """
     gamma_c = numeric_boundary_gamma(template,
                                      getattr(template, template.kind.control))
+    if gamma_c == 0:
+        raise NoTransition("gamma_c = 0 leaves the bracket empty")
     init = default_initial_state(template)
 
     def fidelity_at(g: float) -> float:
-        spec = _with_params(template, "gamma", g)
-        return final_fidelity(spec, init, target, t_max, n_steps)
+        return final_fidelity(replace(template, gamma=g), init, target,
+                              t_max, n_steps)
 
     lo, hi = gamma_c * (1 + 1e-9), gamma_c * 10.0
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

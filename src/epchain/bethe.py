@@ -111,14 +111,15 @@ def scattering_condition(k: float, N: int, V: float, gamma: float) -> float:
     )
 
 
-def _bisect(broken, lo, hi, rel_tol: float, sqrt=math.sqrt):
+def _bisect(broken, lo, hi, rel_tol: float):
     """Geometric bisection of the onset of broken, relative rel_tol.
 
-    broken is false at lo and true at hi; sqrt is math.sqrt for doubles or
-    mp.sqrt for mpmath reals.  Returns the geometric mean of the last bracket.
+    broken is false at lo and true at hi (doubles, or mpmath reals).  Returns
+    the geometric mean of the last bracket.
     The search also ends once lo and hi round to the same double: rounding is
     monotone, so every later mean rounds to that double as well.
     """
+    sqrt = mp.sqrt if isinstance(lo, mp.mpf) else math.sqrt
     iterations = int(math.ceil(math.log2(float(mp.log(hi / lo)) / rel_tol))) + 2
     for _ in range(iterations):
         if float(lo) == float(hi):
@@ -302,8 +303,10 @@ def complex_bound_pair(N: int, V: float, gamma: float) -> list[BetheRoot]:
 def all_bethe_energies(N: int, V: float, gamma: float) -> list[complex]:
     """Combined scattering + bound energy multiset for the supported regimes.
 
-    Supported: V = 0 (any gamma off the pair's onset) and |V| > 2.  The
-    caller is expected to check completeness against the matrix dimension.
+    Supported: V = 0 (any gamma off the pair's onset) and |V| > 2, where the
+    broken phase needs even N >= 6: its complex pair is seeded from
+    effective_model, which raises ValueError otherwise.  The caller is
+    expected to check completeness against the matrix dimension.
     """
     if V < 0:  # staggered gauge: the spectrum at -V is minus the one at V
         return [-e for e in all_bethe_energies(N, -V, gamma)]
@@ -388,7 +391,7 @@ def exact_boundary_gamma(N: int, V: float) -> float:
             )
         # a fixed rel_tol far below double resolution: the float exit ends the
         # search, and the step cap (~1000) stays finite at any precision
-        return _bisect(lambda g: f(g) * flo <= 0, lo, hi, 1e-300, mp.sqrt)
+        return _bisect(lambda g: f(g) * flo <= 0, lo, hi, 1e-300)
 
 
 # ---------------------------------------------------------------------------

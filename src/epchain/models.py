@@ -352,13 +352,13 @@ def _ring_momentum_structure(N: int):
 
 def _momentum_ring(spec: ModelSpec) -> bool:
     """True where hamiltonian_blocks splits spec into momentum blocks."""
-    return (spec.kind is ModelKind.TRANSVERSE_ISING and spec.J != 0
+    return (spec.kind is ModelKind.TRANSVERSE_ISING
             and spec.ising_boundary is IsingBoundary.PERIODIC)
 
 
 def _first_blocks(spec: ModelSpec, count: int) -> list[np.ndarray]:
-    """Momentum blocks m = 0 .. count-1 of the J != 0 ring, each filled from
-    the structure cached per N; every other spec whole, whatever count."""
+    """Momentum blocks m = 0 .. count-1 of the ring, each filled from the
+    structure cached per N; every other spec whole, whatever count."""
     if not _momentum_ring(spec):
         return [build_hamiltonian(spec)]
     (z, _, _), blocks = _ring_momentum_structure(spec.N)
@@ -374,13 +374,10 @@ def _first_blocks(spec: ModelSpec, count: int) -> list[np.ndarray]:
 def hamiltonian_blocks(spec: ModelSpec) -> list[np.ndarray]:
     """Diagonal blocks of the Hamiltonian in an orthonormal symmetry basis.
 
-    The periodic Ising ring with J != 0 splits into its N momentum blocks,
-    k = 2 pi m / N for m = 0 .. N-1 (Sandvik, arXiv:1101.3281).  Every
-    other spec comes back whole, as [build_hamiltonian(spec)].  That
-    includes the J = 0 ring: its sites decouple into highly degenerate
-    eigenvalue clusters, and the boundary scan's accuracy there is
-    established for the dense eigensolver only.  The block spectra together
-    are the spectrum of build_hamiltonian(spec).
+    The periodic Ising ring, at every J, splits into its N momentum blocks,
+    k = 2 pi m / N for m = 0 .. N-1 (Sandvik, arXiv:1101.3281).  The open
+    chain and the XY chain come back whole, as [build_hamiltonian(spec)].
+    The block spectra together are the spectrum of build_hamiltonian(spec).
     """
     return _first_blocks(spec, spec.N)
 

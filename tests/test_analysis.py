@@ -3,6 +3,7 @@ optimizer."""
 
 import math
 import os
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -268,6 +269,19 @@ def test_numeric_boundary_no_transition():
         analysis.numeric_boundary_gamma(ising(4, J=0.0, Delta=20.0), 20.0)
 
 
+@pytest.mark.parametrize("J", [1.0, 0.0])
+def test_numeric_boundary_ising_delta_zero_is_zero(J):
+    # at Delta = 0 the chain is diagonal with Im eps = gamma * sum sz, so it
+    # is broken for every gamma > 0
+    assert analysis.numeric_boundary_gamma(ising(4, J=J), 0.0) == 0.0
+
+
+def test_ising_scan_raises_when_broken_at_its_lower_end(monkeypatch):
+    monkeypatch.setattr(analysis, "max_im_epsilon", lambda spec: 1.0)
+    with pytest.raises(NoTransition, match="1e-12"):
+        analysis.numeric_boundary_gamma(ising(4, Delta=1.0), 1.0)
+
+
 # The reference is the boundary scan with bethe._bisect written out: the XY
 # chain's exact bisection at a given working precision, and the Ising chain's
 # double-precision loop.  Its threshold keeps the 1e-10*(1+|Delta|) term,
@@ -294,13 +308,12 @@ def _reference_numeric_boundary(template, control_value, rel_tol=1e-6):
     if template.kind is not ModelKind.TRANSVERSE_ISING:
         return _reference_highprec(template.N, control_value, rel_tol,
                                    mp.workprec(53))
-    base = analysis._with_params(template, "Delta", control_value)
+    base = replace(template, Delta=float(control_value))
     scaled_threshold = max(1e-10 * (1 + abs(control_value)),
                            3e-4 * (1 + control_value ** 2))
 
     def broken(g):
-        return (analysis.max_im_epsilon(
-            analysis._with_params(base, "gamma", g)) > scaled_threshold)
+        return analysis.max_im_epsilon(replace(base, gamma=g)) > scaled_threshold
 
     lo, hi = 1e-12, 10.0
     if not broken(hi):
@@ -333,8 +346,8 @@ def test_numeric_boundary_no_transition_like_reference():
             scan(ising(4, J=0.0), 20.0)
 
 
-@pytest.mark.parametrize("sqrt, num", [(math.sqrt, float), (mp.sqrt, mp.mpf)])
-def test_bisect_locates_onset_in_its_iteration_count(sqrt, num):
+@pytest.mark.parametrize("num", [float, mp.mpf])
+def test_bisect_locates_onset_in_its_iteration_count(num):
     rel_tol, calls = 1e-6, []
     with mp.workdps(60):
         onset = num(mp.pi) / 1000
@@ -343,7 +356,7 @@ def test_bisect_locates_onset_in_its_iteration_count(sqrt, num):
             calls.append(g)
             return g > onset
 
-        got = bethe._bisect(broken, num("1e-12"), num(10), rel_tol, sqrt)
+        got = bethe._bisect(broken, num("1e-12"), num(10), rel_tol)
     assert abs(got / (math.pi / 1000) - 1) <= rel_tol
     assert len(calls) == math.ceil(math.log2(math.log(1e13) / rel_tol)) + 2
 
@@ -555,6 +568,12 @@ def test_optimize_gamma_bell_near_boundary():
     gc = analysis.numeric_boundary_gamma(xy(6, V=10.0), 10.0)
     assert f_star > 0.98
     assert gc < g_star < 2.0 * gc  # optimum sits just above the boundary
+
+
+def test_optimize_gamma_delta_zero_has_no_bracket():
+    # gamma_c = 0 leaves the bracket (gamma_c, 10 gamma_c] empty
+    with pytest.raises(NoTransition):
+        analysis.optimize_gamma(ising(4), models.target_state("ghz", 4), 10.0)
 
 
 def _reference_stepped_fidelity(spec, init, target, t_max, n_steps):

@@ -133,6 +133,15 @@ def test_complex_bound_pair_requires_large_v():
         bethe.complex_bound_pair(6, 1.5, 0.5)
 
 
+@pytest.mark.parametrize("N, V", [(5, 3.0), (7, 4.0), (4, 3.0)])
+def test_all_bethe_energies_broken_bound_regime_needs_even_n_from_6(N, V):
+    # the complex bound pair's Newton iteration is seeded from the effective
+    # model, which exists for even N >= 6 only
+    gamma = 1.5 * bethe.exact_boundary_gamma(N, V)
+    with pytest.raises(ValueError, match="effective_model requires even N >= 6"):
+        bethe.all_bethe_energies(N, V, gamma)
+
+
 def test_bethe_energy_completeness():
     # union of scattering and bound branches reproduces eig(H_eq)
     for gamma in (0.3, 0.7):

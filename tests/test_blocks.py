@@ -23,6 +23,8 @@ def _ring_params():
                           rng.uniform(0, 1.5)))
         cases.append((N, -1.0, 0.8, 0.3))  # ferro- and antiferromagnetic
         cases.append((N, 1.0, 0.0, 0.7))  # Delta = 0: diagonal blocks
+        cases.append((N, 0.0, 0.9, 0.6))  # J = 0: independent dimers, unbroken
+        cases.append((N, 0.0, 0.9, 1.2))  # J = 0, broken
     return cases
 
 
@@ -65,7 +67,6 @@ def test_two_site_ring_blocks():
 
 
 @pytest.mark.parametrize("spec", [
-    ring(4, J=0.0, Delta=1.0, gamma=0.5),
     ring(4, Delta=1.0, gamma=0.5, ising_boundary=IsingBoundary.OPEN),
     ModelSpec(ModelKind.XY_MAGNON, N=5, V=2.0, gamma=0.1),
     ModelSpec(ModelKind.XY_FULL_SPACE, N=3, V=2.0, gamma=0.1),
@@ -77,7 +78,7 @@ def test_other_models_come_back_whole(spec):
     assert np.array_equal(h, models.build_hamiltonian(spec))
 
 
-@pytest.mark.parametrize("J", [1.0, -0.7])
+@pytest.mark.parametrize("J", [1.0, -0.7, 0.0])
 @pytest.mark.parametrize("N", range(2, 11))
 def test_mirror_blocks_have_equal_spectra(N, J):
     # the oracle for spectrum_blocks: block N-m repeats the spectrum of block m

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from epchain import cli, dynamics, models, serialize
+from epchain import analysis, cli, dynamics, models, serialize
 
 
 def run(argv):
@@ -193,6 +193,21 @@ def test_evolve_init_parsing(tmp_path, capsys):
               "--gamma", "0.2", "--target", "ghz", "--t-max", "10",
               "--init", "bits:101", "--out", str(tmp_path / "t.csv")])
     assert rc == 0
+    rc = run(["evolve", "--model", "ising", "--n", "3", "--delta", "0.5",
+              "--gamma", "0.2", "--target", "ghz", "--t-max", "10",
+              "--init", "bits:012", "--out", str(tmp_path / "u.csv")])
+    assert rc == 2
+    assert "--init" in capsys.readouterr().err
+    assert not (tmp_path / "u.csv").exists()
+
+
+def test_evolve_steps_below_two_exit_code(tmp_path, capsys):
+    rc = run(["evolve", "--model", "xy", "--n", "6", "--gamma", "1.2",
+              "--target", "w", "--t-max", "10", "--steps", "1",
+              "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert "--steps" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 XY6 = (["--model", "xy", "--n", "6", "--gamma", "1.2", "--target", "w"],
@@ -283,6 +298,18 @@ def test_boundary_cross_validation_agrees(tmp_path):
     exact, pert, numeric = float(row[1]), float(row[2]), float(row[3])
     assert abs(exact - numeric) / numeric < 1e-3
     assert abs(pert - exact) / exact < 0.1
+
+
+def test_boundary_ising_delta_zero_row_is_zero(tmp_path):
+    out = tmp_path / "boundary.csv"
+    rc = run(["boundary", "--model", "ising", "--n", "4",
+              "--x-range", "0:0.5:lin:2", "--out", str(out)])
+    assert rc == 0
+    rows = out.read_text().strip().splitlines()[1:]
+    assert rows[0] == "0,,,0,,0"
+    scan = analysis.numeric_boundary_gamma(
+        models.ModelSpec(models.ModelKind.TRANSVERSE_ISING, N=4), 0.5)
+    assert rows[1] == f"0.5,,,{serialize.fmt(scan)},,0"
 
 
 # ---------------------------------------------------------------------------

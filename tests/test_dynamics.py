@@ -3,6 +3,7 @@ prediction."""
 
 import math
 import os
+from dataclasses import replace
 import subprocess
 import sys
 
@@ -237,6 +238,8 @@ _DENSE_REFERENCE_CASES = [
     ("deep_broken", None, 1e4, 13),
     ("deep_broken", None, 1e4, 2001),
     (ising(6, 0.75, 0.05), "000000", 500.0, 200),
+    (replace(ising(6, 0.75, 0.05), J=0.0), None, 500.0, 2000),
+    (replace(ising(6, 1.0, 1.2), J=0.0), None, 100.0, 2000),
 ]
 
 
@@ -435,6 +438,14 @@ def test_convergence_time_constant_trace():
     state = models.StateVector(models.magnon_basis(6), vec)
     tr = dynamics.evolve_trace(spec, state, state, 10.0, 100)
     assert dynamics.convergence_time(tr) == pytest.approx(tr.times[0])
+
+
+def test_convergence_time_needs_positive_tol():
+    spec = xy(4, gamma=1.2)
+    tr = dynamics.evolve_trace(spec, dynamics.default_initial_state(spec),
+                               models.target_state("w", 4), 10.0, 10)
+    with pytest.raises(ValueError, match="tol"):
+        dynamics.convergence_time(tr, tol=0)
 
 
 def test_convergence_time_ordering_in_gamma():

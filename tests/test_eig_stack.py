@@ -4,6 +4,7 @@ of the single-matrix eigendecomposition the kernel replaced, and the
 node-by-node sweep that called it."""
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,8 +53,7 @@ def reference_grid(template, x_axis, y_axis):
     out = np.empty((len(x_axis.values), len(y_axis.values)))
     for i, x in enumerate(x_axis.values):
         for j, g in enumerate(y_axis.values):
-            spec = analysis._with_params(
-                analysis._with_params(template, x_axis.name, x), "gamma", g)
+            spec = replace(template, **{x_axis.name: float(x), "gamma": float(g)})
             out[i, j] = max(
                 float(np.max(np.abs(reference_eig(h).eigenvalues.imag)))
                 for h in models.spectrum_blocks(spec))
