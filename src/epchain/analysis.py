@@ -352,13 +352,13 @@ def boundary_table(template: ModelSpec, control_values) -> list[tuple]:
     return rows
 
 
-def optimize_gamma(template: ModelSpec, target: StateVector, t_max: float,
-                   n_steps: int = 2000) -> tuple[float, float]:
+def optimize_gamma(template: ModelSpec, target: StateVector,
+                   t_max: float) -> tuple[float, float]:
     """Golden-section maximization of f(t_max) over gamma in (gamma_c, 10 gamma_c].
 
-    Returns (best gamma, fidelity at t_max).  f(t_max) is the end point of the
-    n_steps-step evolution, read by dynamics.final_fidelity from repeated
-    squaring of the step propagator.  The broken region is located with the
+    Returns (best gamma, fidelity at t_max).  f(t_max) is read by
+    dynamics.final_fidelity from one propagator over t_max, so it depends on
+    no step count.  The broken region is located with the
     numeric boundary scan first; NoTransition propagates if there is none,
     or is raised where gamma_c = 0 leaves the bracket empty.
     """
@@ -369,8 +369,7 @@ def optimize_gamma(template: ModelSpec, target: StateVector, t_max: float,
     init = default_initial_state(template)
 
     def fidelity_at(g: float) -> float:
-        return final_fidelity(replace(template, gamma=g), init, target,
-                              t_max, n_steps)
+        return final_fidelity(replace(template, gamma=g), init, target, t_max)
 
     lo, hi = gamma_c * (1 + 1e-9), gamma_c * 10.0
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

@@ -327,9 +327,10 @@ def all_bethe_energies(N: int, V: float, gamma: float) -> list[complex]:
 # ---------------------------------------------------------------------------
 # exact phase boundary, |V| > 2
 
-def _eta(N: int, V, g, sqrt):
-    """(eta+, eta-, F, c) of the exact-boundary condition; sqrt is
-    cmath.sqrt for doubles or mp.sqrt for mpmath reals."""
+def _eta(N: int, V, g):
+    """(eta+, eta-, F, c) of the exact-boundary condition, in mpmath when V
+    is an mpf (mp.sqrt) and in complex doubles otherwise (cmath.sqrt)."""
+    sqrt = mp.sqrt if isinstance(V, mp.mpf) else cmath.sqrt
     ep = 1 + V ** 2 + g ** 2
     em = 1 - V ** 2 - g ** 2
     F = V * (2 * N * ep + em) / (4 * N * (ep - 1))
@@ -341,7 +342,7 @@ def _eta(N: int, V, g, sqrt):
 
 def eta_factors(N: int, V: float, gamma: float) -> EtaFactors:
     """eta+-, the closed-form cosh(kappa) at the bound EP, and its prefactor."""
-    ep, em, F, c = _eta(N, V, gamma, cmath.sqrt)
+    ep, em, F, c = _eta(N, V, gamma)
     return EtaFactors(eta_plus=ep, eta_minus=em, c=c, F_factor=F)
 
 
@@ -351,7 +352,7 @@ def _boundary_log_residual(N: int, V, g):
     Returns an mpc when the closed-form cosh(kappa) leaves the real branch
     (no bound EP at this gamma).
     """
-    ep, em, _, c = _eta(N, V, g, mp.sqrt)
+    ep, em, _, c = _eta(N, V, g)
     s = mp.sqrt(c ** 2 - 1)
     num = ep * c - 2 * V - em * s
     den = ep * c - 2 * V + em * s

@@ -183,8 +183,8 @@ def cmd_evolve(args) -> int:
                           args.target, spec.N)
     init = (_parse_init(args.init, spec) if args.init
             else dynamics.default_initial_state(spec))
-    if not args.t_max > 0:  # NaN too
-        raise ConfigError("--t-max must be positive")
+    if not 0 < args.t_max < np.inf:  # NaN too
+        raise ConfigError("--t-max must be positive and finite")
     if args.steps < 2:
         raise ConfigError("--steps must be >= 2")
     if not args.tol > 0:
@@ -271,8 +271,7 @@ def _trace_figure(prefix: str, params: dict, out_dir: str):
         spec = _figure_spec(kind, params, n, **{control: c})
         target = models.target_state(target_name, n)
         if gamma is None:
-            gamma, _ = analysis.optimize_gamma(spec, target, t_max,
-                                               params["steps"])
+            gamma, _ = analysis.optimize_gamma(spec, target, t_max)
             label = f"N{n}_{control}{c}"
             params["optimized_gammas"][label] = gamma
         else:

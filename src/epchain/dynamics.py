@@ -4,13 +4,15 @@ The evolved state is renormalized every step (the accumulated log-norm keeps
 the physical growth information without overflow); fidelity against a fixed
 target is sampled at each step.  In the broken phase the trace converges to
 the fidelity of the right eigenvector with the largest imaginary eigenvalue
-part.  When only the end point is needed, final_fidelity applies the same
-step propagator n_steps times by repeated squaring, in about log2(n_steps)
-matrix products instead of n_steps matrix-vector steps.
+part.  When only the end point is needed, final_fidelity applies one
+propagator over the whole of t_max, so it needs no step count.  Both read
+linalg.scaled_propagator, which returns exp(-i H dt) as 2^e u with u
+renormalized inside its squarings: the state never overflows, and e ln 2 goes
+into the log-norm.
 
 Both run in the symmetry blocks of models.hamiltonian_blocks, through one
 core: the blocks are zero-padded to one (k, d, d) stack, exponentiated in one
-linalg.propagator call, and every product advances the whole stack of step
+linalg.scaled_propagator call, and every product advances the whole stack of
 propagators at once; the states are their block coordinates
 (models.block_coordinates), and norms and overlaps are taken over the whole
 stack.  On the Ising ring these are its N momentum blocks, so no 2^N x 2^N
@@ -76,29 +78,27 @@ def default_initial_state(spec: ModelSpec) -> StateVector:
 
 
 def _block_setup(spec: ModelSpec, init: StateVector, target: StateVector,
-                 t_max: float, n_steps: int):
-    """Validated (dt, u, psi, tgt) in the symmetry blocks of spec.
+                 t_max: float, dt: float):
+    """Validated (u, e, psi, tgt) in the symmetry blocks of spec.
 
     The k blocks of models.hamiltonian_blocks are zero-padded to the largest
-    block dimension d, and u, the (k, d, d) stack of their step propagators,
-    is one linalg.propagator call.  psi and tgt are the (k, d, 1) block
-    coordinates of init and target, each normalized over the whole stack.
-    The padding is exact: the exponential of a zero-padded block is its own
-    exponential beside the identity on the padded coordinates, which couples
-    to nothing, so the padded amplitudes stay exactly zero.
+    block dimension d, and 2^e u, the (k, d, d) stack of their propagators
+    over dt, is one linalg.scaled_propagator call.  psi and tgt are the
+    (k, d, 1) block coordinates of init and target, each normalized over the
+    whole stack.  The padding is exact: the exponential of a zero-padded
+    block is its own exponential beside the identity on the padded
+    coordinates, which couples to nothing, so the padded amplitudes stay
+    exactly zero.
     """
-    if n_steps < 2:
-        raise ValueError("n_steps must be >= 2")
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not 0 < t_max < math.inf:
+        raise ValueError("t_max must be positive and finite")
     check_basis(spec, init, target)
-    dt = t_max / n_steps
     blocks = hamiltonian_blocks(spec)
     d = max(len(h) for h in blocks)
     h = np.zeros((len(blocks), d, d), dtype=complex)
     for b, block in enumerate(blocks):
         h[b, :len(block), :len(block)] = block
-    u = linalg.propagator(h, dt)
+    u, e = linalg.scaled_propagator(h, dt)
 
     def stacked(state: StateVector) -> np.ndarray:
         x = np.zeros((len(blocks), d, 1), dtype=complex)
@@ -106,30 +106,16 @@ def _block_setup(spec: ModelSpec, init: StateVector, target: StateVector,
             x[b, :len(c), 0] = c
         return x / np.linalg.norm(x)
 
-    return dt, u, stacked(init), stacked(target)
+    return u, e, stacked(init), stacked(target)
 
 
-def _normalized_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """(a @ b / ||a @ b||, ln ||a @ b||), the norm taken over the whole stack.
-
-    Only where the plain product or its norm is not finite, a, b and then
-    their product are divided by their largest |entry| and the logs added
-    back, so a finite norm is never lost to overflow.  NonConvergence if
-    the product vanishes.  Call under np.errstate(over="ignore",
-    invalid="ignore").
-    """
-    x = a @ b
+def _normalized(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """(x / ||x||, ln ||x||), the norm taken over the whole stack;
+    NonConvergence if x vanishes."""
     norm = np.linalg.norm(x)
-    if 0.0 < norm < math.inf:
-        return x / norm, math.log(norm)
-    scales = [float(np.max(np.abs(m))) for m in (a, b)]
-    x = (a / scales[0]) @ (b / scales[1])
-    scales.append(float(np.max(np.abs(x))))
-    if scales[-1] == 0.0:
-        raise NonConvergence("the propagated state vanishes; use more steps")
-    x = x / scales[-1]
-    norm = np.linalg.norm(x)
-    return x / norm, sum(map(math.log, scales)) + math.log(norm)
+    if norm == 0.0:
+        raise NonConvergence("the propagated state vanishes")
+    return x / norm, math.log(norm)
 
 
 def evolve_trace(spec: ModelSpec, init: StateVector, target: StateVector,
@@ -139,45 +125,37 @@ def evolve_trace(spec: ModelSpec, init: StateVector, target: StateVector,
 
     Uses the Pade propagator for one fixed step reused across the run
     (robust arbitrarily close to exceptional points), one batched product
-    over the blocks per step.  NonConvergence when a block's step
-    propagator overflows.
+    over the blocks per step; its scale 2^e goes into the log-norm.
     """
-    dt, u, psi, tgt = _block_setup(spec, init, target, t_max, n_steps)
+    if n_steps < 2:
+        raise ValueError("n_steps must be >= 2")
+    dt = t_max / n_steps
+    u, e, psi, tgt = _block_setup(spec, init, target, t_max, dt)
+    log_scale = e * math.log(2.0)
     times = np.empty(n_steps)
     fidelities = np.empty(n_steps)
     log_norms = np.empty(n_steps)
     log_norm = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # see _normalized_product
-        for i in range(n_steps):
-            psi, log_step = _normalized_product(u, psi)
-            log_norm += log_step
-            times[i] = (i + 1) * dt
-            fidelities[i] = min(abs(np.vdot(tgt, psi)), 1.0)
-            log_norms[i] = log_norm
+    for i in range(n_steps):
+        psi, log_step = _normalized(u @ psi)
+        log_norm += log_step + log_scale
+        times[i] = (i + 1) * dt
+        fidelities[i] = min(abs(np.vdot(tgt, psi)), 1.0)
+        log_norms[i] = log_norm
     return EvolutionTrace(times=times, fidelities=fidelities,
                           log_norms=log_norms, target_name=target_name, spec=spec)
 
 
 def final_fidelity(spec: ModelSpec, init: StateVector, target: StateVector,
-                   t_max: float, n_steps: int) -> float:
-    """evolve_trace(...).fidelities[-1] without the intermediate samples.
+                   t_max: float) -> float:
+    """The fidelity at t_max alone: one propagator over t_max applied to init.
 
-    The same step propagators are applied n_steps times by square-and-multiply.
-    The state is renormalized after each multiply and the running power of
-    the propagators after each squaring; both factors cancel in the
-    normalized fidelity, so deep in the broken phase (growth e^{sigma t_max})
-    nothing overflows unless a block's step propagator itself does: then
-    NonConvergence.
+    Its scale 2^e cancels in the normalized fidelity, so deep in the broken
+    phase (growth e^{sigma t_max}) nothing overflows.  It agrees with
+    evolve_trace(...).fidelities[-1] at any step count to roundoff.
     """
-    _, u, psi, tgt = _block_setup(spec, init, target, t_max, n_steps)
-    n = n_steps
-    with np.errstate(over="ignore", invalid="ignore"):  # see _normalized_product
-        while n:
-            if n & 1:
-                psi, _ = _normalized_product(u, psi)
-            n >>= 1
-            if n:
-                u, _ = _normalized_product(u, u)
+    u, _, psi, tgt = _block_setup(spec, init, target, t_max, t_max)
+    psi, _ = _normalized(u @ psi)
     return float(min(abs(np.vdot(tgt, psi)), 1.0))
 
 

@@ -1,13 +1,14 @@
 """Dense complex linear algebra kernel, on numpy alone.
 
 General (non-Hermitian) eigendecomposition with residual verification,
-biorthogonal inner products, and the step propagator exp(-i H dt) by
-scaling and squaring of the degree-13 Pade approximant (Higham, SIAM J.
-Matrix Anal. Appl. 26, 1179, 2005).  One eigen kernel serves a single
-matrix (eig) and a stack of them (eigvals_stack, one LAPACK call for a sweep
-row); the propagator likewise takes one matrix or a stack, with one linear
-solve for the whole stack.  All functions are pure; nothing here mutates
-its inputs.
+biorthogonal inner products, and the propagator exp(-i H dt) by scaling
+and squaring of the degree-13 Pade approximant (Higham, SIAM J. Matrix Anal.
+Appl. 26, 1179, 2005).  One eigen kernel serves a single matrix (eig) and a
+stack of them (eigvals_stack, one LAPACK call for a sweep row); the
+propagator likewise takes one matrix or a stack, with one linear solve for
+the whole stack, and returns it as 2^e u with u renormalized after every
+squaring, so no growth overflows it.  All functions are pure; nothing here
+mutates its inputs.
 """
 
 from __future__ import annotations
@@ -160,33 +161,38 @@ _PADE13_SUMS = np.array([(0.0, *_PADE13[9::2]), _PADE13[1:9:2],
                          (0.0, *_PADE13[8::2]), _PADE13[0:8:2]], dtype=complex)
 
 
-def propagator(m, dt: float) -> np.ndarray:
-    """exp(-i m dt) of a (d, d) matrix or of each matrix of a (k, d, d) stack.
+def scaled_propagator(m, dt: float) -> tuple[np.ndarray, int]:
+    """(u, e) with exp(-i m dt) = 2^e u, of a (d, d) matrix or of each
+    matrix of a (k, d, d) stack.
 
     Scaling and squaring of r_13: the stack shares one scaling 2^-s, set by
     its largest 1-norm, so the whole stack takes six matrix products, one
-    batched solve and s squarings.  NonConvergence when it overflows
-    (max Im(eps) dt beyond about 700).
+    batched solve and s squarings.  After each squaring the stack is divided
+    by the power of two of its largest |entry|, which is exact, so u never
+    overflows whatever the growth e^{max Im(eps) dt}; with s = 0, u is r_13
+    itself and e = 0.  NonConvergence when -i m dt is not finite.
     """
     a = as_matrix(m, ndims=(2, 3))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         x = -1j * dt * a
         norm = float(np.abs(x).sum(axis=-2).max())
-        if math.isfinite(norm):  # else x already overflows
-            s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
-            x *= 2.0 ** -s
-            powers = np.empty((4,) + x.shape, dtype=complex)
-            powers[0] = np.eye(x.shape[-1])
-            np.matmul(x, x, out=powers[1])
-            np.matmul(powers[1], powers[1], out=powers[2])
-            np.matmul(powers[2], powers[1], out=powers[3])
-            w1, w2, z1, z2 = (_PADE13_SUMS @ powers.reshape(4, -1)).reshape(powers.shape)
-            u = x @ (powers[3] @ w1 + w2)
-            v = powers[3] @ z1 + z2
-            x = np.linalg.solve(v - u, v + u)
-            for _ in range(s):
-                x = x @ x
-    if not np.isfinite(x).all():
-        raise NonConvergence(
-            f"exp(-i H dt) overflows at dt={dt:.6g}; use a smaller step")
-    return x
+    if not math.isfinite(norm):  # an inf or NaN entry, or an overflowing sum
+        raise NonConvergence(f"-i H dt is not finite at dt={dt:.6g}")
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    x *= 2.0 ** -s
+    powers = np.empty((4,) + x.shape, dtype=complex)
+    powers[0] = np.eye(x.shape[-1])
+    np.matmul(x, x, out=powers[1])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1], out=powers[3])
+    w1, w2, z1, z2 = (_PADE13_SUMS @ powers.reshape(4, -1)).reshape(powers.shape)
+    u = x @ (powers[3] @ w1 + w2)
+    v = powers[3] @ z1 + z2
+    x = np.linalg.solve(v - u, v + u)
+    e = 0
+    for _ in range(s):
+        x = x @ x
+        k = math.frexp(float(np.abs(x).max()))[1]
+        x *= 2.0 ** -k
+        e = 2 * e + k
+    return x, e

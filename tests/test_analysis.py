@@ -576,9 +576,9 @@ def test_optimize_gamma_delta_zero_has_no_bracket():
         analysis.optimize_gamma(ising(4), models.target_state("ghz", 4), 10.0)
 
 
-def _reference_stepped_fidelity(spec, init, target, t_max, n_steps):
-    """The optimizer's former f(t_max): the last sample of a stepped trace."""
-    return dynamics.evolve_trace(spec, init, target, t_max, n_steps).fidelities[-1]
+def _reference_stepped_fidelity(spec, init, target, t_max):
+    """The optimizer's former f(t_max): the last sample of a 2000-step trace."""
+    return dynamics.evolve_trace(spec, init, target, t_max, 2000).fidelities[-1]
 
 
 @pytest.mark.parametrize("template, target, t_max", [

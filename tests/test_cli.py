@@ -253,9 +253,10 @@ def test_evolve_bad_init_exits_before_evolving(tmp_path, capsys, model, init):
                                          (["--tol", "0"], "--tol"),
                                          (["--tol=-1e-3"], "--tol"),
                                          (["--tol", "nan"], "--tol"),
-                                         (["--t-max", "nan"], "--t-max")],
+                                         (["--t-max", "nan"], "--t-max"),
+                                         (["--t-max", "inf"], "--t-max")],
                          ids=["init-site-abc", "tol-zero", "tol-negative",
-                              "tol-nan", "t-max-nan"])
+                              "tol-nan", "t-max-nan", "t-max-inf"])
 def test_evolve_bad_flag_exits_before_evolving(tmp_path, capsys, flags, flag):
     out = tmp_path / "t.csv"
     rc = run(["evolve", "--model", "xy", "--n", "6", "--gamma", "1.2",
@@ -266,14 +267,18 @@ def test_evolve_bad_flag_exits_before_evolving(tmp_path, capsys, flags, flag):
 
 
 def test_evolve_overflowing_step_exit_code(tmp_path, capsys):
-    # gamma ~ 10 gamma_c, dt = 5e3: exp(-i H dt) overflows
-    out = tmp_path / "t.csv"
-    rc = run(["evolve", "--model", "ising", "--n", "6", "--delta", "0.75",
-              "--gamma", "0.0604", "--target", "ghz", "--t-max", "1e4",
-              "--steps", "2", "--out", str(out)])
-    assert rc == 3
-    assert capsys.readouterr().err.startswith("numeric failure:")
-    assert not out.exists()
+    # gamma ~ 10 gamma_c, dt = 5e3: exp(-i H dt) is beyond double range, yet
+    # the 2-step run succeeds and ends where the 2000-step run ends
+    ends = []
+    for steps in ("2", "2000"):
+        out = tmp_path / f"t{steps}.csv"
+        rc = run(["evolve", "--model", "ising", "--n", "6", "--delta", "0.75",
+                  "--gamma", "0.0604", "--target", "ghz", "--t-max", "1e4",
+                  "--steps", steps, "--out", str(out)])
+        assert rc == 0
+        ends.append(float(out.read_text().splitlines()[-1].split(",")[1]))
+    assert capsys.readouterr().err == ""
+    assert abs(ends[0] - ends[1]) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -346,20 +351,6 @@ def test_reproduce_fig3_outputs(tmp_path):
     assert all(g > 0 for g in params["optimized_gammas"].values())
     # the figure table itself is left as it was
     assert "optimized_gammas" not in cli.FIGURES[3][1]
-
-
-def test_trace_figure_optimizes_with_the_table_step_count(tmp_path, monkeypatch):
-    seen = []
-
-    def optimize_gamma(spec, target, t_max, n_steps=2000):
-        seen.append(n_steps)
-        return 1.5, 0.5
-
-    monkeypatch.setattr(cli.analysis, "optimize_gamma", optimize_gamma)
-    params = {"runs": [{"N": 4, "V": 0.0, "t_max": 1.0}], "steps": 7,
-              "target": "w", "gamma": "optimized"}
-    cli._trace_figure("fig", params, str(tmp_path))
-    assert seen == [7]
 
 
 def test_every_csv_table_is_rectangular(tmp_path):

@@ -76,10 +76,12 @@ def test_renormalization_invariance():
     tr = dynamics.evolve_trace(spec, init, target, 8.0, 40)
     tgt = target.amplitudes
     for t, f, ln in zip(tr.times[::7], tr.fidelities[::7], tr.log_norms[::7]):
-        raw = linalg.propagator(h, t) @ init.amplitudes
+        u, e = linalg.scaled_propagator(h, t)
+        raw = u @ init.amplitudes
         raw_f = abs(np.vdot(tgt, raw / np.linalg.norm(raw)))
         assert f == pytest.approx(raw_f, abs=1e-10)
-        assert ln == pytest.approx(math.log(np.linalg.norm(raw)), abs=1e-8)
+        assert ln == pytest.approx(e * math.log(2.0)
+                                   + math.log(np.linalg.norm(raw)), abs=1e-8)
 
 
 def test_evolve_trace_validation():
@@ -95,7 +97,7 @@ def test_evolve_trace_validation():
 
 
 # ---------------------------------------------------------------------------
-# final_fidelity: the stepped trace's end point by repeated squaring
+# final_fidelity: the stepped trace's end point from one propagator over t_max
 
 def _ghz_deep_broken():
     from epchain import analysis
@@ -123,7 +125,7 @@ def test_final_fidelity_matches_stepped_end_point(case, n_steps):
     spec, target, t_max = _END_POINT_CASES[case]
     init = dynamics.default_initial_state(spec)
     stepped = dynamics.evolve_trace(spec, init, target, t_max, n_steps)
-    f = dynamics.final_fidelity(spec, init, target, t_max, n_steps)
+    f = dynamics.final_fidelity(spec, init, target, t_max)
     assert abs(f - stepped.fidelities[-1]) < 1e-10
 
 
@@ -134,7 +136,7 @@ def test_final_fidelity_deep_broken_ghz_is_finite(n_steps):
     spec = _ghz_deep_broken()
     target = models.target_state("ghz", 6)
     init = dynamics.default_initial_state(spec)
-    f = dynamics.final_fidelity(spec, init, target, 1e4, n_steps)
+    f = dynamics.final_fidelity(spec, init, target, 1e4)
     stepped = dynamics.evolve_trace(spec, init, target, 1e4, n_steps)
     assert math.isfinite(f)
     assert stepped.log_norms[-1] > 1e3
@@ -143,24 +145,40 @@ def test_final_fidelity_deep_broken_ghz_is_finite(n_steps):
 
 @pytest.mark.parametrize("n_steps", [2, 3])
 def test_deep_broken_ghz_overflowing_step_raises(n_steps):
-    # sigma * dt passes ~700: the step propagator itself overflows, which
-    # must raise instead of yielding NaN fidelities
+    # sigma * dt passes ~700, so exp(-i H dt) itself is beyond double range:
+    # its scaled form 2^e u still steps to the fine trace's end point
     spec = _ghz_deep_broken()
     target = models.target_state("ghz", 6)
     init = dynamics.default_initial_state(spec)
-    with pytest.raises(NonConvergence):
-        dynamics.final_fidelity(spec, init, target, 1e4, n_steps)
-    with pytest.raises(NonConvergence):
-        dynamics.evolve_trace(spec, init, target, 1e4, n_steps)
+    fine = dynamics.evolve_trace(spec, init, target, 1e4, 2000)
+    coarse = dynamics.evolve_trace(spec, init, target, 1e4, n_steps)
+    assert abs(coarse.fidelities[-1] - fine.fidelities[-1]) < 1e-10
+    assert coarse.log_norms[-1] == pytest.approx(fine.log_norms[-1], rel=1e-10)
+    f = dynamics.final_fidelity(spec, init, target, 1e4)
+    assert abs(f - fine.fidelities[-1]) < 1e-10
+
+
+def test_scaled_propagator_deep_broken_long_step():
+    # dt = 5e3 on the deep-broken ring: exp(-i H dt) grows far beyond
+    # 2^1024, its scaled form stays finite, and squaring the half step
+    # gives the same 2^e u
+    h = models.build_hamiltonian(_ghz_deep_broken())
+    u, e = linalg.scaled_propagator(h, 5e3)
+    assert np.all(np.isfinite(u))
+    assert 0.5 <= np.max(np.abs(u)) < 1.0
+    assert e > 1024
+    half, e_half = linalg.scaled_propagator(h, 2.5e3)
+    assert np.linalg.norm(2.0 ** (2 * e_half - e) * (half @ half) - u) \
+        <= 1e-10 * np.linalg.norm(u)
 
 
 @pytest.mark.parametrize("n_steps", range(5, 14))
 def test_final_fidelity_overflowing_power_is_finite(n_steps):
-    # the step propagator is finite, the first plain squaring of it is not
+    # the plain step propagator is finite, its first plain squaring is not
     spec = _ghz_deep_broken()
     target = models.target_state("ghz", 6)
     init = dynamics.default_initial_state(spec)
-    f = dynamics.final_fidelity(spec, init, target, 1e4, n_steps)
+    f = dynamics.final_fidelity(spec, init, target, 1e4)
     stepped = dynamics.evolve_trace(spec, init, target, 1e4, n_steps)
     assert math.isfinite(f)
     assert abs(f - stepped.fidelities[-1]) < 1e-10
@@ -174,10 +192,12 @@ def test_evolve_trace_overflowing_state_norm_is_finite(n_steps):
     init = dynamics.default_initial_state(spec)
     trace = dynamics.evolve_trace(spec, init, models.target_state("ghz", 6),
                                   1e4, n_steps)
-    raw = linalg.propagator(models.build_hamiltonian(spec),
-                            1e4 / n_steps) @ init.amplitudes
+    u, e = linalg.scaled_propagator(models.build_hamiltonian(spec),
+                                    1e4 / n_steps)
+    raw = u @ init.amplitudes
     scale = np.max(np.abs(raw))
-    expected = math.log(scale) + math.log(np.linalg.norm(raw / scale))
+    expected = (e * math.log(2.0) + math.log(scale)
+                + math.log(np.linalg.norm(raw / scale)))
     assert expected > math.log(np.sqrt(np.finfo(float).max))
     assert trace.log_norms[0] == pytest.approx(expected, rel=1e-12)
 
@@ -186,11 +206,12 @@ def test_vanishing_product_raises():
     a = np.array([[[1.0, 0.0], [0.0, 0.0]]], dtype=complex)
     b = np.array([[[0.0], [1.0]]], dtype=complex)
     with pytest.raises(NonConvergence, match="vanishes"):
-        dynamics._normalized_product(a, b)
+        dynamics._normalized(a @ b)
 
 
 def test_evolve_cli_overflowing_step_exits_3(tmp_path, capsys):
-    # n_steps = 2: the step propagator itself overflows
+    # n_steps = 2: the plain step propagator would overflow; the run
+    # succeeds and ends where the 2000-step trace ends
     from epchain import cli
 
     spec = _ghz_deep_broken()
@@ -198,18 +219,24 @@ def test_evolve_cli_overflowing_step_exits_3(tmp_path, capsys):
                    "--gamma", repr(spec.gamma), "--target", "ghz",
                    "--t-max", "1e4", "--steps", "2",
                    "--out", str(tmp_path / "t.csv")])
-    assert rc == 3
-    assert "exp(-i H dt) overflows" in capsys.readouterr().err
-    assert not (tmp_path / "t.csv").exists()
+    assert rc == 0
+    capsys.readouterr()
+    rows = (tmp_path / "t.csv").read_text().splitlines()
+    assert len(rows) == 3
+    fine = dynamics.evolve_trace(spec, dynamics.default_initial_state(spec),
+                                 models.target_state("ghz", 6), 1e4, 2000)
+    assert abs(float(rows[-1].split(",")[1]) - fine.fidelities[-1]) < 1e-10
 
 
 # ---------------------------------------------------------------------------
 # the block core against plain dense stepping of the whole matrix
 
 def _dense_stepped(spec, init, target, t_max, n_steps):
-    """(fidelities, log_norms) of the whole matrix's step propagator applied
-    n_steps times, the state rescaled by its largest entry before each norm."""
-    u = linalg.propagator(models.build_hamiltonian(spec), t_max / n_steps)
+    """(fidelities, log_norms) of the whole matrix's step propagator 2^e u
+    applied n_steps times, the state rescaled by its largest entry before
+    each norm."""
+    u, e = linalg.scaled_propagator(models.build_hamiltonian(spec),
+                                    t_max / n_steps)
     psi = init.amplitudes / np.linalg.norm(init.amplitudes)
     tgt = target.amplitudes / np.linalg.norm(target.amplitudes)
     fidelities, log_norms, log_norm = [], [], 0.0
@@ -217,7 +244,7 @@ def _dense_stepped(spec, init, target, t_max, n_steps):
         psi = u @ psi
         scale = np.max(np.abs(psi))
         norm = np.linalg.norm(psi / scale)
-        log_norm += math.log(scale) + math.log(norm)
+        log_norm += e * math.log(2.0) + math.log(scale) + math.log(norm)
         psi = psi / scale / norm
         fidelities.append(min(abs(np.vdot(tgt, psi)), 1.0))
         log_norms.append(log_norm)
@@ -252,7 +279,7 @@ def test_block_dynamics_match_dense_stepping(spec, bits, t_max, n_steps):
             else dynamics.default_initial_state(spec))
     fidelities, log_norms = _dense_stepped(spec, init, target, t_max, n_steps)
     trace = dynamics.evolve_trace(spec, init, target, t_max, n_steps)
-    f = dynamics.final_fidelity(spec, init, target, t_max, n_steps)
+    f = dynamics.final_fidelity(spec, init, target, t_max)
     assert np.max(np.abs(trace.fidelities - fidelities)) <= 1e-12
     assert abs(f - fidelities[-1]) <= 1e-12
     assert np.all(np.abs(trace.log_norms - log_norms)
@@ -265,7 +292,7 @@ spec = models.ModelSpec(models.ModelKind.TRANSVERSE_ISING, N=8, Delta=0.5,
                         gamma=0.0010610238509671517)
 init = dynamics.default_initial_state(spec)
 target = models.target_state("ghz", 8)
-print(dynamics.final_fidelity(spec, init, target, 2e5, 2000).hex())
+print(dynamics.final_fidelity(spec, init, target, 2e5).hex())
 print(serialize.trace_to_csv(dynamics.evolve_trace(spec, init, target, 2e5, 50)))
 """
 
@@ -291,13 +318,22 @@ def test_final_fidelity_validation():
     target = models.target_state("w", 4)
     for t_max in (-1.0, 0.0):
         with pytest.raises(ValueError):
-            dynamics.final_fidelity(spec, init, target, t_max, 100)
-    with pytest.raises(ValueError):
-        dynamics.final_fidelity(spec, init, target, 10.0, 1)
+            dynamics.final_fidelity(spec, init, target, t_max)
     with pytest.raises(DimensionMismatch):
-        dynamics.final_fidelity(spec, models.site_state(6, 1), target, 10.0, 100)
+        dynamics.final_fidelity(spec, models.site_state(6, 1), target, 10.0)
     with pytest.raises(DimensionMismatch):
-        dynamics.final_fidelity(spec, init, models.target_state("w", 6), 10.0, 100)
+        dynamics.final_fidelity(spec, init, models.target_state("w", 6), 10.0)
+
+
+@pytest.mark.parametrize("t_max", [math.inf, math.nan])
+def test_nonfinite_t_max_raises(t_max):
+    spec = xy(4, gamma=1.2)
+    init = dynamics.default_initial_state(spec)
+    target = models.target_state("w", 4)
+    with pytest.raises(ValueError, match="finite"):
+        dynamics.evolve_trace(spec, init, target, t_max, 100)
+    with pytest.raises(ValueError, match="finite"):
+        dynamics.final_fidelity(spec, init, target, t_max)
 
 
 def test_default_initial_state_embeddings():
@@ -364,10 +400,14 @@ FOREIGN_STATES = {
 def test_dynamics_reject_a_state_of_the_other_space(case):
     spec, own, foreign = FOREIGN_STATES[case]
     assert foreign.basis.dim == own.basis.dim
-    for fn in (dynamics.evolve_trace, dynamics.final_fidelity):
+    runs = (lambda init, target: dynamics.evolve_trace(spec, init, target,
+                                                       10.0, 100),
+            lambda init, target: dynamics.final_fidelity(spec, init, target,
+                                                         10.0))
+    for run in runs:
         for init, target in ((foreign, own), (own, foreign)):
             with pytest.raises(DimensionMismatch):
-                fn(spec, init, target, 10.0, 100)
+                run(init, target)
     with pytest.raises(DimensionMismatch):
         dynamics.steady_fidelity(spec, foreign)
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epchain import linalg, models
-from epchain.errors import DimensionMismatch
+from epchain.errors import DimensionMismatch, NonConvergence
 from epchain.models import IsingBoundary, ModelKind, ModelSpec
 
 
@@ -129,15 +129,21 @@ def test_overlap_dimension_mismatch():
 # ---------------------------------------------------------------------------
 # propagator
 
+def _expm(m, dt):
+    """exp(-i m dt) rebuilt from scaled_propagator's (u, e) as 2^e u."""
+    u, e = linalg.scaled_propagator(m, dt)
+    return 2.0 ** e * u
+
+
 def test_propagator_zero_matrix_identity():
     psi = np.array([1.0, 2.0j, -0.5])
-    out = linalg.propagator(np.zeros((3, 3)), 2.7) @ psi
+    out = _expm(np.zeros((3, 3)), 2.7) @ psi
     assert np.allclose(out, psi, atol=1e-14)
 
 
 def test_propagator_scalar_growth():
     gamma, t = 0.8, 1.5
-    out = linalg.propagator(np.array([[1j * gamma]]), t) @ np.array([1.0])
+    out = _expm(np.array([[1j * gamma]]), t) @ np.array([1.0])
     assert abs(out[0]) == pytest.approx(math.exp(gamma * t), rel=1e-12)
 
 
@@ -147,7 +153,7 @@ def test_propagator_backends_agree_away_from_ep():
     h = models.build_h_w(6, 1.2)
     vals, vecs = np.linalg.eig(h)
     step_s = np.linalg.solve(vecs.T, (vecs * np.exp(-0.1j * vals)).T).T
-    step_p = linalg.propagator(h, 0.1)
+    step_p = _expm(h, 0.1)
     psi_p = models.site_state(6, 1).amplitudes.copy()
     psi_s = psi_p.copy()
     for _ in range(200):
@@ -159,13 +165,13 @@ def test_propagator_backends_agree_away_from_ep():
 def test_propagator_spectral_defective_matrix():
     # exactly defective 2x2 Jordan block, where eigen synthesis has no basis
     jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
-    out = linalg.propagator(jordan, 0.1) @ np.array([1.0, 0.0])
+    out = _expm(jordan, 0.1) @ np.array([1.0, 0.0])
     assert np.all(np.isfinite(out))
 
 
 def test_propagator_pade_finite_at_physical_ep():
     h = models.build_h_w(6, 1.0)  # exceptional point of the V=0 chain
-    out = linalg.propagator(h, 0.1) @ models.site_state(6, 1).amplitudes
+    out = _expm(h, 0.1) @ models.site_state(6, 1).amplitudes
     assert np.all(np.isfinite(out))
 
 
@@ -174,8 +180,8 @@ def test_propagator_pade_finite_at_physical_ep():
 def test_propagator_composition(a, b):
     h = h_eq(4, 1.5, 0.6)
     psi = models.site_state(4, 2).amplitudes
-    once = linalg.propagator(h, a + b) @ psi
-    twice = linalg.propagator(h, b) @ (linalg.propagator(h, a) @ psi)
+    once = _expm(h, a + b) @ psi
+    twice = _expm(h, b) @ (_expm(h, a) @ psi)
     assert np.linalg.norm(once - twice) <= 1e-8 * (1 + np.linalg.norm(once))
 
 
@@ -184,7 +190,7 @@ def test_hermitian_limit_real_spectrum_and_norm():
     spec = linalg.eig(h)
     assert np.max(np.abs(spec.eigenvalues.imag)) <= 1e-10
     psi = models.site_state(6, 3).amplitudes
-    out = linalg.propagator(h, 5.0) @ psi
+    out = _expm(h, 5.0) @ psi
     assert abs(np.linalg.norm(out) - 1.0) < 1e-8
 
 
@@ -213,7 +219,7 @@ _MODEL_STEPS = {
 def test_propagator_matches_scipy_on_model_blocks(model, N):
     kind, values, dt = _MODEL_STEPS[model]
     for h in models.hamiltonian_blocks(ModelSpec(kind, N=N, **values)):
-        assert _rel(linalg.propagator(h, dt),
+        assert _rel(_expm(h, dt),
                     scipy.linalg.expm(-1j * dt * h)) <= 1e-12
 
 
@@ -228,7 +234,7 @@ def test_propagator_matches_scipy_on_random_generators(norm1):
         dt = norm1 / np.linalg.norm(h, 1)
         ref = scipy.linalg.expm(-1j * dt * h)
         assert np.all(np.isfinite(ref))
-        assert _rel(linalg.propagator(h, dt), ref) <= 1e-12
+        assert _rel(_expm(h, dt), ref) <= 1e-12
 
 
 # fig3's runs at their optimized gamma: (N, V, gamma*, dt = t_max / 2000)
@@ -243,7 +249,7 @@ def test_propagator_matches_mpmath_at_fig3_steps(N, V, gamma, dt):
     with mpmath.workdps(50):
         ref = mpmath.expm(mpmath.matrix((-1j * dt * h).tolist()))
         ref = np.array(ref.tolist(), dtype=complex)
-    assert _rel(linalg.propagator(h, dt), ref) <= 1e-12
+    assert _rel(_expm(h, dt), ref) <= 1e-12
 
 
 @pytest.mark.parametrize("N, dt", [(6, 5.0), (8, 100.0)])
@@ -256,10 +262,10 @@ def test_propagator_stack_matches_single_calls(N, dt):
     stack = np.zeros((len(blocks), d, d), dtype=complex)
     for b, h in enumerate(blocks):
         stack[b, :len(h), :len(h)] = h
-    u = linalg.propagator(stack, dt)
+    u = _expm(stack, dt)
     for b, h in enumerate(blocks):
         n = len(h)
-        assert _rel(u[b, :n, :n], linalg.propagator(h, dt)) <= 1e-13
+        assert _rel(u[b, :n, :n], _expm(h, dt)) <= 1e-13
         # the padding couples to nothing, so padded amplitudes stay exactly 0;
         # its own exponential is the identity up to the squarings' roundoff
         assert not u[b, :n, n:].any() and not u[b, n:, :n].any()
@@ -269,8 +275,15 @@ def test_propagator_stack_matches_single_calls(N, dt):
 def test_propagator_rejects_nonsquare_and_nonfinite_stacks():
     for shape in [(2, 3, 4), (0, 3, 3), (2, 2, 2, 2), (3,)]:
         with pytest.raises(DimensionMismatch):
-            linalg.propagator(np.ones(shape), 1.0)
+            linalg.scaled_propagator(np.ones(shape), 1.0)
     stack = np.zeros((2, 3, 3))
     stack[1, 0, 2] = np.inf
     with pytest.raises(ValueError):
-        linalg.propagator(stack, 1.0)
+        linalg.scaled_propagator(stack, 1.0)
+
+
+@pytest.mark.parametrize("dt", [math.inf, math.nan, 1e308])
+def test_scaled_propagator_nonfinite_generator_raises(dt):
+    # -i m dt is not finite: infinite, NaN, or overflowing the product
+    with pytest.raises(NonConvergence, match="not finite"):
+        linalg.scaled_propagator(np.array([[0.0, 10.0], [10.0, 0.0]]), dt)
