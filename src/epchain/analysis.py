@@ -153,6 +153,8 @@ def _sweep_workers() -> int:
         except ValueError:
             raise ConfigError(
                 f"EPCHAIN_THREADS must be an integer, got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -4,12 +4,15 @@ Subcommands: spectrum, phase-diagram, evolve, boundary, reproduce.  Output
 is CSV or JSON (plus optional static SVG plots); identical invocations
 produce byte-identical files.  Exit codes: 0 success, 2 configuration
 error, 3 numeric failure, 4 validation mismatch between the exact and
-numeric phase boundaries.
+numeric phase boundaries.  A command runs with numpy's BLAS on one thread
+(linalg.one_blas_thread), so its output does not depend on the BLAS thread
+count; the sweep's thread pool is its only parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -338,7 +341,9 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--boundary", choices=["periodic", "open"], default="periodic")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The epchain argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="epchain",
         description="Exceptional-point spectra, phase diagrams and "
@@ -392,10 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with linalg.one_blas_thread():
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,11 +8,15 @@ stack of them (eigvals_stack, one LAPACK call for a sweep row); the
 propagator likewise takes one matrix or a stack, with one linear solve for
 the whole stack, and returns it as 2^e u with u renormalized after every
 squaring, so no growth overflows it.  All functions are pure; nothing here
-mutates its inputs.
+mutates its inputs.  one_blas_thread pins numpy's OpenBLAS to one thread
+for a block and restores its thread count afterwards.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +37,50 @@ def as_matrix(m, ndims: tuple[int, ...] = (2,)) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
+
+
+# numpy's own OpenBLAS (the scipy-openblas build of numpy >= 2 wheels) names
+# its thread count functions so; dlsym on numpy's LAPACK extension finds them
+# in the library it links
+_BLAS_THREAD_SYMBOLS = ("scipy_openblas_get_num_threads64_",
+                        "scipy_openblas_set_num_threads64_")
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of numpy's OpenBLAS, or None where
+    numpy links another BLAS or an OpenBLAS under other names."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get, set_ = (getattr(lib, name) for name in _BLAS_THREAD_SYMBOLS)
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's BLAS on one thread, and restore its
+    thread count afterwards, however the block ends; where that BLAS is not
+    found, leave it alone.
+
+    Extra BLAS threads change the last bits of some eigendecompositions,
+    and on the sweeps' small matrices (a ring's momentum blocks, d <= 108 at
+    N = 10) they only burn CPU.
+    """
+    threads = _blas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    old = get()
+    try:
+        set_(1)
+        yield
+    finally:
+        set_(old)
 
 
 @dataclass(frozen=True)

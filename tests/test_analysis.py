@@ -163,6 +163,20 @@ def test_sweep_workers_from_environment(monkeypatch, tmp_path, capsys):
     assert "EPCHAIN_THREADS" in capsys.readouterr().err
 
 
+def test_sweep_workers_default_counts_the_allowed_cpus(monkeypatch):
+    # under an affinity mask (taskset) the machine has more CPUs than the
+    # process may run on; the pool is sized to the latter
+    monkeypatch.delenv("EPCHAIN_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5, 7},
+                        raising=False)
+    assert analysis._sweep_workers() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")  # no such call on the platform
+    assert analysis._sweep_workers() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert analysis._sweep_workers() == 1
+
+
 def test_sweep_grid_requires_gamma_y_axis():
     with pytest.raises(ValueError):
         analysis.sweep_grid(

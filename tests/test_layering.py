@@ -88,6 +88,27 @@ def test_only_linalg_diagonalizes_or_exponentiates():
     assert {m for m, lines in users.items() if lines} == {"linalg"}, users
 
 
+# only linalg calls LAPACK, so only linalg reaches into numpy's BLAS library
+# (its thread count) through ctypes
+def _ctypes_imports(tree: ast.AST):
+    """Line numbers where tree imports ctypes or one of its submodules."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "ctypes" for name in names):
+            yield node.lineno
+
+
+def test_only_linalg_imports_ctypes():
+    users = {m: list(_ctypes_imports(ast.parse((SRC / f"{m}.py").read_text())))
+             for m in LAYERS}
+    assert {m for m, lines in users.items() if lines} == {"linalg"}, users
+
+
 # each model kind's control parameter is chosen in one place
 def _v_or_delta_choices(tree: ast.AST):
     """Line numbers of conditional expressions choosing "V" or "Delta"."""

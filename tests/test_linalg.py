@@ -287,3 +287,53 @@ def test_scaled_propagator_nonfinite_generator_raises(dt):
     # -i m dt is not finite: infinite, NaN, or overflowing the product
     with pytest.raises(NonConvergence, match="not finite"):
         linalg.scaled_propagator(np.array([[0.0, 10.0], [10.0, 0.0]]), dt)
+
+
+# ---------------------------------------------------------------------------
+# one_blas_thread
+
+def test_one_blas_thread_pins_and_restores_the_count():
+    threads = linalg._blas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS exposes no thread count")
+    get, set_ = threads
+    old = get()
+    try:
+        set_(2)
+        with pytest.raises(RuntimeError, match="inside"):
+            with linalg.one_blas_thread():
+                assert get() == 1
+                with linalg.one_blas_thread():
+                    assert get() == 1
+                assert get() == 1
+                raise RuntimeError("inside")
+        assert get() == 2
+    finally:
+        set_(old)
+
+
+class _LibraryWithoutThreadCount:
+    """A shared library that names no OpenBLAS thread functions."""
+
+    def __init__(self, path):
+        pass
+
+    def __getattr__(self, name):
+        raise AttributeError(name)
+
+
+def _no_library(path):
+    raise OSError(f"cannot load {path}")
+
+
+@pytest.mark.parametrize("cdll", [_LibraryWithoutThreadCount, _no_library])
+def test_one_blas_thread_without_the_symbols_does_nothing(monkeypatch, cdll):
+    monkeypatch.setattr(linalg.ctypes, "CDLL", cdll)
+    linalg._blas_threads.cache_clear()
+    try:
+        assert linalg._blas_threads() is None
+        with linalg.one_blas_thread():
+            spectrum = linalg.eig(h_eq(4, 0.0, 0.5))
+        assert spectrum.dim == 4
+    finally:
+        linalg._blas_threads.cache_clear()  # found again on the next call
