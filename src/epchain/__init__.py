@@ -55,6 +55,7 @@ from .models import (
     single_flip_state,
     site_state,
     spectrum_blocks,
+    spectrum_multiplicities,
     spin_basis,
     target_state,
     total_sz,

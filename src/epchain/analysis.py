@@ -3,9 +3,12 @@
 max|Im eps| over parameter grids is the broken-phase indicator, taken over
 the blocks of models.spectrum_blocks: the momentum blocks k = 0 .. pi of the
 periodic Ising ring (block N-m mirrors block m, so its spectrum is never
-computed), the whole matrix otherwise.  A sweep diagonalizes a row's
-same-shape blocks as one stack (linalg.eigvals_stack).  The numeric
-boundary has one rule per model kind.  The XY chain, in either space, breaks
+computed), the whole matrix otherwise.  The ring's blocks and the magnon
+chain are real matrices in a PT-invariant basis, so real LAPACK gives an
+unbroken node max|Im eps| = 0 exactly; the open Ising chain and the
+full-space XY chain stay complex.  A sweep diagonalizes a row's same-shape
+blocks as one stack (linalg.eigvals_stack).  The numeric boundary has one
+rule per model kind.  The XY chain, in either space, breaks
 exactly where its one-magnon block does (free-fermion map), so it is bisected
 in 53-bit mpmath gamma on an exact predicate: a Sturm count of the real roots
 of the magnon chain's integer-scaled characteristic polynomial.  That holds
@@ -33,12 +36,14 @@ BROKEN_THRESHOLD = 1e-10
 
 _SWEEP_PARAMETERS = ("V", "Delta", "gamma")
 
-# Bytes of blocks a sweep row holds before they go to the eigen kernel, and
-# the most one kernel stack takes (one block at least).  A row of chain or
-# momentum blocks fits whole; the dense 2^N matrices of the open Ising chain
-# and the full-space XY chain, and stacks of the N=10 ring's blocks, whose
-# temporaries raise peak RSS, go one at a time.
-_STACK_BYTES = 1 << 18
+# Matrix entries a sweep row holds before they go to the eigen kernel, and
+# the most one kernel stack takes (one block at least).  The kernel's
+# temporaries are complex whether a block is real or complex, so the budget
+# counts entries, not bytes.  A row of chain or momentum blocks fits whole;
+# the dense 2^N matrices of the open Ising chain and the full-space XY chain,
+# and stacks of the N=10 ring's blocks, whose temporaries raise peak RSS, go
+# one at a time.
+_STACK_ENTRIES = 1 << 14
 
 # relative accuracy of the numeric boundary scan
 _REL_TOL = 1e-6
@@ -98,16 +103,16 @@ def _max_im_epsilons(nodes) -> np.ndarray:
 
     nodes yields each node's list of blocks, or None where its build failed.
     Same-shape blocks go to linalg.eigvals_stack together, in stacks of up to
-    _STACK_BYTES, once the pending blocks reach _STACK_BYTES or the nodes run
-    out.  A node is NaN when its build failed or the kernel flags any of its
-    blocks.
+    _STACK_ENTRIES, once the pending blocks reach _STACK_ENTRIES or the nodes
+    run out.  A node is NaN when its build failed or the kernel flags any of
+    its blocks.
     """
     values: list[float] = []
     groups: dict[tuple, tuple[list[int], list[np.ndarray]]] = {}
 
     def flush() -> None:
         for owners, blocks in groups.values():
-            step = max(1, _STACK_BYTES // blocks[0].nbytes)
+            step = max(1, _STACK_ENTRIES // blocks[0].size)
             for s in range(0, len(blocks), step):
                 vals, ok = linalg.eigvals_stack(np.stack(blocks[s:s + step]))
                 im = np.where(ok, np.max(np.abs(vals.imag), axis=-1), np.nan)
@@ -122,8 +127,8 @@ def _max_im_epsilons(nodes) -> np.ndarray:
             owners, stack = groups.setdefault(h.shape, ([], []))
             owners.append(len(values) - 1)
             stack.append(h)
-            pending += h.nbytes
-        if pending >= _STACK_BYTES:
+            pending += h.size
+        if pending >= _STACK_ENTRIES:
             flush()
             pending = 0
     flush()

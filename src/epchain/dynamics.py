@@ -37,6 +37,7 @@ from .models import (
     check_basis,
     hamiltonian_blocks,
     site_excitation,
+    spectrum_multiplicities,
 )
 
 DOMINANT_GAP_TOL = 1e-10
@@ -179,12 +180,18 @@ def steady_fidelity(spec: ModelSpec, target: StateVector) -> float:
     """|<target|dominant right eigenvector>| (the long-time fidelity limit).
 
     The dominant eigenvector is chosen among the eigenvalues of all symmetry
-    blocks together and read in the coordinates of its own block.
+    blocks together and read in the coordinates of its own block.  Only the
+    blocks of models.spectrum_multiplicities are diagonalized: a mirrored
+    ring block's eigenvalues count twice, so a dominant one there is
+    degenerate (NoDominantState), and its mirror block is never needed.
     DimensionMismatch unless target lives in spec.basis.
     """
     check_basis(spec, target)
-    spectra = [linalg.eig(h) for h in hamiltonian_blocks(spec)]
-    n = _dominant_index(np.concatenate([s.eigenvalues for s in spectra]))
+    counts = spectrum_multiplicities(spec)
+    spectra = [linalg.eig(h) for h in hamiltonian_blocks(spec)[:len(counts)]]
+    vals = [s.eigenvalues for s in spectra]
+    n = _dominant_index(np.concatenate(
+        vals + [v for v, c in zip(vals, counts) if c == 2]))
     b, j = [(b, j) for b, s in enumerate(spectra) for j in range(s.dim)][n]
     coords = block_coordinates(spec, target.amplitudes)
     tgt = coords[b] / np.linalg.norm(np.concatenate(coords))

@@ -1,13 +1,14 @@
-"""Dense complex linear algebra kernel, on numpy alone.
+"""Dense linear algebra kernel, on numpy alone: complex matrices, and real
+stacks for the eigenvalues of real symmetry blocks.
 
 General (non-Hermitian) eigendecomposition with residual verification,
 biorthogonal inner products, and the propagator exp(-i H dt) by scaling
 and squaring of the degree-13 Pade approximant (Higham, SIAM J. Matrix Anal.
-Appl. 26, 1179, 2005).  One eigen kernel serves a single matrix (eig) and a
-stack of them (eigvals_stack, one LAPACK call for a sweep row); the
-propagator likewise takes one matrix or a stack, with one linear solve for
-the whole stack, and returns it as 2^e u with u renormalized after every
-squaring, so no growth overflows it.  All functions are pure; nothing here
+Appl. 26, 1179, 2005).  One eigen kernel serves a single complex matrix
+(eig) and a stack of real or complex ones (eigvals_stack, one LAPACK call
+for a sweep row); the propagator likewise takes one matrix or a stack, with
+one linear solve for the whole stack, and returns it as 2^e u with u
+renormalized after every squaring, so no growth overflows it.  All functions are pure; nothing here
 mutates its inputs.  one_blas_thread pins numpy's OpenBLAS to one thread
 for a block and restores its thread count afterwards.
 """
@@ -155,16 +156,22 @@ def _eig_stack(a: np.ndarray):
 def eigvals_stack(stack) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of every matrix of a (k, d, d) stack, in one LAPACK call.
 
-    Returns (vals, ok): vals[n] holds the eigenvalues of stack[n] sorted by
-    (Re, Im), bitwise those of eig(stack[n]); ok[n] is False where that
-    matrix is not finite, LAPACK fails on it, or its residual check fails,
-    and vals[n] is then NaN.  One bad matrix never fails the others.
+    A real stack stays real, so LAPACK's real kernel returns each real
+    eigenvalue with imaginary part exactly 0 and each complex pair with
+    bitwise-equal real parts; any other stack is complex.  Returns (vals,
+    ok): vals[n] holds the eigenvalues of stack[n] sorted by (Re, Im), as a
+    complex array, and for a complex stack bitwise those of eig(stack[n]);
+    ok[n] is False where that matrix is not finite, LAPACK fails on it, or
+    its residual check fails, and vals[n] is then NaN.  One bad matrix never
+    fails the others.
     """
-    a = np.asarray(stack, dtype=complex)
+    a = np.asarray(stack)
+    a = a.astype(float if np.isrealobj(a) else complex, copy=False)
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
         raise DimensionMismatch(
             f"expected a stack of square matrices, got shape {a.shape}")
     vals, _, _, ok = _eig_stack(a)
+    vals = vals.astype(complex, copy=False)
     vals[~ok] = np.nan
     return vals, ok
 

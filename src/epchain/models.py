@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
+import mpmath as mp
 import numpy as np
 
 from .errors import DimensionCap, DimensionMismatch, OddNForW, SectorNotInvariant
@@ -301,19 +303,19 @@ def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)  # N <= 12 under FULL_SPACE_CAP
 def _ring_momentum_structure(N: int):
-    """Parameter-free momentum blocks of the N-site ring.
+    """Parameter-free momentum structure of the N-site ring.
 
     T rotates the bitstring left by one site.  Each orbit of T has one
     representative a, its smallest index, with period p_a.  The Bloch state
     |a(k)> = p_a^-1/2 sum_{r < p_a} e^{-ikr} T^r |a> exists for
     k = 2 pi m / N when m p_a is a multiple of N, and these states form an
-    orthonormal basis.  If sx_l |a> = T^s |b> with b a representative, then
-    <b(k)| sx_l |a(k)> = e^{iks} sqrt(p_a / p_b).
+    orthonormal basis.
 
     Returns, per representative a, its sz values, its orbit T^r a for
-    r = 0 .. N-1 (as columns) and sqrt(p_a); and, per m = 0 .. N-1, the
-    positions of its representatives in that list and the block's
-    sum_l sx_l template.  The arrays are read-only: they are shared.
+    r = 0 .. N-1 (as columns) and sqrt(p_a); every flip sx_l |a> = T^s |b>
+    of a representative, as the positions of b and a, -s and
+    sqrt(p_a / p_b); and, per m = 0 .. N-1, the positions of the block's
+    representatives.  The arrays are read-only: they are shared.
     """
     idx = np.arange(2 ** N)
     rots = [idx]  # rots[r] = T^r idx
@@ -329,25 +331,33 @@ def _ring_momentum_structure(N: int):
     flipped = (reps[:, None] ^ (1 << np.arange(N))).ravel()  # sx of every site
     col = np.repeat(np.arange(reps.size), N)
     row = where[rep[flipped]]
-    amp = np.sqrt(period[col] / period[row])
-    blocks = []
-    for m in range(N):
-        members = np.flatnonzero(m * period % N == 0)
-        local = np.full(reps.size, -1)
-        local[members] = np.arange(members.size)
-        keep = (local[row] >= 0) & (local[col] >= 0)
-        template = np.zeros((members.size, members.size), dtype=complex)
-        np.add.at(template, (local[row[keep]], local[col[keep]]),
-                  np.exp(-2j * np.pi * m * to_rep[flipped[keep]] / N) * amp[keep])
-        members.setflags(write=False)
-        template.setflags(write=False)
-        blocks.append((members, template))
+    flips = (row, col, to_rep[flipped], np.sqrt(period[col] / period[row]))
+    members = tuple(np.flatnonzero(m * period % N == 0) for m in range(N))
     orbits = rots[:, reps]
     root_period = np.sqrt(period)
     z = _spin_z(N)[1][reps]
-    for a in (z, orbits, root_period):
+    for a in (z, orbits, root_period, *flips, *members):
         a.setflags(write=False)
-    return (z, orbits, root_period), tuple(blocks)
+    return (z, orbits, root_period), flips, members
+
+
+@functools.lru_cache(maxsize=None)  # N <= 12 under FULL_SPACE_CAP
+def _ring_bloch_templates(N: int) -> tuple[np.ndarray, ...]:
+    """The sum_l sx_l template of each momentum block m = 0 .. N-1 in its
+    Bloch basis: sx_l |a> = T^s |b> puts e^{iks} sqrt(p_a / p_b) into
+    <b(k)| sum_l sx_l |a(k)>.  Read-only: they are shared."""
+    (z, _, _), (row, col, back, amp), members = _ring_momentum_structure(N)
+    out = []
+    for m, mem in enumerate(members):
+        local = np.full(z.shape[0], -1)
+        local[mem] = np.arange(mem.size)
+        keep = (local[row] >= 0) & (local[col] >= 0)
+        template = np.zeros((mem.size, mem.size), dtype=complex)
+        np.add.at(template, (local[row[keep]], local[col[keep]]),
+                  np.exp(-2j * np.pi * m * back[keep] / N) * amp[keep])
+        template.setflags(write=False)
+        out.append(template)
+    return tuple(out)
 
 
 def _momentum_ring(spec: ModelSpec) -> bool:
@@ -356,43 +366,195 @@ def _momentum_ring(spec: ModelSpec) -> bool:
             and spec.ising_boundary is IsingBoundary.PERIODIC)
 
 
-def _first_blocks(spec: ModelSpec, count: int) -> list[np.ndarray]:
-    """Momentum blocks m = 0 .. count-1 of the ring, each filled from the
-    structure cached per N; every other spec whole, whatever count."""
-    if not _momentum_ring(spec):
-        return [build_hamiltonian(spec)]
-    (z, _, _), blocks = _ring_momentum_structure(spec.N)
-    diag = _ising_diagonal(spec, z)
-    out = []
-    for members, template in blocks[:count]:
-        h = spec.Delta * template
-        h[np.diag_indices_from(h)] = diag[members]
-        out.append(h)
-    return out
-
-
 def hamiltonian_blocks(spec: ModelSpec) -> list[np.ndarray]:
     """Diagonal blocks of the Hamiltonian in an orthonormal symmetry basis.
 
     The periodic Ising ring, at every J, splits into its N momentum blocks,
-    k = 2 pi m / N for m = 0 .. N-1 (Sandvik, arXiv:1101.3281).  The open
-    chain and the XY chain come back whole, as [build_hamiltonian(spec)].
-    The block spectra together are the spectrum of build_hamiltonian(spec).
+    k = 2 pi m / N for m = 0 .. N-1 (Sandvik, arXiv:1101.3281), each filled
+    from the structure cached per N.  The open chain and the XY chain come
+    back whole, as [build_hamiltonian(spec)].  The block spectra together are
+    the spectrum of build_hamiltonian(spec).
     """
-    return _first_blocks(spec, spec.N)
+    if not _momentum_ring(spec):
+        return [build_hamiltonian(spec)]
+    (z, _, _), _, members = _ring_momentum_structure(spec.N)
+    diag = _ising_diagonal(spec, z)
+    out = []
+    for mem, template in zip(members, _ring_bloch_templates(spec.N)):
+        h = spec.Delta * template
+        h[np.diag_indices_from(h)] = diag[mem]
+        out.append(h)
+    return out
+
+
+# Every model here commutes with an antiunitary PT operator Theta whose square
+# is 1 (Bender & Boettcher, PRL 80, 5243, 1998).  In an orthonormal basis of
+# Theta-invariant vectors its blocks are real, so real LAPACK returns each
+# real eigenvalue with imaginary part exactly 0 and each complex pair as exact
+# conjugates.  spectrum_blocks serves these real forms, each from templates
+# cached per N.
+
+@functools.lru_cache(maxsize=None)
+def _magnon_real_templates(N: int):
+    """(T, E, O) with T + V E + gamma O the magnon chain in a real basis.
+
+    P reverses the sites, Theta = P K.  Position l-1 holds
+    u_l = (e_l + e_{N+1-l}) / sqrt2 and position N-l holds
+    v_l = i (e_l - e_{N+1-l}) / sqrt2, for l = 1 .. N//2, and the middle
+    site of an odd chain sits between them.  The hopping T joins u_l to
+    u_{l+1} and v_l to v_{l+1} with 1; at the centre an odd chain joins its
+    middle site to u_{N//2} with sqrt2, and an even chain puts +1 on u_{N/2}
+    and -1 on v_{N/2}.  The end potentials give V on u_1 and v_1 (E), and
+    i gamma (n_1 - n_N) gives -gamma from v_1 to u_1 and +gamma back (O).
+    Every entry is exact.  The arrays are read-only: they are shared.
+    """
+    h = N // 2
+    t = np.zeros((N, N))
+    for l in range(N - 1):
+        t[l, l + 1] = t[l + 1, l] = 1.0
+    if N % 2:  # u_h, middle, v_h at h-1, h, h+1
+        t[h - 1, h] = t[h, h - 1] = np.sqrt(2.0)
+        t[h, h + 1] = t[h + 1, h] = 0.0
+    else:  # u_h, v_h at h-1, h
+        t[h - 1, h] = t[h, h - 1] = 0.0
+        t[h - 1, h - 1], t[h, h] = 1.0, -1.0
+    e = np.zeros((N, N))
+    e[0, 0] = e[N - 1, N - 1] = 1.0
+    o = np.zeros((N, N))
+    o[0, N - 1], o[N - 1, 0] = -1.0, 1.0
+    for a in (t, e, o):
+        a.setflags(write=False)
+    return t, e, o
+
+
+def _wide(x) -> np.longdouble:
+    """An mpmath real as np.longdouble: the sum of its two leading doubles."""
+    hi = float(x)
+    return np.longdouble(hi) + np.longdouble(float(x - hi))
+
+
+@functools.lru_cache(maxsize=None)  # N <= 12 under FULL_SPACE_CAP
+def _ring_real_templates(N: int):
+    """(X, Y, zz) per momentum block m = 0 .. N//2 of the ring, in a real basis:
+    the block is Delta X + gamma Y - J diag(zz), with Y held as the
+    (rows, cols, values) of its 2 entries per pair.
+
+    Theta = R F K is site reflection times global spin flip times complex
+    conjugation; it maps each momentum block to itself.  If R F a = T^q c
+    for representatives a and c, then Theta |a(k)> = e^{ikq} |c(k)>, so the
+    Theta-invariant orthonormal basis holds e^{ikq/2} |a(k)> where c = a, and
+    u = (|a> + e^{ikq} |c>) / sqrt2 at the position of a and
+    v = i (|a> - e^{ikq} |c>) / sqrt2 at that of c where a < c.  With W the
+    block's change to this basis, X = Re(W^dagger S W) for the block's
+    sum_l sx_l, symmetrized; zz, the sum of sz_l sz_{l+1}, is the same on a
+    and c; and i sum_l sz_l maps u to s v and v to -s u, with
+    s = sum_l sz_l(a) = -sum_l sz_l(c), which Y holds.
+
+    X is summed term by term from the orbit tables, with no 2^N array and
+    no matrix product.  Each row of W holds at most two entries, a weight
+    1 or 1/sqrt2 times e^{i pi n / 2N} for an integer n, and sx_l a = T^t b
+    puts e^{ikt} sqrt(p_a / p_b) into <b(k)| S |a(k)>.  So every term is
+    weights times sqrt(p_a / p_b) times cos(pi n / 2N), each from mpmath; the
+    terms are summed in np.longdouble and rounded once to double.  Where
+    longdouble is wider than double, every entry is its exact value
+    correctly rounded, and an entry that vanishes is exactly 0.  The arrays
+    are read-only: they are shared.
+    """
+    (z, orbits, _), (dst, src, back, _), members = _ring_momentum_structure(N)
+    n_reps = z.shape[0]
+    # x = T^shift[x] owner[x] for every index x; a returns to itself at N / p_a
+    # of the N rotations
+    owner = np.empty(2 ** N, dtype=int)
+    shift = np.empty(2 ** N, dtype=int)
+    owner[orbits] = np.arange(n_reps)
+    shift[orbits] = np.arange(N)[:, None]
+    period = N // np.sum(orbits == orbits[0], axis=0)
+    # R F a: every spin flipped, the site order reversed
+    rf = (z[:, ::-1] < 0) @ (1 << np.arange(N)[::-1])
+    partner, q = owner[rf], shift[rf]
+    # a private mpmath context: a build on a sweep thread never changes the
+    # shared context's precision
+    ctx = mp.MPContext()
+    ctx.prec = 128
+    cos = np.array([_wide(ctx.cospi(ctx.mpf(n) / (2 * N))) for n in range(4 * N)])
+    root = np.zeros((N + 1, N + 1), dtype=np.longdouble)
+    for pa, pb in itertools.product(set(period.tolist()), repeat=2):
+        root[pa, pb] = _wide(ctx.sqrt(ctx.mpf(pa) / pb))
+    r = _wide(ctx.sqrt(ctx.mpf(1) / 2))
+    s = z.sum(axis=1)
+    zz = (z * np.roll(z, -1, axis=1)).sum(axis=1).astype(float)
+    out = []
+    for m, mem in enumerate(members[:N // 2 + 1]):
+        d = mem.size
+        local = np.full(n_reps, -1)
+        local[mem] = np.arange(d)
+        i, j = np.arange(d), local[partner[mem]]
+        a, c = i[i < j], j[i < j]
+        qm = 4 * m * q[mem]  # e^{ikq} = e^{i pi qm / 2N}
+        # row b of W: entries (col[b, e], weight[b, e] e^{i pi n[b, e] / 2N})
+        col = np.stack([i, j], axis=1)
+        weight = np.zeros((d, 2), dtype=np.longdouble)
+        n = np.zeros((d, 2), dtype=int)
+        fixed = i == j  # e^{ikq/2}; the second entry has weight 0
+        weight[fixed, 0] = 1
+        n[fixed, 0] = qm[fixed] // 2
+        weight[a], weight[c] = r, r
+        col[c] = col[a]
+        n[a, 1] = N  # i
+        n[c, 0], n[c, 1] = qm[a], qm[a] + 3 * N  # e^{ikq}, -i e^{ikq}
+        keep = (local[src] >= 0) & (local[dst] >= 0)
+        rows, cols = local[dst[keep]], local[src[keep]]
+        amp = root[period[src[keep]], period[dst[keep]]]
+        x = np.zeros((d, d), dtype=np.longdouble)
+        for e, f in itertools.product(range(2), repeat=2):
+            phase = (-4 * m * back[keep] - n[rows, e] + n[cols, f]) % (4 * N)
+            np.add.at(x, (col[rows, e], col[cols, f]),
+                      weight[rows, e] * weight[cols, f] * amp * cos[phase])
+        x = ((x + x.T) / 2).astype(float)
+        y = (np.concatenate([c, a]), np.concatenate([a, c]),
+             np.concatenate([s[mem][a], -s[mem][a]]).astype(float))
+        block = (x, y, zz[mem])
+        for arr in (x, *y, block[2]):
+            arr.setflags(write=False)
+        out.append(block)
+    return tuple(out)
 
 
 def spectrum_blocks(spec: ModelSpec) -> list[np.ndarray]:
-    """The blocks of hamiltonian_blocks(spec) whose eigenvalues, taken as a
-    set, are the whole spectrum: m = 0 .. N//2 on the momentum ring, the
-    one block otherwise.
+    """Blocks whose eigenvalues, taken as a set, are the whole spectrum of
+    spec, each a real matrix where the model has one.
 
-    Site reflection R commutes with the ring Hamiltonian and R T R^-1 =
-    T^-1, so R maps momentum k onto -k: block N-m is unitarily similar to
-    block m and has the same eigenvalues with the same multiplicities.  The
-    blocks m > N//2 are therefore never built here.
+    On the momentum ring they are m = 0 .. N//2 of hamiltonian_blocks(spec),
+    each in its real basis (_ring_real_templates).  Site reflection R
+    commutes with the ring Hamiltonian and R T R^-1 = T^-1, so R maps
+    momentum k onto -k: block N-m is unitarily similar to block m and has
+    the same eigenvalues with the same multiplicities.  The blocks m > N//2
+    are therefore never built here.  The magnon chain comes back as one real
+    matrix (_magnon_real_templates); the open Ising chain and the full-space
+    XY chain come back whole and complex, as [build_hamiltonian(spec)].
     """
-    return _first_blocks(spec, spec.N // 2 + 1)
+    if spec.kind is ModelKind.XY_MAGNON:
+        t, e, o = _magnon_real_templates(spec.N)
+        return [t + spec.V * e + spec.gamma * o]
+    if not _momentum_ring(spec):
+        return [build_hamiltonian(spec)]
+    out = []
+    for x, (rows, cols, y), zz in _ring_real_templates(spec.N):
+        h = spec.Delta * x
+        h[rows, cols] += spec.gamma * y
+        h[np.diag_indices_from(h)] -= spec.J * zz
+        out.append(h)
+    return out
+
+
+def spectrum_multiplicities(spec: ModelSpec) -> list[int]:
+    """How often the spectrum of each block of spectrum_blocks(spec) occurs
+    in the whole spectrum: 2 for a ring block 0 < m < N/2, whose mirror
+    block N-m repeats it, and 1 otherwise.  Block m of spectrum_blocks and
+    block m of hamiltonian_blocks have the same spectrum."""
+    if not _momentum_ring(spec):
+        return [1]
+    return [1 if 2 * m in (0, spec.N) else 2 for m in range(spec.N // 2 + 1)]
 
 
 def block_coordinates(spec: ModelSpec, amplitudes: np.ndarray) -> list[np.ndarray]:
@@ -408,9 +570,9 @@ def block_coordinates(spec: ModelSpec, amplitudes: np.ndarray) -> list[np.ndarra
     """
     if not _momentum_ring(spec):
         return [amplitudes]
-    (_, orbits, root_period), blocks = _ring_momentum_structure(spec.N)
+    (_, orbits, root_period), _, members = _ring_momentum_structure(spec.N)
     coef = np.fft.ifft(amplitudes[orbits], axis=0) * root_period
-    return [coef[m, members] for m, (members, _) in enumerate(blocks)]
+    return [coef[m, mem] for m, mem in enumerate(members)]
 
 
 # ---------------------------------------------------------------------------

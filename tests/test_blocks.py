@@ -2,6 +2,9 @@
 its mirror-free part, models.spectrum_blocks) and the block-wise broken-phase
 indicator built on them."""
 
+import time
+
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -72,10 +75,16 @@ def test_two_site_ring_blocks():
     ModelSpec(ModelKind.XY_FULL_SPACE, N=3, V=2.0, gamma=0.1),
 ])
 def test_other_models_come_back_whole(spec):
-    (h,) = models.hamiltonian_blocks(spec)
-    assert np.array_equal(h, models.build_hamiltonian(spec))
-    (h,) = models.spectrum_blocks(spec)
-    assert np.array_equal(h, models.build_hamiltonian(spec))
+    h = models.build_hamiltonian(spec)
+    (block,) = models.hamiltonian_blocks(spec)
+    assert np.array_equal(block, h)
+    # the magnon chain's spectrum block is its real form, the others h itself
+    (block,) = models.spectrum_blocks(spec)
+    assert block.shape == h.shape
+    assert _multiset_distance(np.linalg.eigvals(block), np.linalg.eigvals(h)) \
+        <= 1e-10 * (1 + np.linalg.norm(h))
+    if spec.kind is not ModelKind.XY_MAGNON:
+        assert np.array_equal(block, h)
 
 
 @pytest.mark.parametrize("J", [1.0, -0.7, 0.0])
@@ -88,10 +97,11 @@ def test_mirror_blocks_have_equal_spectra(N, J):
             blocks = models.hamiltonian_blocks(spec)
             kept = models.spectrum_blocks(spec)
             assert len(kept) == N // 2 + 1
-            for a, b in zip(kept, blocks):
-                assert np.array_equal(a, b)
             # the blocks are H in an orthonormal basis, so they hold its norm
             scale = 1 + np.sqrt(sum(np.linalg.norm(b) ** 2 for b in blocks))
+            for a, b in zip(kept, blocks):
+                assert _multiset_distance(np.linalg.eigvals(a),
+                                          np.linalg.eigvals(b)) <= 1e-10 * scale
             for m in range(1, N - N // 2):
                 assert _multiset_distance(np.linalg.eigvals(blocks[m]),
                                           np.linalg.eigvals(blocks[N - m])) \
@@ -157,14 +167,84 @@ def test_ghz_target_lies_in_the_zero_momentum_block(N):
     assert all(np.max(np.abs(c), initial=0.0) <= 1e-16 for c in coords[1:])
 
 
+def _real_block_cases():
+    for J in (1.0, -0.7, 0.0):
+        for Delta in (0.2, 0.75, 2.0):
+            for gamma in (0.0, 1e-3, 0.5, 10.0):  # 10: deep in the broken phase
+                yield J, Delta, gamma
+
+
+@pytest.mark.parametrize("N", range(2, 11))
+def test_real_ring_blocks_have_the_complex_blocks_spectra(N):
+    for J, Delta, gamma in _real_block_cases():
+        spec = ring(N, J=J, Delta=Delta, gamma=gamma)
+        blocks = models.hamiltonian_blocks(spec)
+        real = models.spectrum_blocks(spec)
+        assert [b.dtype for b in real] == [np.float64] * (N // 2 + 1)
+        assert [b.shape for b in real] == [b.shape for b in blocks[:N // 2 + 1]]
+        scale = 1 + np.sqrt(sum(np.linalg.norm(b) ** 2 for b in blocks))
+        for a, b in zip(real, blocks):
+            assert _multiset_distance(np.linalg.eigvals(a),
+                                      np.linalg.eigvals(b)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("N", range(2, 11))
+def test_real_magnon_block_has_the_chain_spectrum(N):
+    for V in (-3.0, 0.0, 0.7, 5.0):
+        for gamma in (0.0, 0.3, 1.5, 10.0):
+            spec = ModelSpec(ModelKind.XY_MAGNON, N=N, V=V, gamma=gamma)
+            h = models.build_h_eq(spec)
+            (real,) = models.spectrum_blocks(spec)
+            assert real.dtype == np.float64 and real.shape == (N, N)
+            assert _multiset_distance(np.linalg.eigvals(real), np.linalg.eigvals(h)) \
+                <= 1e-10 * (1 + np.linalg.norm(h))
+
+
+def test_real_templates_are_shared_read_only():
+    arrays = list(models._magnon_real_templates(5))
+    for x, y, zz in models._ring_real_templates(6):
+        arrays += [x, *y, zz]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 1
+    a = models.spectrum_blocks(ring(6, Delta=0.5, gamma=0.1))
+    a[0][0, 0] = 99.0  # a returned block is the caller's own
+    assert models.spectrum_blocks(ring(6, Delta=0.5, gamma=0.1))[0][0, 0] != 99.0
+
+
+def test_real_templates_built_on_sweep_threads_are_exact(monkeypatch):
+    # the first build of a size may happen on several sweep threads at once;
+    # each takes its constants from a private mpmath context
+    monkeypatch.setenv("EPCHAIN_THREADS", "4")
+    single = models._ring_real_templates.__wrapped__(7)
+    models._ring_real_templates.cache_clear()
+    wide = models._wide
+    monkeypatch.setattr(models, "_wide", lambda x: time.sleep(1e-4) or wide(x))
+    analysis.sweep_grid(ring(7, Delta=0.5),
+                        analysis.AxisSpec("Delta", "lin", np.linspace(0.2, 2.0, 8)),
+                        analysis.AxisSpec("gamma", "lin", np.array([0.1])))
+    assert mp.mp.prec == 53
+    for (x, y, zz), (x1, y1, zz1) in zip(models._ring_real_templates(7), single):
+        assert np.array_equal(x, x1) and np.array_equal(zz, zz1)
+        assert all(np.array_equal(a, b) for a, b in zip(y, y1))
+
+
+@pytest.mark.parametrize("N", [6, 8, 10])
+def test_real_ring_blocks_are_unbroken_at_tiny_gamma(N):
+    # real LAPACK on real blocks: no roundoff pair over fig4's Delta range
+    x_axis, _ = _fig4_axes()
+    for Delta in x_axis.values:
+        spec = ring(N, J=1.0, Delta=float(Delta), gamma=1e-12)
+        assert analysis.max_im_epsilon(spec) <= analysis.BROKEN_THRESHOLD
+
+
 def test_block_templates_are_shared_read_only():
     a = models.hamiltonian_blocks(ring(6, Delta=0.5, gamma=0.1))
     b = models.hamiltonian_blocks(ring(6, Delta=0.5, gamma=0.1))
     a[0][0, 0] = 99.0  # a returned block is the caller's own
     assert b[0][0, 0] != 99.0
-    _, blocks = models._ring_momentum_structure(6)
     with pytest.raises(ValueError):
-        blocks[0][1][0, 0] = 1.0
+        models._ring_bloch_templates(6)[0][0, 0] = 1.0
 
 
 def test_block_eig_failure_is_nan_node_and_cli_exits_3(monkeypatch, tmp_path):
@@ -173,9 +253,11 @@ def test_block_eig_failure_is_nan_node_and_cli_exits_3(monkeypatch, tmp_path):
     seen = []
 
     def kernel_failing_in_one_block(stack):
+        # the antisymmetric part of a real ring block is gamma Y, and the
+        # dim-3 block's Y couples sum sz = -2 and +2: |m - m^T| peaks at 4 gamma
         seen.append(stack.shape[1])
         vals, ok = kernel(stack)
-        failing = [m.shape[0] == 3 and np.max(np.abs(m.diagonal().imag)) == 2 * 0.5
+        failing = [m.shape[0] == 3 and np.isclose(np.abs(m - m.T).max(), 4 * 0.5)
                    for m in stack]
         return vals, ok & ~np.array(failing)
 

@@ -381,6 +381,39 @@ def test_ring_steady_fidelity_matches_dense_dominant_state(N, Delta, gamma):
     assert dynamics.steady_fidelity(spec, target) == pytest.approx(dense, abs=1e-10)
 
 
+def _steady_fidelity_over_all_blocks(spec, target):
+    """Test-only copy of steady_fidelity that diagonalizes all N blocks."""
+    spectra = [linalg.eig(h) for h in models.hamiltonian_blocks(spec)]
+    n = dynamics._dominant_index(np.concatenate([s.eigenvalues for s in spectra]))
+    b, j = [(b, j) for b, s in enumerate(spectra) for j in range(s.dim)][n]
+    coords = models.block_coordinates(spec, target.amplitudes)
+    tgt = coords[b] / np.linalg.norm(np.concatenate(coords))
+    vec = spectra[b].right_vectors[:, j]
+    return float(abs(np.vdot(tgt, vec / np.linalg.norm(vec))))
+
+
+@pytest.mark.parametrize("N, J, Delta, gamma", [
+    (6, 1.0, 0.75, 0.05), (6, 1.0, 0.5, 0.3), (8, 1.0, 0.5, 0.1),
+    (10, 1.0, 0.5, 0.02), (6, 0.0, 0.9, 1.2), (8, 0.0, 0.5, 0.7),
+    (7, -0.7, 1.3, 0.8), (6, 1.0, 2.0, 3.0)])
+def test_ring_steady_fidelity_skips_the_mirror_blocks(monkeypatch, N, J, Delta, gamma):
+    spec = replace(ising(N, Delta, gamma), J=J)
+    target = models.target_state("ghz", N)
+    try:
+        expected = _steady_fidelity_over_all_blocks(spec, target)
+    except NoDominantState:
+        expected = NoDominantState
+    dims, eig = [], linalg.eig
+    monkeypatch.setattr(linalg, "eig", lambda h: dims.append(len(h)) or eig(h))
+    if expected is NoDominantState:
+        with pytest.raises(NoDominantState):
+            dynamics.steady_fidelity(spec, target)
+    else:
+        assert dynamics.steady_fidelity(spec, target) == expected
+    blocks = models.hamiltonian_blocks(spec)
+    assert dims == [len(h) for h in blocks[:N // 2 + 1]]
+
+
 def test_ring_steady_fidelity_unbroken_raises():
     with pytest.raises(NoDominantState):
         dynamics.steady_fidelity(ising(6, 0.75, 1e-4), models.target_state("ghz", 6))

@@ -47,17 +47,34 @@ def reference_eig(m):
                            residuals=residuals)
 
 
+def _complex_blocks(spec):
+    """The complex matrices the indicator's real blocks stand for: momentum
+    blocks m = 0 .. N//2 on the ring, the whole matrix otherwise."""
+    if spec.kind is ModelKind.TRANSVERSE_ISING and \
+            spec.ising_boundary is IsingBoundary.PERIODIC:
+        return models.hamiltonian_blocks(spec)[:spec.N // 2 + 1]
+    return [models.build_hamiltonian(spec)]
+
+
 def reference_grid(template, x_axis, y_axis):
-    """The node-by-node sweep: max over the indicator's blocks
-    (models.spectrum_blocks) of the reference max|Im eps|."""
+    """The node-by-node sweep: max over the complex blocks of the reference
+    max|Im eps|, independent of models.spectrum_blocks' real forms."""
     out = np.empty((len(x_axis.values), len(y_axis.values)))
     for i, x in enumerate(x_axis.values):
         for j, g in enumerate(y_axis.values):
             spec = replace(template, **{x_axis.name: float(x), "gamma": float(g)})
             out[i, j] = max(
                 float(np.max(np.abs(reference_eig(h).eigenvalues.imag)))
-                for h in models.spectrum_blocks(spec))
+                for h in _complex_blocks(spec))
     return out
+
+
+def assert_grid_matches_reference(grid, ref):
+    """The same broken nodes; real blocks read exactly 0 where unbroken and
+    move by roundoff where broken."""
+    assert np.array_equal(grid.broken_mask, ref > analysis.BROKEN_THRESHOLD)
+    assert np.all(grid.values[~grid.broken_mask] == 0.0)
+    assert np.max(np.abs(grid.values - ref)) <= 1e-10
 
 
 def xy(N, **kw):
@@ -125,6 +142,66 @@ def test_nonfinite_matrix_flags_only_itself(bad):
         assert np.array_equal(vals[n], linalg.eig(stack[n]).eigenvalues)
 
 
+def _spy_eig(monkeypatch, change=None):
+    """Record the dtype of every stack np.linalg.eig gets; change(vals, vecs)
+    may rewrite what it returns."""
+    dtypes, eig = [], np.linalg.eig
+
+    def spied(a):
+        dtypes.append(a.dtype)
+        vals, vecs = eig(a)
+        return change(vals, vecs) if change else (vals, vecs)
+
+    monkeypatch.setattr(np.linalg, "eig", spied)
+    return dtypes
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_real_stack_goes_to_real_lapack(monkeypatch, d):
+    rng = np.random.default_rng(200 + d)
+    stack = rng.normal(size=(7, d, d))
+    dtypes = _spy_eig(monkeypatch)
+    vals, ok = linalg.eigvals_stack(stack)
+    assert dtypes == [np.float64]
+    assert vals.dtype == complex and vals.shape == (7, d) and ok.all()
+    for v in vals:
+        assert np.array_equal(np.lexsort((v.imag, v.real)), np.arange(d))
+        # each conjugate pair sits side by side, Im < 0 first, with one Re
+        pairs = np.flatnonzero(v.imag != 0)
+        lo, hi = pairs[::2], pairs[1::2]
+        assert np.array_equal(hi, lo + 1)
+        assert np.array_equal(v[hi], v[lo].conj()) and np.all(v[lo].imag < 0)
+    assert (vals.imag != 0).any() == (d > 1)  # a random stack holds pairs
+
+
+def test_real_stack_fails_only_its_bad_matrix(monkeypatch):
+    rng = np.random.default_rng(6)
+    stack = rng.normal(size=(5, 6, 6))
+    clean, _ = linalg.eigvals_stack(stack)
+    bad = stack.copy()
+    bad[1, 2, 2] = np.nan
+    dtypes = _spy_eig(monkeypatch)
+    vals, ok = linalg.eigvals_stack(bad)
+    assert ok.tolist() == [True, False, True, True, True]
+    assert np.isnan(vals[1]).all()
+    keep = [0, 2, 3, 4]
+    assert np.array_equal(vals[keep], clean[keep])
+    assert dtypes == [np.float64]
+
+    def unpaired(vals, vecs):  # matrix 3's vectors no longer fit its values
+        vecs = vecs.copy()
+        vecs[3] = np.roll(vecs[3], 1, axis=-1)
+        return vals, vecs
+
+    monkeypatch.undo()
+    _spy_eig(monkeypatch, unpaired)
+    vals, ok = linalg.eigvals_stack(stack)
+    assert ok.tolist() == [True, True, True, False, True]
+    assert np.isnan(vals[3]).all()
+    keep = [0, 1, 2, 4]
+    assert np.array_equal(vals[keep], clean[keep])
+
+
 def test_stack_shape_is_checked():
     for shape in [(3, 3), (2, 3, 4), (2, 0, 0)]:
         with pytest.raises(DimensionMismatch):
@@ -166,10 +243,11 @@ def test_linalg_error_makes_only_the_owning_node_nan(monkeypatch):
     axes = (analysis.AxisSpec.from_range("V", 2.0, 8.0, "lin", 3),
             analysis.AxisSpec.from_range("gamma", 0.1, 1.0, "lin", 3))
     clean = analysis.sweep_grid(xy(6), *axes)
-    # |H[0, 0]| picks one node of the magnon chain: V = 5, the middle gamma
+    # the real magnon block holds V at [0, 0] and gamma at [-1, 0], which
+    # pick one node: V = 5, the middle gamma
     g = axes[1].values[1]
     monkeypatch.setattr(np.linalg, "eig", _eig_failing_on(
-        lambda m: m[0, 0].real == 5.0 and abs(m[0, 0].imag) == g))
+        lambda m: m[0, 0] == 5.0 and m[-1, 0] == g))
     grid = analysis.sweep_grid(xy(6), *axes)
     assert np.array_equal(np.isnan(grid.values),
                           [[0, 0, 0], [0, 1, 0], [0, 0, 0]])
@@ -227,14 +305,14 @@ def _figure_axes(number, x_name, x_key):
 def test_fig2_grid_equals_per_node_reference(N):
     x_axis, y_axis = _figure_axes(2, "V", "V_range")
     grid = analysis.sweep_grid(xy(N), x_axis, y_axis)
-    assert np.array_equal(grid.values, reference_grid(xy(N), x_axis, y_axis))
+    assert_grid_matches_reference(grid, reference_grid(xy(N), x_axis, y_axis))
 
 
 def test_fig4_ring_grid_equals_per_node_reference():
     x_axis, y_axis = _figure_axes(4, "Delta", "Delta_range")
     template = ring(6, J=1.0)
     grid = analysis.sweep_grid(template, x_axis, y_axis)
-    assert np.array_equal(grid.values, reference_grid(template, x_axis, y_axis))
+    assert_grid_matches_reference(grid, reference_grid(template, x_axis, y_axis))
 
 
 def _counting_kernel(monkeypatch):
