@@ -29,7 +29,7 @@ import numpy as np
 
 from . import bethe, linalg
 from .dynamics import default_initial_state, final_fidelity
-from .errors import ConfigError, EpchainError, NonConvergence, NoTransition
+from .errors import ConfigError, EpchainError, NonConvergence, NoRoot, NoTransition
 from .models import ModelKind, ModelSpec, StateVector, spectrum_blocks
 
 BROKEN_THRESHOLD = 1e-10
@@ -296,6 +296,7 @@ def _magnon_boundary(N: int, V: float, rel_tol: float) -> float:
     and steps down by 1e-10 until the chain is unbroken there.  That ends for
     every finite V: at gamma = 0 the chain is a real Jacobi matrix, whose
     eigenvalues are real and simple, so they stay real for small gamma.
+    NoRoot where gamma_c underflows a double.
     """
     with mp.workprec(53):
         lo, hi = mp.mpf(10) ** -45, mp.mpf(10)
@@ -303,7 +304,10 @@ def _magnon_boundary(N: int, V: float, rel_tol: float) -> float:
             raise NoTransition(f"no transition in gamma for N={N}, V={V}")
         while _magnon_broken(N, V, lo):
             lo *= mp.mpf(10) ** -10
-        return bethe._bisect(lambda g: _magnon_broken(N, V, g), lo, hi, rel_tol)
+        gamma_c = bethe._bisect(lambda g: _magnon_broken(N, V, g), lo, hi, rel_tol)
+    if gamma_c == 0.0:
+        raise NoRoot(f"gamma_c underflows a double at N={N}, V={V}")
+    return gamma_c
 
 
 def numeric_boundary_gamma(template: ModelSpec, control_value: float) -> float:

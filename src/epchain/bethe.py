@@ -3,8 +3,11 @@
 Scattering and bound-state quantization conditions, the double-root
 equations locating exceptional points, the exact phase-boundary condition
 for |V| > 2, and the large-V effective two-site model for the end sites.
-Every one-dimensional search (grid roots, broken-pair kappa, exact boundary
-and the boundary scan in analysis) is the one geometric bisection, _bisect.
+Every one-dimensional search on a predicate (grid roots, broken-pair kappa
+and the boundary scans in analysis) is the one geometric bisection, _bisect.
+The exact boundary, whose residual is smooth and signed, is found by Illinois
+regula falsi in ln gamma, _illinois, which ends on _bisect's test and so
+returns the same double in far fewer residual evaluations.
 
 Transcription notes (verified against exact diagonalization):
 
@@ -130,6 +133,43 @@ def _bisect(broken, lo, hi, rel_tol: float):
         else:
             lo = mid
     return float(sqrt(lo * hi))
+
+
+def _illinois(f, lo, hi, flo, fhi, rel_tol: float) -> float:
+    """Illinois regula falsi (Dowell & Jarratt, BIT 11, 168, 1971) in ln g
+    for the sign change of f in [lo, hi]: mpmath reals, with flo = f(lo) and
+    fhi = f(hi) of opposite signs or zero.
+
+    Each step takes the secant point of (ln lo, flo) and (ln hi, fhi), or the
+    midpoint (the geometric mean in g) where that is not strictly inside; when
+    the same end is replaced twice in a row, the other end's stored f is
+    halved.  Step cap, exit and return are those of
+    _bisect(lambda g: f(g) * flo <= 0, lo, hi, rel_tol): both end on a
+    bracket around the one sign change whose ends round to the same double,
+    and rounding is monotone, so both return that double.
+    """
+    xlo, xhi = mp.log(lo), mp.log(hi)
+    side = 0
+    iterations = int(math.ceil(math.log2(float(xhi - xlo) / rel_tol))) + 2
+    for _ in range(iterations):
+        if float(lo) == float(hi):
+            break
+        x = xhi - fhi * (xhi - xlo) / (fhi - flo) if fhi != flo else xlo
+        if not xlo < x < xhi:
+            x = (xlo + xhi) / 2
+        g = mp.exp(x)
+        fg = f(g)
+        if fg * flo <= 0:  # halving keeps flo's sign
+            hi, xhi, fhi = g, x, fg
+            if side == 1:
+                flo /= 2
+            side = 1
+        else:
+            lo, xlo, flo = g, x, fg
+            if side == -1:
+                fhi /= 2
+            side = -1
+    return float(mp.sqrt(lo * hi))
 
 
 def _grid_roots(f, grid):
@@ -359,19 +399,38 @@ def _boundary_log_residual(N: int, V, g):
     return 2 * N * mp.log(c + s) - (mp.log(abs(num)) - mp.log(abs(den)))
 
 
+def _working_dps(N: int, v: float) -> int:
+    """Decimal digits that keep the exact-boundary residual good to a double.
+
+    At the root, c + s = e^kappa ~ v, so num = eta+ c - 2v - eta- s ~ v^3
+    and den = num / (c+s)^2N ~ v^(3-2N): den is a difference of terms of
+    size v^3, and computing it cancels 2N log10 v digits.  30 digits are
+    kept beyond that (17 to tell neighbouring doubles of gamma apart, 13
+    spare), and never fewer than 60.
+    """
+    return max(60, math.ceil(2 * N * math.log10(v)) + 30)
+
+
 def exact_boundary_gamma(N: int, V: float) -> float:
     """Critical gamma of the bound-state exceptional point, |V| > 2.
 
-    Solves the closed-form boundary condition by bisection in gamma, in
-    arbitrary precision: the balance involves terms like (c+sqrt(c^2-1))^2N,
-    and gamma_c ~ V^-(N-2) falls below double-precision resolution at large
-    V, where g^2 must still register next to V^2.  The working precision
-    and the lower bracket therefore scale with (N, V).
+    Solves the closed-form boundary condition, in arbitrary precision, by
+    Illinois regula falsi in ln gamma (_illinois) on its signed log residual,
+    until both bracket ends round to the same double, so the result is the
+    double nearest the root of the residual.  The balance involves terms like
+    (c+sqrt(c^2-1))^2N, and gamma_c ~ V^-(N-2) falls below double-precision
+    resolution at large V, where g^2 must still register next to V^2.  The
+    working precision (_working_dps, which covers the cancellation in the
+    residual) and the lower bracket therefore scale with (N, V).  Raises
+    ValueError for |V| <= 2 or non-finite V, NoBracket where the residual has
+    no sign change, and NoRoot where gamma_c underflows a double.
     """
+    if not math.isfinite(V):
+        raise ValueError(f"exact_boundary_gamma requires finite V, got {V}")
     if abs(V) <= 2:
         raise ValueError("exact_boundary_gamma requires |V| > 2")
     v = abs(V)  # gamma_c is even in V (staggered gauge flips the band sign)
-    with mp.workdps(max(60, math.ceil(3 * (N - 1) * math.log10(v)))):
+    with mp.workdps(_working_dps(N, v)):
         vv = mp.mpf(v)
 
         def f(g):
@@ -392,7 +451,10 @@ def exact_boundary_gamma(N: int, V: float) -> float:
             )
         # a fixed rel_tol far below double resolution: the float exit ends the
         # search, and the step cap (~1000) stays finite at any precision
-        return _bisect(lambda g: f(g) * flo <= 0, lo, hi, 1e-300)
+        gamma_c = _illinois(f, lo, hi, flo, fhi, 1e-300)
+    if gamma_c == 0.0:
+        raise NoRoot(f"gamma_c underflows a double at N={N}, V={V}")
+    return gamma_c
 
 
 # ---------------------------------------------------------------------------

@@ -386,9 +386,11 @@ def test_eta_factors_transcription():
 # fixed 240-step bisection, and scipy's brentq (imported here only) on the
 # same brackets, at xtol=1e-15, rtol=8.9e-16.
 
-def _reference_exact_boundary(N, V):
+def _reference_exact_boundary(N, V, dps=None):
     v = abs(V)
-    with mp.workdps(max(60, math.ceil(3 * (N - 1) * math.log10(v)))):
+    if dps is None:
+        dps = max(60, math.ceil(3 * (N - 1) * math.log10(v)))
+    with mp.workdps(dps):
         vv = mp.mpf(v)
 
         def f(g):
@@ -421,9 +423,34 @@ def test_exact_boundary_bitwise_equals_reference_in_fewer_steps(N, V, monkeypatc
 
     monkeypatch.setattr(bethe, "_boundary_log_residual", counted)
     got = bethe.exact_boundary_gamma(N, V)
-    assert calls[0] < 100
+    assert calls[0] <= 20
     monkeypatch.undo()
     assert got.hex() == _reference_exact_boundary(N, V).hex()
+
+
+# The residual's denominator cancels 2N log10 V digits.  At the first eight
+# points max(60, 3 (N-1) log10 V) digits, which the reference's default uses,
+# fall short of that and give values 8e-15 to 4.4e-3 off; at the last four
+# they suffice.
+@pytest.mark.parametrize("N, V", [(3, 1e8), (3, 1e10), (4, 1e6), (4, 1e8),
+                                  (4, 1e10), (5, 1e5), (5, 1e6), (6, 1e4),
+                                  (3, 1e3), (6, 100.0), (8, 1e3), (12, 1e10)])
+def test_exact_boundary_equals_reference_at_twice_the_precision(N, V):
+    dps = 2 * bethe._working_dps(N, V)
+    got = bethe.exact_boundary_gamma(N, V)
+    assert got.hex() == _reference_exact_boundary(N, V, dps).hex()
+
+
+@pytest.mark.parametrize("V", [math.inf, -math.inf, math.nan])
+def test_exact_boundary_rejects_non_finite_v(V):
+    with pytest.raises(ValueError):
+        bethe.exact_boundary_gamma(6, V)
+
+
+def test_exact_boundary_underflow_is_no_root():
+    # gamma_c ~ V^-(N-2) = 1e-324 rounds to 0.0
+    with pytest.raises(NoRoot, match="underflows"):
+        bethe.exact_boundary_gamma(6, 1e81)
 
 
 def _reference_grid_roots(f, grid, tol):

@@ -317,6 +317,24 @@ def test_boundary_ising_delta_zero_row_is_zero(tmp_path):
     assert rows[1] == f"0.5,,,{serialize.fmt(scan)},,0"
 
 
+def test_boundary_exact_holds_where_its_residual_cancels(tmp_path):
+    # at N=3, V=1e10 the residual's denominator cancels 60 digits
+    out = tmp_path / "boundary.csv"
+    rc = run(["boundary", "--model", "xy", "--n", "3",
+              "--x-range", "1e10:1e10:log:1", "--out", str(out)])
+    assert rc == 0
+    row = out.read_text().strip().splitlines()[1].split(",")
+    assert float(row[4]) < 1e-6
+
+
+def test_boundary_underflowing_gamma_exit_code(tmp_path, capsys):
+    # gamma_c ~ V^-4 is subnormal at V=1e80 and rounds to 0.0 at V=1e81
+    rc = run(["boundary", "--model", "xy", "--n", "6",
+              "--x-range", "1e80:1e81:log:2", "--out", str(tmp_path / "b.csv")])
+    assert rc == 3
+    assert "underflows a double" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # reproduce
 
