@@ -54,7 +54,6 @@ from .models import (
     reduce_to_magnon_sector,
     single_flip_state,
     site_state,
-    spectrum_blocks,
     spectrum_multiplicities,
     spin_basis,
     target_state,

@@ -1,13 +1,14 @@
 """Phase-diagram sweeps, boundary extraction and the gamma optimizer.
 
 max|Im eps| over parameter grids is the broken-phase indicator, taken over
-the blocks of models.spectrum_blocks: the momentum blocks k = 0 .. pi of the
-periodic Ising ring (block N-m mirrors block m, so its spectrum is never
-computed), the whole matrix otherwise.  The ring's blocks and the magnon
-chain are real matrices in a PT-invariant basis, so real LAPACK gives an
-unbroken node max|Im eps| = 0 exactly; the open Ising chain and the
-full-space XY chain stay complex.  A sweep diagonalizes a row's same-shape
-blocks as one stack (linalg.eigvals_stack).  The numeric boundary has one
+the blocks of models.hamiltonian_blocks, the ones the dynamics propagate:
+the momentum blocks k = 0 .. pi of the periodic Ising ring (block N-m
+mirrors block m, so its spectrum is never computed), the whole matrix
+otherwise.  The ring's blocks and the magnon chain are real matrices in a
+PT-invariant basis, so real LAPACK gives an unbroken node max|Im eps| = 0
+exactly; the open Ising chain and the full-space XY chain stay complex.  A
+sweep diagonalizes a row's same-shape blocks as one stack
+(linalg.eigvals_stack).  The numeric boundary has one
 rule per model kind.  The XY chain, in either space, breaks
 exactly where its one-magnon block does (free-fermion map), so it is bisected
 in 53-bit mpmath gamma on an exact predicate: a Sturm count of the real roots
@@ -30,7 +31,7 @@ import numpy as np
 from . import bethe, linalg
 from .dynamics import default_initial_state, final_fidelity
 from .errors import ConfigError, EpchainError, NonConvergence, NoRoot, NoTransition
-from .models import ModelKind, ModelSpec, StateVector, spectrum_blocks
+from .models import ModelKind, ModelSpec, StateVector, hamiltonian_blocks
 
 BROKEN_THRESHOLD = 1e-10
 
@@ -136,15 +137,13 @@ def _max_im_epsilons(nodes) -> np.ndarray:
 
 
 def max_im_epsilon(spec: ModelSpec) -> float:
-    """max|Im eps| of one model over models.spectrum_blocks(spec), the
-    broken-phase indicator; the one-node case of _max_im_epsilons.  On the
-    ring that is m = 0 .. N//2 of the N momentum blocks: the rest repeat
-    their mirror blocks' spectra.
+    """max|Im eps| of one model over models.hamiltonian_blocks(spec), the
+    broken-phase indicator; the one-node case of _max_im_epsilons.
 
     The boundary scan needs an answer at every gamma it probes, so a block
     the eigen kernel flags raises NonConvergence here instead of giving NaN.
     """
-    value = float(_max_im_epsilons([spectrum_blocks(spec)])[0])
+    value = float(_max_im_epsilons([hamiltonian_blocks(spec)])[0])
     if math.isnan(value):
         raise NonConvergence(f"eigendecomposition failed at {spec}")
     return value
@@ -178,7 +177,7 @@ def sweep_grid(template: ModelSpec, x_axis: AxisSpec, y_axis: AxisSpec) -> Phase
 
     def node_blocks(x: float, g: float) -> list[np.ndarray] | None:
         try:
-            return spectrum_blocks(replace(
+            return hamiltonian_blocks(replace(
                 template, **{x_axis.name: float(x), "gamma": float(g)}))
         except (EpchainError, ValueError):
             return None

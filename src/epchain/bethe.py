@@ -21,7 +21,8 @@ Transcription notes (verified against exact diagonalization):
   coupling vanishes identically for even N; the n-sum itself decays as
   1/V^(N-2) (it equals 1/U_{N-2}(V/2), a monic Chebyshev polynomial of the
   second kind), so the phase boundary falls with log-log slope -(N-2), not
-  -2.  The n-sums are authoritative everywhere in this module.
+  -2.  The coupling is computed as that reciprocal: the n-sum's terms
+  cancel to 1/V^(N-2), so in doubles it is roundoff at large V.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class EtaFactors:
 class EffectiveModel:
     """Large-V effective two-site model for the chain's end sites.
 
-    lambda_eff and V_eff are the authoritative n-sums.  Omega is the
+    lambda_eff is 1/U_{N-2}(V/2) and V_eff the n-sum.  Omega is the
     published closed-form large-V coefficient, kept for reference; it
     vanishes identically for even N.  The actual asymptotics are
     lambda_eff ~ asymptotic_coeff / V**asymptotic_power.
@@ -461,7 +462,10 @@ def exact_boundary_gamma(N: int, V: float) -> float:
 # perturbative effective model, |V| >> 1
 
 def effective_model(N: int, V: float) -> EffectiveModel:
-    """Effective end-site potential and end-to-end coupling from the n-sums."""
+    """Effective end-site potential (the n-sum) and end-to-end coupling
+    1/U~_{N-2}(V), U~_m = V U~_{m-1} - U~_{m-2} with U~_0 = 1, U~_1 = V: the
+    product of the ratios U~_{m-1}/U~_m, which neither cancels nor overflows.
+    """
     if N % 2 != 0 or N < 6:
         raise ValueError("effective_model requires even N >= 6")
     if abs(V) <= 2:
@@ -473,7 +477,10 @@ def effective_model(N: int, V: float) -> EffectiveModel:
     if np.min(np.abs(den)) < 1e-12:
         raise DegenerateOmega("effective-model denominator (near) zero")
     v_eff = (2.0 / (N - 1)) * float(np.sum(np.sin(phi) ** 2 / den))
-    lam = (2.0 / (N - 1)) * float(np.sum(np.sin(phi) * np.sin((N - 2) * phi) / den))
+    lam, ratio = 1.0, math.inf  # ratio = U~_m / U~_{m-1}, U~_{-1} = 0
+    for _ in range(N - 2):
+        ratio = V - 1.0 / ratio
+        lam /= ratio
     # Published closed-form large-V coefficient (identically 0 for even N).
     d1 = (N - 1) * math.sin((N - 4) * theta)
     d2 = (N - 1) * math.sin(N * theta)
@@ -518,8 +525,8 @@ def perturbative_boundary(N: int, V: float) -> float:
     """Perturbative critical gamma: EP of the effective model at |lambda_eff|.
 
     The published large-V form |Omega|/V^2 is not usable (its coefficient
-    vanishes identically for even N); the n-sum coupling itself is the
-    perturbative boundary and decays as 1/V^(N-2).
+    vanishes identically for even N); the coupling 1/U~_{N-2}(V) itself is
+    the perturbative boundary and decays as 1/V^(N-2).
     """
     return abs(effective_model(N, V).lambda_eff)
 

@@ -11,13 +11,12 @@ renormalized inside its squarings: the state never overflows, and e ln 2 goes
 into the log-norm.
 
 Both run in the symmetry blocks of models.hamiltonian_blocks, through one
-core: the blocks are zero-padded to one (k, d, d) stack, exponentiated in one
-linalg.scaled_propagator call, and every product advances the whole stack of
-propagators at once; the states are their block coordinates
-(models.block_coordinates), and norms and overlaps are taken over the whole
-stack.  On the Ising ring these are its N momentum blocks, so no 2^N x 2^N
-matrix is exponentiated or multiplied; every other model is one block, its
-whole matrix.  Every entry raises DimensionMismatch unless its states live in
+core: the blocks are exponentiated in one linalg.scaled_propagator call, and
+every product advances all sectors at once; the states are their sector
+coordinates (models.block_coordinates), and norms and overlaps are taken
+over all sectors.  On the Ising ring each mirror sector N-m takes the
+propagator of block m, so no 2^N x 2^N matrix is exponentiated or
+multiplied.  Every entry raises DimensionMismatch unless its states live in
 the model's space (models.check_basis).
 """
 
@@ -80,13 +79,15 @@ def default_initial_state(spec: ModelSpec) -> StateVector:
 
 def _block_setup(spec: ModelSpec, init: StateVector, target: StateVector,
                  t_max: float, dt: float):
-    """Validated (u, e, psi, tgt) in the symmetry blocks of spec.
+    """Validated (u, e, psi, tgt) in the symmetry sectors of spec.
 
-    The k blocks of models.hamiltonian_blocks are zero-padded to the largest
-    block dimension d, and 2^e u, the (k, d, d) stack of their propagators
-    over dt, is one linalg.scaled_propagator call.  psi and tgt are the
-    (k, d, 1) block coordinates of init and target, each normalized over the
-    whole stack.  The padding is exact: the exponential of a zero-padded
+    The blocks of models.hamiltonian_blocks are zero-padded to the largest
+    block dimension d and exponentiated over dt in one
+    linalg.scaled_propagator call; u is 2^-e times the (k, d, d) stack of
+    their propagators for the k sectors of models.block_coordinates, a ring
+    block of multiplicity 2 serving its mirror sector too.  psi and tgt are
+    the (k, d, 1) sector coordinates of init and target, each normalized
+    over all sectors.  The padding is exact: the exponential of a zero-padded
     block is its own exponential beside the identity on the padded
     coordinates, which couples to nothing, so the padded amplitudes stay
     exactly zero.
@@ -100,14 +101,16 @@ def _block_setup(spec: ModelSpec, init: StateVector, target: StateVector,
     for b, block in enumerate(blocks):
         h[b, :len(block), :len(block)] = block
     u, e = linalg.scaled_propagator(h, dt)
+    counts = spectrum_multiplicities(spec)
+    sectors = list(range(len(blocks))) + [b for b, c in enumerate(counts) if c == 2]
 
     def stacked(state: StateVector) -> np.ndarray:
-        x = np.zeros((len(blocks), d, 1), dtype=complex)
+        x = np.zeros((len(sectors), d, 1), dtype=complex)
         for b, c in enumerate(block_coordinates(spec, state.amplitudes)):
             x[b, :len(c), 0] = c
         return x / np.linalg.norm(x)
 
-    return u, e, stacked(init), stacked(target)
+    return u[sectors], e, stacked(init), stacked(target)
 
 
 def _normalized(x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -180,15 +183,15 @@ def steady_fidelity(spec: ModelSpec, target: StateVector) -> float:
     """|<target|dominant right eigenvector>| (the long-time fidelity limit).
 
     The dominant eigenvector is chosen among the eigenvalues of all symmetry
-    blocks together and read in the coordinates of its own block.  Only the
-    blocks of models.spectrum_multiplicities are diagonalized: a mirrored
-    ring block's eigenvalues count twice, so a dominant one there is
-    degenerate (NoDominantState), and its mirror block is never needed.
-    DimensionMismatch unless target lives in spec.basis.
+    blocks together and read in the coordinates of its own block.  A ring
+    block of multiplicity 2 (models.spectrum_multiplicities) stands for its
+    mirror sector too, so its eigenvalues count twice and a dominant one
+    there is degenerate (NoDominantState).  DimensionMismatch unless target
+    lives in spec.basis.
     """
     check_basis(spec, target)
     counts = spectrum_multiplicities(spec)
-    spectra = [linalg.eig(h) for h in hamiltonian_blocks(spec)[:len(counts)]]
+    spectra = [linalg.eig(h) for h in hamiltonian_blocks(spec)]
     vals = [s.eigenvalues for s in spectra]
     n = _dominant_index(np.concatenate(
         vals + [v for v, c in zip(vals, counts) if c == 2]))

@@ -313,9 +313,9 @@ def _ring_momentum_structure(N: int):
 
     Returns, per representative a, its sz values, its orbit T^r a for
     r = 0 .. N-1 (as columns) and sqrt(p_a); every flip sx_l |a> = T^s |b>
-    of a representative, as the positions of b and a, -s and
-    sqrt(p_a / p_b); and, per m = 0 .. N-1, the positions of the block's
-    representatives.  The arrays are read-only: they are shared.
+    of a representative, as the positions of b and a and -s; and, per
+    m = 0 .. N//2, the positions of the block's representatives.  The arrays
+    are read-only: they are shared.
     """
     idx = np.arange(2 ** N)
     rots = [idx]  # rots[r] = T^r idx
@@ -330,9 +330,9 @@ def _ring_momentum_structure(N: int):
     where[reps] = np.arange(reps.size)
     flipped = (reps[:, None] ^ (1 << np.arange(N))).ravel()  # sx of every site
     col = np.repeat(np.arange(reps.size), N)
-    row = where[rep[flipped]]
-    flips = (row, col, to_rep[flipped], np.sqrt(period[col] / period[row]))
-    members = tuple(np.flatnonzero(m * period % N == 0) for m in range(N))
+    flips = (where[rep[flipped]], col, to_rep[flipped])
+    members = tuple(np.flatnonzero(m * period % N == 0)
+                    for m in range(N // 2 + 1))
     orbits = rots[:, reps]
     root_period = np.sqrt(period)
     z = _spin_z(N)[1][reps]
@@ -341,62 +341,24 @@ def _ring_momentum_structure(N: int):
     return (z, orbits, root_period), flips, members
 
 
-@functools.lru_cache(maxsize=None)  # N <= 12 under FULL_SPACE_CAP
-def _ring_bloch_templates(N: int) -> tuple[np.ndarray, ...]:
-    """The sum_l sx_l template of each momentum block m = 0 .. N-1 in its
-    Bloch basis: sx_l |a> = T^s |b> puts e^{iks} sqrt(p_a / p_b) into
-    <b(k)| sum_l sx_l |a(k)>.  Read-only: they are shared."""
-    (z, _, _), (row, col, back, amp), members = _ring_momentum_structure(N)
-    out = []
-    for m, mem in enumerate(members):
-        local = np.full(z.shape[0], -1)
-        local[mem] = np.arange(mem.size)
-        keep = (local[row] >= 0) & (local[col] >= 0)
-        template = np.zeros((mem.size, mem.size), dtype=complex)
-        np.add.at(template, (local[row[keep]], local[col[keep]]),
-                  np.exp(-2j * np.pi * m * back[keep] / N) * amp[keep])
-        template.setflags(write=False)
-        out.append(template)
-    return tuple(out)
-
-
 def _momentum_ring(spec: ModelSpec) -> bool:
     """True where hamiltonian_blocks splits spec into momentum blocks."""
     return (spec.kind is ModelKind.TRANSVERSE_ISING
             and spec.ising_boundary is IsingBoundary.PERIODIC)
 
 
-def hamiltonian_blocks(spec: ModelSpec) -> list[np.ndarray]:
-    """Diagonal blocks of the Hamiltonian in an orthonormal symmetry basis.
-
-    The periodic Ising ring, at every J, splits into its N momentum blocks,
-    k = 2 pi m / N for m = 0 .. N-1 (Sandvik, arXiv:1101.3281), each filled
-    from the structure cached per N.  The open chain and the XY chain come
-    back whole, as [build_hamiltonian(spec)].  The block spectra together are
-    the spectrum of build_hamiltonian(spec).
-    """
-    if not _momentum_ring(spec):
-        return [build_hamiltonian(spec)]
-    (z, _, _), _, members = _ring_momentum_structure(spec.N)
-    diag = _ising_diagonal(spec, z)
-    out = []
-    for mem, template in zip(members, _ring_bloch_templates(spec.N)):
-        h = spec.Delta * template
-        h[np.diag_indices_from(h)] = diag[mem]
-        out.append(h)
-    return out
-
-
 # Every model here commutes with an antiunitary PT operator Theta whose square
 # is 1 (Bender & Boettcher, PRL 80, 5243, 1998).  In an orthonormal basis of
 # Theta-invariant vectors its blocks are real, so real LAPACK returns each
 # real eigenvalue with imaginary part exactly 0 and each complex pair as exact
-# conjugates.  spectrum_blocks serves these real forms, each from templates
-# cached per N.
+# conjugates.  hamiltonian_blocks serves these real forms from templates cached
+# per N, each with its coordinate rows (index, weight): coordinate p of a
+# vector x of the parent basis is sum_e weight[p, e] x[index[p, e]].
 
 @functools.lru_cache(maxsize=None)
 def _magnon_real_templates(N: int):
-    """(T, E, O) with T + V E + gamma O the magnon chain in a real basis.
+    """(T, E, O, rows) with T + V E + gamma O the magnon chain in a real
+    basis, and rows its coordinate rows over the positions.
 
     P reverses the sites, Theta = P K.  Position l-1 holds
     u_l = (e_l + e_{N+1-l}) / sqrt2 and position N-l holds
@@ -422,9 +384,14 @@ def _magnon_real_templates(N: int):
     e[0, 0] = e[N - 1, N - 1] = 1.0
     o = np.zeros((N, N))
     o[0, N - 1], o[N - 1, 0] = -1.0, 1.0
-    for a in (t, e, o):
+    index = np.sort(np.stack([np.arange(N), np.arange(N)[::-1]], axis=1), axis=1)
+    weight = np.full((N, 2), np.sqrt(0.5), dtype=complex)
+    weight[N - h:] *= [-1j, 1j]  # v_l, conjugated
+    if N % 2:
+        weight[h] = 1.0, 0.0
+    for a in (t, e, o, index, weight):
         a.setflags(write=False)
-    return t, e, o
+    return t, e, o, (index, weight)
 
 
 def _wide(x) -> np.longdouble:
@@ -435,9 +402,10 @@ def _wide(x) -> np.longdouble:
 
 @functools.lru_cache(maxsize=None)  # N <= 12 under FULL_SPACE_CAP
 def _ring_real_templates(N: int):
-    """(X, Y, zz) per momentum block m = 0 .. N//2 of the ring, in a real basis:
-    the block is Delta X + gamma Y - J diag(zz), with Y held as the
-    (rows, cols, values) of its 2 entries per pair.
+    """(X, Y, zz, rows) per momentum block m = 0 .. N//2 of the ring, in a
+    real basis: the block is Delta X + gamma Y - J diag(zz), with Y held as
+    the (rows, cols, values) of its 2 entries per pair, and rows are its
+    coordinate rows over the block's Bloch states.
 
     Theta = R F K is site reflection times global spin flip times complex
     conjugation; it maps each momentum block to itself.  If R F a = T^q c
@@ -460,7 +428,7 @@ def _ring_real_templates(N: int):
     correctly rounded, and an entry that vanishes is exactly 0.  The arrays
     are read-only: they are shared.
     """
-    (z, orbits, _), (dst, src, back, _), members = _ring_momentum_structure(N)
+    (z, orbits, _), (dst, src, back), members = _ring_momentum_structure(N)
     n_reps = z.shape[0]
     # x = T^shift[x] owner[x] for every index x; a returns to itself at N / p_a
     # of the N rotations
@@ -484,7 +452,7 @@ def _ring_real_templates(N: int):
     s = z.sum(axis=1)
     zz = (z * np.roll(z, -1, axis=1)).sum(axis=1).astype(float)
     out = []
-    for m, mem in enumerate(members[:N // 2 + 1]):
+    for m, mem in enumerate(members):
         d = mem.size
         local = np.full(n_reps, -1)
         local[mem] = np.arange(d)
@@ -502,6 +470,12 @@ def _ring_real_templates(N: int):
         col[c] = col[a]
         n[a, 1] = N  # i
         n[c, 0], n[c, 1] = qm[a], qm[a] + 3 * N  # e^{ikq}, -i e^{ikq}
+        # coordinate row p: column p of W, conjugated; a pair's two columns
+        # are its two rows transposed
+        nt = n.copy()
+        nt[a, 1], nt[c, 0] = n[c, 0], n[a, 1]
+        coords = (col, (weight * cos[nt % (4 * N)]).astype(float)
+                  - 1j * (weight * cos[(nt - N) % (4 * N)]).astype(float))
         keep = (local[src] >= 0) & (local[dst] >= 0)
         rows, cols = local[dst[keep]], local[src[keep]]
         amp = root[period[src[keep]], period[dst[keep]]]
@@ -513,33 +487,35 @@ def _ring_real_templates(N: int):
         x = ((x + x.T) / 2).astype(float)
         y = (np.concatenate([c, a]), np.concatenate([a, c]),
              np.concatenate([s[mem][a], -s[mem][a]]).astype(float))
-        block = (x, y, zz[mem])
-        for arr in (x, *y, block[2]):
+        block = (x, y, zz[mem], coords)
+        for arr in (x, *y, block[2], *coords):
             arr.setflags(write=False)
         out.append(block)
     return tuple(out)
 
 
-def spectrum_blocks(spec: ModelSpec) -> list[np.ndarray]:
-    """Blocks whose eigenvalues, taken as a set, are the whole spectrum of
-    spec, each a real matrix where the model has one.
+def hamiltonian_blocks(spec: ModelSpec) -> list[np.ndarray]:
+    """Diagonal blocks of the Hamiltonian in an orthonormal symmetry basis,
+    each a real matrix where the model has one.
 
-    On the momentum ring they are m = 0 .. N//2 of hamiltonian_blocks(spec),
-    each in its real basis (_ring_real_templates).  Site reflection R
-    commutes with the ring Hamiltonian and R T R^-1 = T^-1, so R maps
-    momentum k onto -k: block N-m is unitarily similar to block m and has
-    the same eigenvalues with the same multiplicities.  The blocks m > N//2
-    are therefore never built here.  The magnon chain comes back as one real
-    matrix (_magnon_real_templates); the open Ising chain and the full-space
-    XY chain come back whole and complex, as [build_hamiltonian(spec)].
+    The periodic Ising ring, at every J, gives its momentum blocks
+    k = 2 pi m / N for m = 0 .. N//2 (Sandvik, arXiv:1101.3281), each in its
+    real basis (_ring_real_templates).  Site reflection R commutes with the
+    ring Hamiltonian and R T R^-1 = T^-1, so R maps momentum k onto -k:
+    block N-m acts on a state psi as block m acts on R psi, and is never
+    built (spectrum_multiplicities, block_coordinates).  The magnon chain
+    comes back as one real matrix (_magnon_real_templates); the open Ising
+    chain and the full-space XY chain come back whole and complex, as
+    [build_hamiltonian(spec)].  The block spectra, each counted by its
+    multiplicity, are the spectrum of build_hamiltonian(spec).
     """
     if spec.kind is ModelKind.XY_MAGNON:
-        t, e, o = _magnon_real_templates(spec.N)
+        t, e, o, _ = _magnon_real_templates(spec.N)
         return [t + spec.V * e + spec.gamma * o]
     if not _momentum_ring(spec):
         return [build_hamiltonian(spec)]
     out = []
-    for x, (rows, cols, y), zz in _ring_real_templates(spec.N):
+    for x, (rows, cols, y), zz, _ in _ring_real_templates(spec.N):
         h = spec.Delta * x
         h[rows, cols] += spec.gamma * y
         h[np.diag_indices_from(h)] -= spec.J * zz
@@ -548,10 +524,9 @@ def spectrum_blocks(spec: ModelSpec) -> list[np.ndarray]:
 
 
 def spectrum_multiplicities(spec: ModelSpec) -> list[int]:
-    """How often the spectrum of each block of spectrum_blocks(spec) occurs
-    in the whole spectrum: 2 for a ring block 0 < m < N/2, whose mirror
-    block N-m repeats it, and 1 otherwise.  Block m of spectrum_blocks and
-    block m of hamiltonian_blocks have the same spectrum."""
+    """How often each block of hamiltonian_blocks(spec) occurs in the whole
+    Hamiltonian: 2 for a ring block 0 < m < N/2, which stands for its
+    mirror block N-m too, and 1 otherwise."""
     if not _momentum_ring(spec):
         return [1]
     return [1 if 2 * m in (0, spec.N) else 2 for m in range(spec.N // 2 + 1)]
@@ -559,20 +534,33 @@ def spectrum_multiplicities(spec: ModelSpec) -> list[int]:
 
 def block_coordinates(spec: ModelSpec, amplitudes: np.ndarray) -> list[np.ndarray]:
     """Coordinates of a state in the orthonormal basis of each block of
-    hamiltonian_blocks(spec), block by block: B_b^dagger psi for the
-    embedding B_b of block b.
+    hamiltonian_blocks(spec), block by block, followed on the ring by those
+    of the site-reflected state R psi in each block whose multiplicity is 2:
+    the mirror sectors N-m, which those blocks propagate too.
 
-    On the momentum ring the coordinate of the Bloch state |a(k)>,
-    k = 2 pi m / N, is <a(k)|psi> = sqrt(p_a) ifft_r(psi[T^r a])[m]: a gather
-    along each orbit and one inverse FFT, with no 2^N x d basis matrix.
-    Every other spec is one block in its own basis, so the coordinates are
-    [amplitudes] themselves.
+    The ring's coordinates gather the Bloch coordinates
+    <a(k)|psi> = sqrt(p_a) ifft_r(psi[T^r a])[m] (one inverse FFT along the
+    orbits) over the block's coordinate rows; the magnon chain's gather the
+    positions over its rows; neither builds a basis matrix.  The open Ising
+    chain and the full-space XY chain are one block in their own basis, so
+    their coordinates are [amplitudes] themselves.
     """
+    if spec.kind is ModelKind.XY_MAGNON:
+        index, weight = _magnon_real_templates(spec.N)[3]
+        return [(weight * amplitudes[index]).sum(axis=1)]
     if not _momentum_ring(spec):
         return [amplitudes]
     (_, orbits, root_period), _, members = _ring_momentum_structure(spec.N)
-    coef = np.fft.ifft(amplitudes[orbits], axis=0) * root_period
-    return [coef[m, mem] for m, mem in enumerate(members)]
+    templates = _ring_real_templates(spec.N)
+    mirrored = [m for m, c in enumerate(spectrum_multiplicities(spec)) if c == 2]
+    reflected = amplitudes.reshape((2,) * spec.N).T.ravel()  # bit order reversed
+    out = []
+    for psi, blocks in ((amplitudes, range(len(members))), (reflected, mirrored)):
+        coef = np.fft.ifft(psi[orbits], axis=0) * root_period
+        for m in blocks:
+            index, weight = templates[m][3]
+            out.append((weight * coef[m, members[m]][index]).sum(axis=1))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,14 @@ def test_printed_omega_is_identically_zero():
         assert abs(em.Omega) < 1e-12
 
 
+def _lambda_eff_n_sum(N, V):
+    """The paper's n-sum for the effective end-to-end coupling, in doubles."""
+    theta = math.pi / (2 * (N - 1))
+    phi = 2 * (np.arange(2, N) - 1) * theta
+    return (2.0 / (N - 1)) * float(np.sum(
+        np.sin(phi) * np.sin((N - 2) * phi) / (V - 2 * np.cos(phi))))
+
+
 def test_lambda_eff_exact_chebyshev_identity():
     # the n-sum equals 1/U_(N-2)(V/2) with monic Chebyshev polynomials
     # U_m (three-term recurrence U_m = x*U_(m-1) - U_(m-2)); for N=6:
@@ -260,6 +268,26 @@ def test_lambda_eff_exact_chebyshev_identity():
         em = bethe.effective_model(6, V)
         u4 = V ** 4 - 3 * V ** 2 + 1
         assert em.lambda_eff * u4 == pytest.approx(1.0, rel=1e-10)
+    # the n-sum itself, for both signs of V, where its cancellation costs
+    # few digits: at |V| <= 10 and N <= 8 (at N = 12, V = 10 it loses 8)
+    for N in (6, 8):
+        for V in (-10.0, -3.0, 2.5, 3.0, 10.0):
+            assert bethe.effective_model(N, V).lambda_eff == pytest.approx(
+                _lambda_eff_n_sum(N, V), rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("N, V", [(12, 50.0), (10, 1e3), (8, 100.0), (6, 1e5),
+                                  (6, -1e5)])
+def test_perturbative_boundary_is_exact_at_large_v(N, V):
+    # the n-sum's terms are about 1/V and cancel to 1/V^(N-2): in doubles it
+    # read 5 % high at (12, 50) and 1.7e-19 for 1.0e-24 at (10, 1e3)
+    with mp.workdps(60):
+        u_prev, u = mp.mpf(1), mp.mpf(V)
+        for _ in range(N - 3):
+            u_prev, u = u, V * u - u_prev
+        exact = float(1 / u)
+    assert bethe.perturbative_boundary(N, V) == pytest.approx(exact, rel=1e-14,
+                                                               abs=0)
 
 
 def test_lambda_eff_large_v_power_law():

@@ -1,6 +1,7 @@
-"""Momentum blocks of the periodic Ising ring (models.hamiltonian_blocks and
-its mirror-free part, models.spectrum_blocks) and the block-wise broken-phase
-indicator built on them."""
+"""Symmetry blocks (models.hamiltonian_blocks): the real momentum blocks
+m = 0 .. N//2 of the periodic Ising ring, which stand for their mirror blocks
+N-m too, the real magnon chain, and each block's coordinates of a state; and
+the block-wise broken-phase indicator built on them."""
 
 import time
 
@@ -38,34 +39,48 @@ def _multiset_distance(a, b) -> float:
     return float(cost[rows, cols].max())
 
 
+def _sectors(spec):
+    """The block of every sector of block_coordinates: each block, then each
+    block of multiplicity 2 again, for its mirror sector."""
+    counts = models.spectrum_multiplicities(spec)
+    return list(range(len(counts))) + [b for b, c in enumerate(counts) if c == 2]
+
+
 @pytest.mark.parametrize("N, J, Delta, gamma", _ring_params())
 def test_block_spectra_equal_dense_spectrum(N, J, Delta, gamma):
     spec = ring(N, J=J, Delta=Delta, gamma=gamma)
     h = models.build_h_ghz(spec)
     blocks = models.hamiltonian_blocks(spec)
-    assert len(blocks) == N
-    assert sum(b.shape[0] for b in blocks) == 2 ** N
-    eps = np.concatenate([np.linalg.eigvals(b) for b in blocks])
+    counts = models.spectrum_multiplicities(spec)
+    assert len(blocks) == len(counts) == N // 2 + 1
+    assert sum(c * b.shape[0] for b, c in zip(blocks, counts)) == 2 ** N
+    eps = np.concatenate([np.linalg.eigvals(b) for b, c in zip(blocks, counts)
+                          for _ in range(c)])
     dense = np.linalg.eigvals(h)
     assert _multiset_distance(eps, dense) <= 1e-10 * (1 + np.linalg.norm(h))
 
 
 @pytest.mark.parametrize("N", range(1, 13))
 def test_block_dimensions_sum_to_full_space(N):
-    blocks = models.hamiltonian_blocks(ring(N, Delta=0.5, gamma=0.1))
-    assert len(blocks) == N
-    assert sum(b.shape[0] for b in blocks) == 2 ** N
+    spec = ring(N, Delta=0.5, gamma=0.1)
+    blocks = models.hamiltonian_blocks(spec)
+    counts = models.spectrum_multiplicities(spec)
+    assert len(blocks) == len(counts) == N // 2 + 1
+    assert counts == [1 if 2 * m in (0, N) else 2 for m in range(N // 2 + 1)]
+    assert sum(c * b.shape[0] for b, c in zip(blocks, counts)) == 2 ** N
 
 
 def test_two_site_ring_blocks():
-    # k=0: |00>, (|01>+|10>)/sqrt2, |11> with the doubled N=2 bond;
+    # k=0 in Bloch states: |00>, (|01>+|10>)/sqrt2, |11> with the doubled
+    # N=2 bond; its real basis is u = (|00>+|11>)/sqrt2, the middle state
+    # and v = i(|00>-|11>)/sqrt2, where i gamma sum sz takes u to -2 gamma v.
     # k=pi: (|01>-|10>)/sqrt2, which Delta sum sx annihilates
     J, D, g = 0.7, 0.3, 0.2
     k0, kpi = models.hamiltonian_blocks(ring(2, J=J, Delta=D, gamma=g))
-    s2 = np.sqrt(2)
-    assert np.allclose(k0, [[-2 * J - 2j * g, s2 * D, 0],
-                            [s2 * D, 2 * J, s2 * D],
-                            [0, s2 * D, -2 * J + 2j * g]], rtol=0, atol=1e-15)
+    assert k0.dtype == kpi.dtype == np.float64
+    assert np.allclose(k0, [[-2 * J, 2 * D, 2 * g],
+                            [2 * D, 2 * J, 0],
+                            [-2 * g, 0, -2 * J]], rtol=0, atol=1e-15)
     assert np.array_equal(kpi, [[2 * J]])
 
 
@@ -75,27 +90,29 @@ def test_two_site_ring_blocks():
     ModelSpec(ModelKind.XY_FULL_SPACE, N=3, V=2.0, gamma=0.1),
 ])
 def test_other_models_come_back_whole(spec):
+    # the magnon chain comes back as its real form, the others as h itself
     h = models.build_hamiltonian(spec)
     (block,) = models.hamiltonian_blocks(spec)
-    assert np.array_equal(block, h)
-    # the magnon chain's spectrum block is its real form, the others h itself
-    (block,) = models.spectrum_blocks(spec)
+    assert models.spectrum_multiplicities(spec) == [1]
     assert block.shape == h.shape
     assert _multiset_distance(np.linalg.eigvals(block), np.linalg.eigvals(h)) \
         <= 1e-10 * (1 + np.linalg.norm(h))
     if spec.kind is not ModelKind.XY_MAGNON:
         assert np.array_equal(block, h)
+        (coords,) = models.block_coordinates(spec, h[:, 0])
+        assert np.array_equal(coords, h[:, 0])
 
 
 @pytest.mark.parametrize("J", [1.0, -0.7, 0.0])
 @pytest.mark.parametrize("N", range(2, 11))
-def test_mirror_blocks_have_equal_spectra(N, J):
-    # the oracle for spectrum_blocks: block N-m repeats the spectrum of block m
+def test_mirror_blocks_have_equal_spectra(N, J, bloch_blocks):
+    # why hamiltonian_blocks stops at k = pi: in the Bloch oracle, block N-m
+    # repeats the spectrum of block m, and the real block m has it too
     for Delta in (0.0, 0.3, 1.3):
         for gamma in (0.0, 0.05, 0.8, 3.0):
             spec = ring(N, J=J, Delta=Delta, gamma=gamma)
-            blocks = models.hamiltonian_blocks(spec)
-            kept = models.spectrum_blocks(spec)
+            blocks = [h for _, h in bloch_blocks(spec)]
+            kept = models.hamiltonian_blocks(spec)
             assert len(kept) == N // 2 + 1
             # the blocks are H in an orthonormal basis, so they hold its norm
             scale = 1 + np.sqrt(sum(np.linalg.norm(b) ** 2 for b in blocks))
@@ -128,8 +145,8 @@ def test_ring_node_diagonalizes_blocks_up_to_k_pi(monkeypatch, N, dims, entry):
 
 
 def _block_adjoints(spec):
-    """B_b^dagger of every block b, as dense matrices, from the coordinates
-    of the spin-z basis states."""
+    """B_s^dagger of every sector s of block_coordinates, as dense matrices,
+    from the coordinates of the basis states of spec's space."""
     eye = np.eye(spec.basis.dim, dtype=complex)
     coords = [models.block_coordinates(spec, eye[:, j])
               for j in range(spec.basis.dim)]
@@ -138,9 +155,10 @@ def _block_adjoints(spec):
 
 @pytest.mark.parametrize("N, J, Delta, gamma", _ring_params())
 def test_block_basis_reduces_the_dense_matrix_to_each_block(N, J, Delta, gamma):
+    # a mirror sector's basis R B_m reduces h to block m, too
     spec = ring(N, J=J, Delta=Delta, gamma=gamma)
     h = models.build_h_ghz(spec)
-    blocks = models.hamiltonian_blocks(spec)
+    blocks = [models.hamiltonian_blocks(spec)[b] for b in _sectors(spec)]
     adjoints = _block_adjoints(spec)
     assert [a.shape for a in adjoints] == [(len(b), 2 ** N) for b in blocks]
     for a, block in zip(adjoints, blocks):
@@ -149,14 +167,20 @@ def test_block_basis_reduces_the_dense_matrix_to_each_block(N, J, Delta, gamma):
 
 @pytest.mark.parametrize("N", range(2, 9))
 def test_block_coordinates_preserve_inner_products(N):
-    spec = ring(N, Delta=0.5, gamma=0.1)
+    # over all sectors, mirror sectors included, on the ring and the chain
     rng = np.random.default_rng(N)
-    phi, psi = rng.normal(size=(2, 2 ** N)) + 1j * rng.normal(size=(2, 2 ** N))
-    cphi, cpsi = (models.block_coordinates(spec, x) for x in (phi, psi))
-    assert sum(np.vdot(a, a).real for a in cpsi) == pytest.approx(
-        np.vdot(psi, psi).real, rel=1e-13)
-    overlap = sum(np.vdot(a, b) for a, b in zip(cphi, cpsi))
-    assert abs(overlap - np.vdot(phi, psi)) <= 1e-13 * np.linalg.norm(phi) * np.linalg.norm(psi)
+    for spec in (ring(N, Delta=0.5, gamma=0.1),
+                 ModelSpec(ModelKind.XY_MAGNON, N=N, V=2.0, gamma=0.1)):
+        dim = spec.basis.dim
+        phi, psi = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+        cphi, cpsi = (models.block_coordinates(spec, x) for x in (phi, psi))
+        blocks = models.hamiltonian_blocks(spec)
+        assert [len(c) for c in cpsi] == [len(blocks[b]) for b in _sectors(spec)]
+        assert sum(np.vdot(a, a).real for a in cpsi) == pytest.approx(
+            np.vdot(psi, psi).real, rel=1e-13)
+        overlap = sum(np.vdot(a, b) for a, b in zip(cphi, cpsi))
+        assert abs(overlap - np.vdot(phi, psi)) \
+            <= 1e-13 * np.linalg.norm(phi) * np.linalg.norm(psi)
 
 
 @pytest.mark.parametrize("N", range(2, 9))
@@ -175,11 +199,11 @@ def _real_block_cases():
 
 
 @pytest.mark.parametrize("N", range(2, 11))
-def test_real_ring_blocks_have_the_complex_blocks_spectra(N):
+def test_real_ring_blocks_have_the_complex_blocks_spectra(N, bloch_blocks):
     for J, Delta, gamma in _real_block_cases():
         spec = ring(N, J=J, Delta=Delta, gamma=gamma)
-        blocks = models.hamiltonian_blocks(spec)
-        real = models.spectrum_blocks(spec)
+        blocks = [h for _, h in bloch_blocks(spec)]
+        real = models.hamiltonian_blocks(spec)
         assert [b.dtype for b in real] == [np.float64] * (N // 2 + 1)
         assert [b.shape for b in real] == [b.shape for b in blocks[:N // 2 + 1]]
         scale = 1 + np.sqrt(sum(np.linalg.norm(b) ** 2 for b in blocks))
@@ -194,22 +218,24 @@ def test_real_magnon_block_has_the_chain_spectrum(N):
         for gamma in (0.0, 0.3, 1.5, 10.0):
             spec = ModelSpec(ModelKind.XY_MAGNON, N=N, V=V, gamma=gamma)
             h = models.build_h_eq(spec)
-            (real,) = models.spectrum_blocks(spec)
+            (real,) = models.hamiltonian_blocks(spec)
             assert real.dtype == np.float64 and real.shape == (N, N)
             assert _multiset_distance(np.linalg.eigvals(real), np.linalg.eigvals(h)) \
                 <= 1e-10 * (1 + np.linalg.norm(h))
+            # the basis of block_coordinates reduces h to the real block
+            (a,) = _block_adjoints(spec)
+            assert np.max(np.abs(a @ h @ a.conj().T - real)) \
+                <= 1e-13 * (1 + np.abs(h).max())
 
 
 def test_real_templates_are_shared_read_only():
-    arrays = list(models._magnon_real_templates(5))
-    for x, y, zz in models._ring_real_templates(6):
-        arrays += [x, *y, zz]
+    t, e, o, rows = models._magnon_real_templates(5)
+    arrays = [t, e, o, *rows]
+    for x, y, zz, rows in models._ring_real_templates(6):
+        arrays += [x, *y, zz, *rows]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 1
-    a = models.spectrum_blocks(ring(6, Delta=0.5, gamma=0.1))
-    a[0][0, 0] = 99.0  # a returned block is the caller's own
-    assert models.spectrum_blocks(ring(6, Delta=0.5, gamma=0.1))[0][0, 0] != 99.0
 
 
 def test_real_templates_built_on_sweep_threads_are_exact(monkeypatch):
@@ -224,9 +250,11 @@ def test_real_templates_built_on_sweep_threads_are_exact(monkeypatch):
                         analysis.AxisSpec("Delta", "lin", np.linspace(0.2, 2.0, 8)),
                         analysis.AxisSpec("gamma", "lin", np.array([0.1])))
     assert mp.mp.prec == 53
-    for (x, y, zz), (x1, y1, zz1) in zip(models._ring_real_templates(7), single):
+    for (x, y, zz, rows), (x1, y1, zz1, rows1) in zip(
+            models._ring_real_templates(7), single):
         assert np.array_equal(x, x1) and np.array_equal(zz, zz1)
         assert all(np.array_equal(a, b) for a, b in zip(y, y1))
+        assert all(np.array_equal(a, b) for a, b in zip(rows, rows1))
 
 
 @pytest.mark.parametrize("N", [6, 8, 10])
@@ -239,12 +267,16 @@ def test_real_ring_blocks_are_unbroken_at_tiny_gamma(N):
 
 
 def test_block_templates_are_shared_read_only():
-    a = models.hamiltonian_blocks(ring(6, Delta=0.5, gamma=0.1))
-    b = models.hamiltonian_blocks(ring(6, Delta=0.5, gamma=0.1))
-    a[0][0, 0] = 99.0  # a returned block is the caller's own
-    assert b[0][0, 0] != 99.0
-    with pytest.raises(ValueError):
-        models._ring_bloch_templates(6)[0][0, 0] = 1.0
+    for spec in (ring(6, Delta=0.5, gamma=0.1),
+                 ModelSpec(ModelKind.XY_MAGNON, N=6, V=2.0, gamma=0.1)):
+        a = models.hamiltonian_blocks(spec)
+        b = models.hamiltonian_blocks(spec)
+        a[0][0, 0] = 99.0  # a returned block is the caller's own
+        assert b[0][0, 0] != 99.0
+    (z, orbits, root_period), flips, members = models._ring_momentum_structure(6)
+    for arr in (z, orbits, root_period, *flips, *members):
+        with pytest.raises(ValueError):
+            arr[0] = 1
 
 
 def test_block_eig_failure_is_nan_node_and_cli_exits_3(monkeypatch, tmp_path):

@@ -286,6 +286,36 @@ def test_block_dynamics_match_dense_stepping(spec, bits, t_max, n_steps):
                   <= 1e-12 * (1 + np.abs(log_norms)))
 
 
+# odd N, even N and J = 0; the target, one flip at site 2, has amplitude in
+# every momentum sector, mirror sectors included
+_RING_STACK_CASES = {
+    "odd_N": ising(7, 0.75, 0.05),
+    "even_N": ising(8, 0.5, 0.1),
+    "J0": replace(ising(6, 0.75, 0.05), J=0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RING_STACK_CASES))
+def test_ring_propagates_only_the_blocks_up_to_k_pi(monkeypatch, case):
+    # a mirror sector N-m takes block m's propagator, so the stack holds
+    # the N//2 + 1 blocks of hamiltonian_blocks, not N
+    spec = _RING_STACK_CASES[case]
+    init = dynamics.default_initial_state(spec)
+    target = models.single_flip_state(spec.N, 2)
+    kernel, sizes = linalg.scaled_propagator, []
+    monkeypatch.setattr(linalg, "scaled_propagator",
+                        lambda m, dt: sizes.append(len(m)) or kernel(m, dt))
+    trace = dynamics.evolve_trace(spec, init, target, 500.0, 2000)
+    f = dynamics.final_fidelity(spec, init, target, 500.0)
+    assert sizes == [spec.N // 2 + 1] * 2
+    monkeypatch.undo()
+    fidelities, log_norms = _dense_stepped(spec, init, target, 500.0, 2000)
+    assert np.max(np.abs(trace.fidelities - fidelities)) <= 1e-12
+    assert abs(f - fidelities[-1]) <= 1e-12
+    assert np.all(np.abs(trace.log_norms - log_norms)
+                  <= 1e-12 * (1 + np.abs(log_norms)))
+
+
 _RING_DYNAMICS_SCRIPT = """
 from epchain import dynamics, models, serialize
 spec = models.ModelSpec(models.ModelKind.TRANSVERSE_ISING, N=8, Delta=0.5,
@@ -381,13 +411,13 @@ def test_ring_steady_fidelity_matches_dense_dominant_state(N, Delta, gamma):
     assert dynamics.steady_fidelity(spec, target) == pytest.approx(dense, abs=1e-10)
 
 
-def _steady_fidelity_over_all_blocks(spec, target):
-    """Test-only copy of steady_fidelity that diagonalizes all N blocks."""
-    spectra = [linalg.eig(h) for h in models.hamiltonian_blocks(spec)]
+def _steady_fidelity_over_all_blocks(spec, target, bloch_blocks):
+    """Test-only steady_fidelity over all N blocks of the Bloch oracle."""
+    bases, blocks = zip(*bloch_blocks(spec))
+    spectra = [linalg.eig(h) for h in blocks]
     n = dynamics._dominant_index(np.concatenate([s.eigenvalues for s in spectra]))
     b, j = [(b, j) for b, s in enumerate(spectra) for j in range(s.dim)][n]
-    coords = models.block_coordinates(spec, target.amplitudes)
-    tgt = coords[b] / np.linalg.norm(np.concatenate(coords))
+    tgt = bases[b].conj().T @ target.amplitudes / np.linalg.norm(target.amplitudes)
     vec = spectra[b].right_vectors[:, j]
     return float(abs(np.vdot(tgt, vec / np.linalg.norm(vec))))
 
@@ -396,11 +426,12 @@ def _steady_fidelity_over_all_blocks(spec, target):
     (6, 1.0, 0.75, 0.05), (6, 1.0, 0.5, 0.3), (8, 1.0, 0.5, 0.1),
     (10, 1.0, 0.5, 0.02), (6, 0.0, 0.9, 1.2), (8, 0.0, 0.5, 0.7),
     (7, -0.7, 1.3, 0.8), (6, 1.0, 2.0, 3.0)])
-def test_ring_steady_fidelity_skips_the_mirror_blocks(monkeypatch, N, J, Delta, gamma):
+def test_ring_steady_fidelity_skips_the_mirror_blocks(monkeypatch, bloch_blocks,
+                                                      N, J, Delta, gamma):
     spec = replace(ising(N, Delta, gamma), J=J)
     target = models.target_state("ghz", N)
     try:
-        expected = _steady_fidelity_over_all_blocks(spec, target)
+        expected = _steady_fidelity_over_all_blocks(spec, target, bloch_blocks)
     except NoDominantState:
         expected = NoDominantState
     dims, eig = [], linalg.eig
@@ -409,9 +440,11 @@ def test_ring_steady_fidelity_skips_the_mirror_blocks(monkeypatch, N, J, Delta, 
         with pytest.raises(NoDominantState):
             dynamics.steady_fidelity(spec, target)
     else:
-        assert dynamics.steady_fidelity(spec, target) == expected
+        assert dynamics.steady_fidelity(spec, target) == pytest.approx(
+            expected, abs=1e-12)
     blocks = models.hamiltonian_blocks(spec)
-    assert dims == [len(h) for h in blocks[:N // 2 + 1]]
+    assert len(blocks) == N // 2 + 1
+    assert dims == [len(h) for h in blocks]
 
 
 def test_ring_steady_fidelity_unbroken_raises():

@@ -47,25 +47,26 @@ def reference_eig(m):
                            residuals=residuals)
 
 
-def _complex_blocks(spec):
-    """The complex matrices the indicator's real blocks stand for: momentum
-    blocks m = 0 .. N//2 on the ring, the whole matrix otherwise."""
+def _complex_blocks(spec, bloch_blocks):
+    """The complex matrices the indicator's real blocks stand for: the Bloch
+    oracle's momentum blocks m = 0 .. N//2 on the ring, the whole matrix
+    otherwise."""
     if spec.kind is ModelKind.TRANSVERSE_ISING and \
             spec.ising_boundary is IsingBoundary.PERIODIC:
-        return models.hamiltonian_blocks(spec)[:spec.N // 2 + 1]
+        return [h for _, h in bloch_blocks(spec)[:spec.N // 2 + 1]]
     return [models.build_hamiltonian(spec)]
 
 
-def reference_grid(template, x_axis, y_axis):
+def reference_grid(template, x_axis, y_axis, bloch_blocks):
     """The node-by-node sweep: max over the complex blocks of the reference
-    max|Im eps|, independent of models.spectrum_blocks' real forms."""
+    max|Im eps|, independent of models.hamiltonian_blocks' real forms."""
     out = np.empty((len(x_axis.values), len(y_axis.values)))
     for i, x in enumerate(x_axis.values):
         for j, g in enumerate(y_axis.values):
             spec = replace(template, **{x_axis.name: float(x), "gamma": float(g)})
             out[i, j] = max(
                 float(np.max(np.abs(reference_eig(h).eigenvalues.imag)))
-                for h in _complex_blocks(spec))
+                for h in _complex_blocks(spec, bloch_blocks))
     return out
 
 
@@ -104,9 +105,10 @@ def test_stack_eigenvalues_equal_eig_bitwise(d):
 
 
 @pytest.mark.parametrize("N", [4, 6, 8])
-def test_stack_of_ring_blocks_equals_eig_bitwise(N):
+def test_stack_of_ring_blocks_equals_eig_bitwise(N, bloch_blocks):
+    # the Bloch oracle's complex blocks m = 0 .. N//2
     blocks = [h for delta in (0.3, 1.1) for g in (1e-3, 0.2, 0.9)
-              for h in models.hamiltonian_blocks(ring(N, Delta=delta, gamma=g))]
+              for h in _complex_blocks(ring(N, Delta=delta, gamma=g), bloch_blocks)]
     for d in sorted({h.shape[0] for h in blocks}):
         same = [h for h in blocks if h.shape[0] == d]
         vals, ok = linalg.eigvals_stack(np.stack(same))
@@ -302,17 +304,19 @@ def _figure_axes(number, x_name, x_key):
 
 
 @pytest.mark.parametrize("N", [6, 8])
-def test_fig2_grid_equals_per_node_reference(N):
+def test_fig2_grid_equals_per_node_reference(N, bloch_blocks):
     x_axis, y_axis = _figure_axes(2, "V", "V_range")
     grid = analysis.sweep_grid(xy(N), x_axis, y_axis)
-    assert_grid_matches_reference(grid, reference_grid(xy(N), x_axis, y_axis))
+    assert_grid_matches_reference(
+        grid, reference_grid(xy(N), x_axis, y_axis, bloch_blocks))
 
 
-def test_fig4_ring_grid_equals_per_node_reference():
+def test_fig4_ring_grid_equals_per_node_reference(bloch_blocks):
     x_axis, y_axis = _figure_axes(4, "Delta", "Delta_range")
     template = ring(6, J=1.0)
     grid = analysis.sweep_grid(template, x_axis, y_axis)
-    assert_grid_matches_reference(grid, reference_grid(template, x_axis, y_axis))
+    assert_grid_matches_reference(
+        grid, reference_grid(template, x_axis, y_axis, bloch_blocks))
 
 
 def _counting_kernel(monkeypatch):
@@ -337,7 +341,7 @@ def test_xy_grid_is_one_kernel_call_per_row(monkeypatch):
     assert shapes == [(24, 6, 6)] * 24
 
 
-def test_dense_nodes_go_to_the_kernel_one_at_a_time(monkeypatch):
+def test_dense_nodes_go_to_the_kernel_one_at_a_time(monkeypatch, bloch_blocks):
     # an open ring is one dense 2^8 matrix per node, 1 MB each
     template = ring(8, Delta=1.0, ising_boundary=IsingBoundary.OPEN)
     x_axis = analysis.AxisSpec.from_range("Delta", 1.0, 1.0, "lin", 1)
@@ -345,7 +349,8 @@ def test_dense_nodes_go_to_the_kernel_one_at_a_time(monkeypatch):
     shapes = _counting_kernel(monkeypatch)
     grid = analysis.sweep_grid(template, x_axis, y_axis)
     assert shapes == [(1, 256, 256)] * 3
-    assert np.array_equal(grid.values, reference_grid(template, x_axis, y_axis))
+    assert np.array_equal(grid.values,
+                          reference_grid(template, x_axis, y_axis, bloch_blocks))
 
 
 def test_failed_spec_is_a_nan_node():

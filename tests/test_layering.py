@@ -178,7 +178,7 @@ def test_only_serialize_knows_the_output_format():
 
 
 # dynamics propagates through the symmetry blocks only, and only models knows
-# the Bloch basis behind them
+# the bases behind them
 def _names(tree: ast.AST):
     """(line, name) of every identifier, attribute and imported name in tree."""
     for node in ast.walk(tree):
@@ -197,16 +197,15 @@ def test_dynamics_does_not_build_the_whole_hamiltonian():
             if name == "build_hamiltonian"] == []
 
 
-def test_analysis_reads_only_the_mirror_free_blocks():
-    # the indicator diagonalizes models.spectrum_blocks, never all N blocks
-    tree = ast.parse((SRC / "analysis.py").read_text())
-    assert [line for line, name in _names(tree)
-            if name == "hamiltonian_blocks"] == []
+# the momentum structure and the real-basis templates (with their coordinate
+# rows) are read through hamiltonian_blocks and block_coordinates alone
+BASIS_TABLES = {"_ring_momentum_structure", "_ring_real_templates",
+                "_magnon_real_templates"}
 
 
 def test_only_models_knows_the_momentum_structure():
     users = {m for m in LAYERS
-             if any(name == "_ring_momentum_structure" for _, name
+             if any(name in BASIS_TABLES for _, name
                     in _names(ast.parse((SRC / f"{m}.py").read_text())))}
     assert users == {"models"}, users
 
