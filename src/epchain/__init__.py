@@ -52,9 +52,9 @@ from .models import (
     hamiltonian_blocks,
     magnon_basis,
     reduce_to_magnon_sector,
+    sector_blocks,
     single_flip_state,
     site_state,
-    spectrum_multiplicities,
     spin_basis,
     target_state,
     total_sz,

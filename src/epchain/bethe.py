@@ -422,7 +422,9 @@ def exact_boundary_gamma(N: int, V: float) -> float:
     (c+sqrt(c^2-1))^2N, and gamma_c ~ V^-(N-2) falls below double-precision
     resolution at large V, where g^2 must still register next to V^2.  The
     working precision (_working_dps, which covers the cancellation in the
-    residual) and the lower bracket therefore scale with (N, V).  Raises
+    residual) and the lower bracket therefore scale with (N, V).  N = 2 has
+    its root at gamma = 1 for every V, where the residual is roundoff of
+    either sign, and returns 1.0 without a search.  Raises
     ValueError for |V| <= 2 or non-finite V, NoBracket where the residual has
     no sign change, and NoRoot where gamma_c underflows a double.
     """
@@ -430,6 +432,8 @@ def exact_boundary_gamma(N: int, V: float) -> float:
         raise ValueError(f"exact_boundary_gamma requires finite V, got {V}")
     if abs(V) <= 2:
         raise ValueError("exact_boundary_gamma requires |V| > 2")
+    if N == 2:  # eigenvalues V +- sqrt(1 - gamma^2): the EP sits at gamma = 1
+        return 1.0
     v = abs(V)  # gamma_c is even in V (staggered gauge flips the band sign)
     with mp.workdps(_working_dps(N, v)):
         vv = mp.mpf(v)
@@ -446,6 +450,16 @@ def exact_boundary_gamma(N: int, V: float) -> float:
                 raise NoBracket("no real-branch gamma found below 1")
             fhi = f(hi)
         flo = f(lo)
+        # halving can step past the root (N = 3 near V = 2): bisect towards
+        # the real-branch edge until the sign changes or hi meets it in a double
+        edge = 2 * hi
+        while flo * fhi > 0 and hi < 1 and float(hi) != float(edge):
+            mid = mp.sqrt(hi * edge)
+            fmid = f(mid)
+            if isinstance(fmid, mp.mpc) or not mp.isfinite(fmid):
+                edge = mid
+            else:
+                hi, fhi = mid, fmid
         if flo * fhi > 0:
             raise NoBracket(
                 f"no sign change of the boundary condition in [{float(lo)}, {float(hi)}]"

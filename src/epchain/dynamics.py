@@ -14,8 +14,9 @@ Both run in the symmetry blocks of models.hamiltonian_blocks, through one
 core: the blocks are exponentiated in one linalg.scaled_propagator call, and
 every product advances all sectors at once; the states are their sector
 coordinates (models.block_coordinates), and norms and overlaps are taken
-over all sectors.  On the Ising ring each mirror sector N-m takes the
-propagator of block m, so no 2^N x 2^N matrix is exponentiated or
+over all sectors.  Each sector takes the propagator of the block that
+models.sector_blocks names for it (on the Ising ring, mirror sector N-m
+that of block m), so no 2^N x 2^N matrix is exponentiated or
 multiplied.  Every entry raises DimensionMismatch unless its states live in
 the model's space (models.check_basis).
 """
@@ -35,8 +36,8 @@ from .models import (
     block_coordinates,
     check_basis,
     hamiltonian_blocks,
+    sector_blocks,
     site_excitation,
-    spectrum_multiplicities,
 )
 
 DOMINANT_GAP_TOL = 1e-10
@@ -84,8 +85,8 @@ def _block_setup(spec: ModelSpec, init: StateVector, target: StateVector,
     The blocks of models.hamiltonian_blocks are zero-padded to the largest
     block dimension d and exponentiated over dt in one
     linalg.scaled_propagator call; u is 2^-e times the (k, d, d) stack of
-    their propagators for the k sectors of models.block_coordinates, a ring
-    block of multiplicity 2 serving its mirror sector too.  psi and tgt are
+    their propagators for the k sectors of models.block_coordinates, each
+    sector's from its block in models.sector_blocks.  psi and tgt are
     the (k, d, 1) sector coordinates of init and target, each normalized
     over all sectors.  The padding is exact: the exponential of a zero-padded
     block is its own exponential beside the identity on the padded
@@ -101,13 +102,12 @@ def _block_setup(spec: ModelSpec, init: StateVector, target: StateVector,
     for b, block in enumerate(blocks):
         h[b, :len(block), :len(block)] = block
     u, e = linalg.scaled_propagator(h, dt)
-    counts = spectrum_multiplicities(spec)
-    sectors = list(range(len(blocks))) + [b for b, c in enumerate(counts) if c == 2]
+    sectors = sector_blocks(spec)
 
     def stacked(state: StateVector) -> np.ndarray:
         x = np.zeros((len(sectors), d, 1), dtype=complex)
-        for b, c in enumerate(block_coordinates(spec, state.amplitudes)):
-            x[b, :len(c), 0] = c
+        for s, c in enumerate(block_coordinates(spec, state.amplitudes)):
+            x[s, :len(c), 0] = c
         return x / np.linalg.norm(x)
 
     return u[sectors], e, stacked(init), stacked(target)
@@ -182,23 +182,21 @@ def _dominant_index(eigenvalues: np.ndarray) -> int:
 def steady_fidelity(spec: ModelSpec, target: StateVector) -> float:
     """|<target|dominant right eigenvector>| (the long-time fidelity limit).
 
-    The dominant eigenvector is chosen among the eigenvalues of all symmetry
-    blocks together and read in the coordinates of its own block.  A ring
-    block of multiplicity 2 (models.spectrum_multiplicities) stands for its
-    mirror sector too, so its eigenvalues count twice and a dominant one
+    The dominant eigenvector is chosen among the eigenvalues of all sectors
+    together, each sector taking its block's (models.sector_blocks), and read
+    in the coordinates of its own sector.  A ring block 0 < m < N/2 also runs
+    the mirror sector N-m, so its eigenvalues count twice and a dominant one
     there is degenerate (NoDominantState).  DimensionMismatch unless target
     lives in spec.basis.
     """
     check_basis(spec, target)
-    counts = spectrum_multiplicities(spec)
+    sectors = sector_blocks(spec)
     spectra = [linalg.eig(h) for h in hamiltonian_blocks(spec)]
-    vals = [s.eigenvalues for s in spectra]
-    n = _dominant_index(np.concatenate(
-        vals + [v for v, c in zip(vals, counts) if c == 2]))
-    b, j = [(b, j) for b, s in enumerate(spectra) for j in range(s.dim)][n]
+    n = _dominant_index(np.concatenate([spectra[b].eigenvalues for b in sectors]))
+    s, j = [(s, j) for s, b in enumerate(sectors) for j in range(spectra[b].dim)][n]
     coords = block_coordinates(spec, target.amplitudes)
-    tgt = coords[b] / np.linalg.norm(np.concatenate(coords))
-    vec = spectra[b].right_vectors[:, j]
+    tgt = coords[s] / np.linalg.norm(np.concatenate(coords))
+    vec = spectra[sectors[s]].right_vectors[:, j]
     return float(abs(np.vdot(tgt, vec / np.linalg.norm(vec))))
 
 

@@ -3,7 +3,7 @@
 Covers the open XY chain with imaginary boundary fields (full spin space and
 its single-magnon reduction) and the transverse-field Ising model with an
 imaginary longitudinal field, whole or, on the ring, in momentum blocks
-together with each block's coordinates of a state.
+from one table per N, together with each sector's coordinates of a state.
 Conventions:
 
 * magnon basis: position states |1> .. |N>, stored as indices 0 .. N-1;
@@ -301,46 +301,6 @@ def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # symmetry blocks
 
-@functools.lru_cache(maxsize=None)  # N <= 12 under FULL_SPACE_CAP
-def _ring_momentum_structure(N: int):
-    """Parameter-free momentum structure of the N-site ring.
-
-    T rotates the bitstring left by one site.  Each orbit of T has one
-    representative a, its smallest index, with period p_a.  The Bloch state
-    |a(k)> = p_a^-1/2 sum_{r < p_a} e^{-ikr} T^r |a> exists for
-    k = 2 pi m / N when m p_a is a multiple of N, and these states form an
-    orthonormal basis.
-
-    Returns, per representative a, its sz values, its orbit T^r a for
-    r = 0 .. N-1 (as columns) and sqrt(p_a); every flip sx_l |a> = T^s |b>
-    of a representative, as the positions of b and a and -s; and, per
-    m = 0 .. N//2, the positions of the block's representatives.  The arrays
-    are read-only: they are shared.
-    """
-    idx = np.arange(2 ** N)
-    rots = [idx]  # rots[r] = T^r idx
-    for _ in range(N - 1):
-        rots.append(((rots[-1] << 1) | (rots[-1] >> (N - 1))) & (2 ** N - 1))
-    rots = np.array(rots)
-    rep, to_rep = rots.min(axis=0), rots.argmin(axis=0)  # T^to_rep s = rep
-    reps = np.flatnonzero(rep == idx)
-    # a comes back to itself at N / p_a of the N rotations
-    period = N // np.sum(rots[:, reps] == reps, axis=0)
-    where = np.zeros(2 ** N, dtype=int)
-    where[reps] = np.arange(reps.size)
-    flipped = (reps[:, None] ^ (1 << np.arange(N))).ravel()  # sx of every site
-    col = np.repeat(np.arange(reps.size), N)
-    flips = (where[rep[flipped]], col, to_rep[flipped])
-    members = tuple(np.flatnonzero(m * period % N == 0)
-                    for m in range(N // 2 + 1))
-    orbits = rots[:, reps]
-    root_period = np.sqrt(period)
-    z = _spin_z(N)[1][reps]
-    for a in (z, orbits, root_period, *flips, *members):
-        a.setflags(write=False)
-    return (z, orbits, root_period), flips, members
-
-
 def _momentum_ring(spec: ModelSpec) -> bool:
     """True where hamiltonian_blocks splits spec into momentum blocks."""
     return (spec.kind is ModelKind.TRANSVERSE_ISING
@@ -402,10 +362,20 @@ def _wide(x) -> np.longdouble:
 
 @functools.lru_cache(maxsize=None)  # N <= 12 under FULL_SPACE_CAP
 def _ring_real_templates(N: int):
-    """(X, Y, zz, rows) per momentum block m = 0 .. N//2 of the ring, in a
-    real basis: the block is Delta X + gamma Y - J diag(zz), with Y held as
-    the (rows, cols, values) of its 2 entries per pair, and rows are its
-    coordinate rows over the block's Bloch states.
+    """(blocks, orbits, root_period): the N-site ring's one symmetry table.
+
+    T rotates the bitstring left by one site.  Each orbit of T has one
+    representative a, its smallest index, with period p_a; orbits holds
+    T^r a for r = 0 .. N-1 (as columns), and root_period sqrt(p_a).  The
+    Bloch state |a(k)> = p_a^-1/2 sum_{r < p_a} e^{-ikr} T^r |a> exists for
+    k = 2 pi m / N when m p_a is a multiple of N, and these states form an
+    orthonormal basis; <a(k)|psi> is entry (m, a) of
+    ifft(psi[orbits]) * root_period, one inverse FFT along the orbits.
+
+    blocks holds (X, Y, zz, rows) per momentum block m = 0 .. N//2, in a real
+    basis: the block is Delta X + gamma Y - J diag(zz), with Y held as the
+    (rows, cols, values) of its 2 entries per pair, and rows are its
+    coordinate rows over those Bloch coordinates, flattened.
 
     Theta = R F K is site reflection times global spin flip times complex
     conjugation; it maps each momentum block to itself.  If R F a = T^q c
@@ -428,15 +398,25 @@ def _ring_real_templates(N: int):
     correctly rounded, and an entry that vanishes is exactly 0.  The arrays
     are read-only: they are shared.
     """
-    (z, orbits, _), (dst, src, back), members = _ring_momentum_structure(N)
-    n_reps = z.shape[0]
-    # x = T^shift[x] owner[x] for every index x; a returns to itself at N / p_a
-    # of the N rotations
+    idx = np.arange(2 ** N)
+    rots = np.array([((idx << r) | (idx >> (N - r))) & (2 ** N - 1)
+                     for r in range(N)])  # rots[r] = T^r idx
+    reps = np.flatnonzero(rots.min(axis=0) == idx)
+    n_reps = reps.size
+    orbits = rots[:, reps]
+    # a comes back to itself at N / p_a of the N rotations
+    period = N // np.sum(orbits == reps, axis=0)
+    root_period = np.sqrt(period)
+    # x = T^shift[x] reps[owner[x]] for every index x, shift the largest such
+    # r < N (the last write wins), which fixes the sign of e^{ikq/2} below
     owner = np.empty(2 ** N, dtype=int)
     shift = np.empty(2 ** N, dtype=int)
     owner[orbits] = np.arange(n_reps)
     shift[orbits] = np.arange(N)[:, None]
-    period = N // np.sum(orbits == orbits[0], axis=0)
+    # sx_l a = T^t b for every site l of every representative a
+    flipped = (reps[:, None] ^ (1 << np.arange(N))).ravel()
+    dst, src, t = owner[flipped], np.repeat(np.arange(n_reps), N), shift[flipped]
+    z = _spin_z(N)[1][reps]
     # R F a: every spin flipped, the site order reversed
     rf = (z[:, ::-1] < 0) @ (1 << np.arange(N)[::-1])
     partner, q = owner[rf], shift[rf]
@@ -451,8 +431,9 @@ def _ring_real_templates(N: int):
     r = _wide(ctx.sqrt(ctx.mpf(1) / 2))
     s = z.sum(axis=1)
     zz = (z * np.roll(z, -1, axis=1)).sum(axis=1).astype(float)
-    out = []
-    for m, mem in enumerate(members):
+    blocks = []
+    for m in range(N // 2 + 1):
+        mem = np.flatnonzero(m * period % N == 0)
         d = mem.size
         local = np.full(n_reps, -1)
         local[mem] = np.arange(d)
@@ -474,14 +455,15 @@ def _ring_real_templates(N: int):
         # are its two rows transposed
         nt = n.copy()
         nt[a, 1], nt[c, 0] = n[c, 0], n[a, 1]
-        coords = (col, (weight * cos[nt % (4 * N)]).astype(float)
+        coords = (m * n_reps + mem[col],
+                  (weight * cos[nt % (4 * N)]).astype(float)
                   - 1j * (weight * cos[(nt - N) % (4 * N)]).astype(float))
         keep = (local[src] >= 0) & (local[dst] >= 0)
         rows, cols = local[dst[keep]], local[src[keep]]
         amp = root[period[src[keep]], period[dst[keep]]]
         x = np.zeros((d, d), dtype=np.longdouble)
         for e, f in itertools.product(range(2), repeat=2):
-            phase = (-4 * m * back[keep] - n[rows, e] + n[cols, f]) % (4 * N)
+            phase = (4 * m * t[keep] - n[rows, e] + n[cols, f]) % (4 * N)
             np.add.at(x, (col[rows, e], col[cols, f]),
                       weight[rows, e] * weight[cols, f] * amp * cos[phase])
         x = ((x + x.T) / 2).astype(float)
@@ -490,8 +472,10 @@ def _ring_real_templates(N: int):
         block = (x, y, zz[mem], coords)
         for arr in (x, *y, block[2], *coords):
             arr.setflags(write=False)
-        out.append(block)
-    return tuple(out)
+        blocks.append(block)
+    for arr in (orbits, root_period):
+        arr.setflags(write=False)
+    return tuple(blocks), orbits, root_period
 
 
 def hamiltonian_blocks(spec: ModelSpec) -> list[np.ndarray]:
@@ -500,14 +484,14 @@ def hamiltonian_blocks(spec: ModelSpec) -> list[np.ndarray]:
 
     The periodic Ising ring, at every J, gives its momentum blocks
     k = 2 pi m / N for m = 0 .. N//2 (Sandvik, arXiv:1101.3281), each in its
-    real basis (_ring_real_templates).  Site reflection R commutes with the
-    ring Hamiltonian and R T R^-1 = T^-1, so R maps momentum k onto -k:
-    block N-m acts on a state psi as block m acts on R psi, and is never
-    built (spectrum_multiplicities, block_coordinates).  The magnon chain
-    comes back as one real matrix (_magnon_real_templates); the open Ising
-    chain and the full-space XY chain come back whole and complex, as
-    [build_hamiltonian(spec)].  The block spectra, each counted by its
-    multiplicity, are the spectrum of build_hamiltonian(spec).
+    real basis, from the ring's one table per N (_ring_real_templates).  Site
+    reflection R commutes with the ring Hamiltonian and R T R^-1 = T^-1, so
+    R maps momentum k onto -k: block N-m acts on a state psi as block m acts
+    on R psi, and is never built (sector_blocks).  The magnon chain comes
+    back as one real matrix (_magnon_real_templates); the open Ising chain
+    and the full-space XY chain come back whole and complex, as
+    [build_hamiltonian(spec)].  The block spectra, taken once per sector of
+    sector_blocks(spec), are the spectrum of build_hamiltonian(spec).
     """
     if spec.kind is ModelKind.XY_MAGNON:
         t, e, o, _ = _magnon_real_templates(spec.N)
@@ -515,7 +499,7 @@ def hamiltonian_blocks(spec: ModelSpec) -> list[np.ndarray]:
     if not _momentum_ring(spec):
         return [build_hamiltonian(spec)]
     out = []
-    for x, (rows, cols, y), zz, _ in _ring_real_templates(spec.N):
+    for x, (rows, cols, y), zz, _ in _ring_real_templates(spec.N)[0]:
         h = spec.Delta * x
         h[rows, cols] += spec.gamma * y
         h[np.diag_indices_from(h)] -= spec.J * zz
@@ -523,43 +507,43 @@ def hamiltonian_blocks(spec: ModelSpec) -> list[np.ndarray]:
     return out
 
 
-def spectrum_multiplicities(spec: ModelSpec) -> list[int]:
-    """How often each block of hamiltonian_blocks(spec) occurs in the whole
-    Hamiltonian: 2 for a ring block 0 < m < N/2, which stands for its
-    mirror block N-m too, and 1 otherwise."""
+def sector_blocks(spec: ModelSpec) -> list[int]:
+    """The block of hamiltonian_blocks(spec) that each sector of
+    block_coordinates(spec, .) runs in: on the ring every block m = 0 .. N//2,
+    then each block 0 < m < N/2 again for its mirror sector N-m; [0] for the
+    other models.  The one place that fixes the order of the sectors."""
     if not _momentum_ring(spec):
-        return [1]
-    return [1 if 2 * m in (0, spec.N) else 2 for m in range(spec.N // 2 + 1)]
+        return [0]
+    return list(range(spec.N // 2 + 1)) + list(range(1, (spec.N + 1) // 2))
 
 
 def block_coordinates(spec: ModelSpec, amplitudes: np.ndarray) -> list[np.ndarray]:
-    """Coordinates of a state in the orthonormal basis of each block of
-    hamiltonian_blocks(spec), block by block, followed on the ring by those
-    of the site-reflected state R psi in each block whose multiplicity is 2:
-    the mirror sectors N-m, which those blocks propagate too.
+    """Coordinates of a state in the orthonormal basis of each sector of
+    sector_blocks(spec), in that order: on the ring, those of psi in each
+    block, then those of the site-reflected state R psi in each mirror
+    sector N-m, which block m propagates too.
 
-    The ring's coordinates gather the Bloch coordinates
-    <a(k)|psi> = sqrt(p_a) ifft_r(psi[T^r a])[m] (one inverse FFT along the
-    orbits) over the block's coordinate rows; the magnon chain's gather the
-    positions over its rows; neither builds a basis matrix.  The open Ising
-    chain and the full-space XY chain are one block in their own basis, so
-    their coordinates are [amplitudes] themselves.
+    The ring's coordinates gather its table's flattened Bloch coordinates
+    (_ring_real_templates) over the block's coordinate rows; the magnon
+    chain's gather the positions over its rows; neither builds a basis
+    matrix.  The open Ising chain and the full-space XY chain are one block
+    in their own basis, so their coordinates are [amplitudes] themselves.
     """
     if spec.kind is ModelKind.XY_MAGNON:
         index, weight = _magnon_real_templates(spec.N)[3]
         return [(weight * amplitudes[index]).sum(axis=1)]
     if not _momentum_ring(spec):
         return [amplitudes]
-    (_, orbits, root_period), _, members = _ring_momentum_structure(spec.N)
-    templates = _ring_real_templates(spec.N)
-    mirrored = [m for m, c in enumerate(spectrum_multiplicities(spec)) if c == 2]
+    blocks, orbits, root_period = _ring_real_templates(spec.N)
+    sectors = sector_blocks(spec)
     reflected = amplitudes.reshape((2,) * spec.N).T.ravel()  # bit order reversed
     out = []
-    for psi, blocks in ((amplitudes, range(len(members))), (reflected, mirrored)):
-        coef = np.fft.ifft(psi[orbits], axis=0) * root_period
-        for m in blocks:
-            index, weight = templates[m][3]
-            out.append((weight * coef[m, members[m]][index]).sum(axis=1))
+    for psi, part in ((amplitudes, sectors[:len(blocks)]),
+                      (reflected, sectors[len(blocks):])):
+        coef = (np.fft.ifft(psi[orbits], axis=0) * root_period).ravel()
+        for b in part:
+            index, weight = blocks[b][3]
+            out.append((weight * coef[index]).sum(axis=1))
     return out
 
 

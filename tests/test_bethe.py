@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from epchain import bethe, models
-from epchain.analysis import numeric_boundary_gamma
+from epchain.analysis import BOUNDARY_REL_TOL, numeric_boundary_gamma
 from epchain.errors import NoRoot, NullSpaceRankError, ValidationMismatch
 from epchain.models import ModelKind, ModelSpec
 
@@ -176,8 +176,8 @@ def test_exact_boundary_rejects_small_v():
 
 
 def test_exact_boundary_even_in_v():
-    assert bethe.exact_boundary_gamma(6, -10.0) == pytest.approx(
-        bethe.exact_boundary_gamma(6, 10.0), rel=1e-9)
+    # V is folded to |V| before any arithmetic, so the two are the same double
+    assert bethe.exact_boundary_gamma(6, -10.0) == bethe.exact_boundary_gamma(6, 10.0)
 
 
 def test_exact_boundary_c_factor_large_v():
@@ -199,7 +199,7 @@ def test_exact_boundary_c_factor_large_v():
 def test_exact_boundary_large_v_matches_printed_coefficient():
     em = bethe.effective_model(6, 100.0)
     gc = bethe.exact_boundary_gamma(6, 100.0)
-    assert gc * 100.0 ** 2 == pytest.approx(abs(em.Omega), rel=0.1)
+    assert gc * 100.0 ** 2 == pytest.approx(abs(em.Omega), rel=0.1, abs=0)
 
 
 def test_exact_boundary_large_v_corrected_asymptotic():
@@ -479,6 +479,24 @@ def test_exact_boundary_underflow_is_no_root():
     # gamma_c ~ V^-(N-2) = 1e-324 rounds to 0.0
     with pytest.raises(NoRoot, match="underflows"):
         bethe.exact_boundary_gamma(6, 1e81)
+
+
+@pytest.mark.parametrize("V", [2.0001, 2.01, 2.05, -2.01])
+def test_exact_boundary_three_sites_near_v_two(V):
+    # the residual is complex at gamma = 0.5 and the root is near 0.42, so
+    # halving the upper bracket from 0.5 to 0.25 steps past the root
+    exact = bethe.exact_boundary_gamma(3, V)
+    numeric = numeric_boundary_gamma(ModelSpec(ModelKind.XY_MAGNON, N=3), V)
+    assert abs(exact - numeric) / numeric <= BOUNDARY_REL_TOL
+
+
+@pytest.mark.parametrize("V", [3.0, 5.0, 1e3, -5.0])
+def test_exact_boundary_two_sites_is_one(V):
+    # eigenvalues V +- sqrt(1 - gamma^2): the residual at gamma = 1 is
+    # roundoff of either sign, so no bracket search can end there
+    assert bethe.exact_boundary_gamma(2, V) == 1.0
+    assert abs(numeric_boundary_gamma(ModelSpec(ModelKind.XY_MAGNON, N=2), V)
+               - 1.0) <= BOUNDARY_REL_TOL
 
 
 def _reference_grid_roots(f, grid, tol):

@@ -39,23 +39,15 @@ def _multiset_distance(a, b) -> float:
     return float(cost[rows, cols].max())
 
 
-def _sectors(spec):
-    """The block of every sector of block_coordinates: each block, then each
-    block of multiplicity 2 again, for its mirror sector."""
-    counts = models.spectrum_multiplicities(spec)
-    return list(range(len(counts))) + [b for b, c in enumerate(counts) if c == 2]
-
-
 @pytest.mark.parametrize("N, J, Delta, gamma", _ring_params())
 def test_block_spectra_equal_dense_spectrum(N, J, Delta, gamma):
     spec = ring(N, J=J, Delta=Delta, gamma=gamma)
     h = models.build_h_ghz(spec)
     blocks = models.hamiltonian_blocks(spec)
-    counts = models.spectrum_multiplicities(spec)
-    assert len(blocks) == len(counts) == N // 2 + 1
-    assert sum(c * b.shape[0] for b, c in zip(blocks, counts)) == 2 ** N
-    eps = np.concatenate([np.linalg.eigvals(b) for b, c in zip(blocks, counts)
-                          for _ in range(c)])
+    sectors = models.sector_blocks(spec)
+    assert len(blocks) == N // 2 + 1
+    assert sum(blocks[b].shape[0] for b in sectors) == 2 ** N
+    eps = np.concatenate([np.linalg.eigvals(blocks[b]) for b in sectors])
     dense = np.linalg.eigvals(h)
     assert _multiset_distance(eps, dense) <= 1e-10 * (1 + np.linalg.norm(h))
 
@@ -64,8 +56,9 @@ def test_block_spectra_equal_dense_spectrum(N, J, Delta, gamma):
 def test_block_dimensions_sum_to_full_space(N):
     spec = ring(N, Delta=0.5, gamma=0.1)
     blocks = models.hamiltonian_blocks(spec)
-    counts = models.spectrum_multiplicities(spec)
-    assert len(blocks) == len(counts) == N // 2 + 1
+    sectors = models.sector_blocks(spec)
+    counts = [sectors.count(b) for b in range(len(blocks))]
+    assert len(blocks) == N // 2 + 1
     assert counts == [1 if 2 * m in (0, N) else 2 for m in range(N // 2 + 1)]
     assert sum(c * b.shape[0] for b, c in zip(blocks, counts)) == 2 ** N
 
@@ -93,7 +86,7 @@ def test_other_models_come_back_whole(spec):
     # the magnon chain comes back as its real form, the others as h itself
     h = models.build_hamiltonian(spec)
     (block,) = models.hamiltonian_blocks(spec)
-    assert models.spectrum_multiplicities(spec) == [1]
+    assert models.sector_blocks(spec) == [0]
     assert block.shape == h.shape
     assert _multiset_distance(np.linalg.eigvals(block), np.linalg.eigvals(h)) \
         <= 1e-10 * (1 + np.linalg.norm(h))
@@ -158,7 +151,7 @@ def test_block_basis_reduces_the_dense_matrix_to_each_block(N, J, Delta, gamma):
     # a mirror sector's basis R B_m reduces h to block m, too
     spec = ring(N, J=J, Delta=Delta, gamma=gamma)
     h = models.build_h_ghz(spec)
-    blocks = [models.hamiltonian_blocks(spec)[b] for b in _sectors(spec)]
+    blocks = [models.hamiltonian_blocks(spec)[b] for b in models.sector_blocks(spec)]
     adjoints = _block_adjoints(spec)
     assert [a.shape for a in adjoints] == [(len(b), 2 ** N) for b in blocks]
     for a, block in zip(adjoints, blocks):
@@ -175,12 +168,37 @@ def test_block_coordinates_preserve_inner_products(N):
         phi, psi = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
         cphi, cpsi = (models.block_coordinates(spec, x) for x in (phi, psi))
         blocks = models.hamiltonian_blocks(spec)
-        assert [len(c) for c in cpsi] == [len(blocks[b]) for b in _sectors(spec)]
+        assert [len(c) for c in cpsi] == [len(blocks[b])
+                                          for b in models.sector_blocks(spec)]
         assert sum(np.vdot(a, a).real for a in cpsi) == pytest.approx(
             np.vdot(psi, psi).real, rel=1e-13)
         overlap = sum(np.vdot(a, b) for a, b in zip(cphi, cpsi))
         assert abs(overlap - np.vdot(phi, psi)) \
             <= 1e-13 * np.linalg.norm(phi) * np.linalg.norm(psi)
+
+
+def _sector_cases():
+    for N in range(1, 13):
+        for J in (1.0, 0.0):
+            yield ring(N, J=J, Delta=0.5, gamma=0.1)
+    yield ring(5, Delta=0.5, gamma=0.1, ising_boundary=IsingBoundary.OPEN)
+    yield ModelSpec(ModelKind.XY_MAGNON, N=7, V=2.0, gamma=0.1)
+    yield ModelSpec(ModelKind.XY_FULL_SPACE, N=4, V=2.0, gamma=0.1)
+
+
+@pytest.mark.parametrize("spec", _sector_cases())
+def test_sector_blocks_name_the_block_of_every_sector(spec):
+    dim = spec.basis.dim
+    rng = np.random.default_rng(dim)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    sectors = models.sector_blocks(spec)
+    blocks = models.hamiltonian_blocks(spec)
+    coords = models.block_coordinates(spec, psi)
+    assert len(coords) == len(sectors)
+    assert [len(c) for c in coords] == [len(blocks[b]) for b in sectors]
+    assert sum(len(blocks[b]) for b in sectors) == dim
+    assert np.linalg.norm(np.concatenate(coords)) == pytest.approx(
+        np.linalg.norm(psi), rel=1e-13)
 
 
 @pytest.mark.parametrize("N", range(2, 9))
@@ -231,7 +249,9 @@ def test_real_magnon_block_has_the_chain_spectrum(N):
 def test_real_templates_are_shared_read_only():
     t, e, o, rows = models._magnon_real_templates(5)
     arrays = [t, e, o, *rows]
-    for x, y, zz, rows in models._ring_real_templates(6):
+    blocks, orbits, root_period = models._ring_real_templates(6)
+    arrays += [orbits, root_period]
+    for x, y, zz, rows in blocks:
         arrays += [x, *y, zz, *rows]
     for a in arrays:
         with pytest.raises(ValueError):
@@ -250,8 +270,10 @@ def test_real_templates_built_on_sweep_threads_are_exact(monkeypatch):
                         analysis.AxisSpec("Delta", "lin", np.linspace(0.2, 2.0, 8)),
                         analysis.AxisSpec("gamma", "lin", np.array([0.1])))
     assert mp.mp.prec == 53
-    for (x, y, zz, rows), (x1, y1, zz1, rows1) in zip(
-            models._ring_real_templates(7), single):
+    blocks, orbits, root_period = models._ring_real_templates(7)
+    assert np.array_equal(orbits, single[1])
+    assert np.array_equal(root_period, single[2])
+    for (x, y, zz, rows), (x1, y1, zz1, rows1) in zip(blocks, single[0]):
         assert np.array_equal(x, x1) and np.array_equal(zz, zz1)
         assert all(np.array_equal(a, b) for a, b in zip(y, y1))
         assert all(np.array_equal(a, b) for a, b in zip(rows, rows1))
@@ -273,10 +295,6 @@ def test_block_templates_are_shared_read_only():
         b = models.hamiltonian_blocks(spec)
         a[0][0, 0] = 99.0  # a returned block is the caller's own
         assert b[0][0, 0] != 99.0
-    (z, orbits, root_period), flips, members = models._ring_momentum_structure(6)
-    for arr in (z, orbits, root_period, *flips, *members):
-        with pytest.raises(ValueError):
-            arr[0] = 1
 
 
 def test_block_eig_failure_is_nan_node_and_cli_exits_3(monkeypatch, tmp_path):

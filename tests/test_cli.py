@@ -327,6 +327,18 @@ def test_boundary_exact_holds_where_its_residual_cancels(tmp_path):
     assert float(row[4]) < 1e-6
 
 
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_boundary_exact_column_at_two_and_three_sites(tmp_path, n):
+    out = tmp_path / "boundary.csv"
+    rc = run(["boundary", "--model", "xy", "--n", n,
+              "--x-range", "2.01:50:log:6", "--out", str(out)])
+    assert rc == 0
+    rows = [r.split(",") for r in out.read_text().strip().splitlines()[1:]]
+    assert len(rows) == 6
+    for row in rows:
+        assert float(row[4]) <= analysis.BOUNDARY_REL_TOL and row[5] == "0"
+
+
 def test_boundary_underflowing_gamma_exit_code(tmp_path, capsys):
     # gamma_c ~ V^-4 is subnormal at V=1e80 and rounds to 0.0 at V=1e81
     rc = run(["boundary", "--model", "xy", "--n", "6",

@@ -197,10 +197,10 @@ def test_dynamics_does_not_build_the_whole_hamiltonian():
             if name == "build_hamiltonian"] == []
 
 
-# the momentum structure and the real-basis templates (with their coordinate
-# rows) are read through hamiltonian_blocks and block_coordinates alone
-BASIS_TABLES = {"_ring_momentum_structure", "_ring_real_templates",
-                "_magnon_real_templates"}
+# the ring's symmetry table and the magnon chain's real-basis templates (with
+# their coordinate rows) are read through hamiltonian_blocks and
+# block_coordinates alone
+BASIS_TABLES = {"_ring_real_templates", "_magnon_real_templates"}
 
 
 def test_only_models_knows_the_momentum_structure():
