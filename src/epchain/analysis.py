@@ -11,9 +11,8 @@ sweep diagonalizes a row's same-shape blocks as one stack
 (linalg.eigvals_stack).  The numeric boundary has one
 rule per model kind.  The XY chain, in either space, breaks
 exactly where its one-magnon block does (free-fermion map), so it is bisected
-in 53-bit mpmath gamma on an exact predicate: a Sturm count of the real roots
-of the magnon chain's integer-scaled characteristic polynomial.  That holds
-however far gamma_c falls below double precision (it decays as 1/V^(N-2)).
+in 53-bit mpmath gamma on exact.magnon_broken, an exact Sturm count, however
+far gamma_c falls below double precision (it decays as 1/V^(N-2)).
 The Ising chain is bisected on the indicator above a floor that grows as
 1 + Delta^2.
 """
@@ -25,17 +24,16 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
-import mpmath as mp
+import mpmath as mp  # kept as analysis.mp: bench/tracer.py wraps analysis.mp.polyroots
 import numpy as np
 
 from . import bethe, linalg
 from .dynamics import default_initial_state, final_fidelity
 from .errors import ConfigError, EpchainError, NonConvergence, NoRoot, NoTransition
+from .exact import bisect, magnon_broken, precision
 from .models import ModelKind, ModelSpec, StateVector, hamiltonian_blocks
 
 BROKEN_THRESHOLD = 1e-10
-
-_SWEEP_PARAMETERS = ("V", "Delta", "gamma")
 
 # Matrix entries a sweep row holds before they go to the eigen kernel, and
 # the most one kernel stack takes (one block at least).  The kernel's
@@ -165,6 +163,7 @@ def _sweep_workers() -> int:
 def sweep_grid(template: ModelSpec, x_axis: AxisSpec, y_axis: AxisSpec) -> PhaseGrid:
     """Evaluate max|Im eps| at every grid node, deterministic row-major order.
 
+    The x-axis is the parameter the model reads, template.kind.control.
     The thread pool takes one row (one x value) at a time; a row's blocks go
     to the eigen kernel in stacks.  A node whose spec, build or eigensolve
     fails (EpchainError or ValueError, or a kernel flag) is recorded as NaN;
@@ -172,8 +171,8 @@ def sweep_grid(template: ModelSpec, x_axis: AxisSpec, y_axis: AxisSpec) -> Phase
     """
     if y_axis.name != "gamma":
         raise ValueError("the sweep y-axis must be gamma")
-    if x_axis.name not in _SWEEP_PARAMETERS:
-        raise ValueError(f"unknown sweep parameter {x_axis.name!r}")
+    if x_axis.name != template.kind.control:
+        raise ValueError(f"unknown sweep parameter {x_axis.name!r} for {template.kind}")
 
     def node_blocks(x: float, g: float) -> list[np.ndarray] | None:
         try:
@@ -192,100 +191,6 @@ def sweep_grid(template: ModelSpec, x_axis: AxisSpec, y_axis: AxisSpec) -> Phase
     return PhaseGrid(template=template, x_axis=x_axis, y_axis=y_axis, values=values)
 
 
-# ---------------------------------------------------------------------------
-# exact broken-phase predicate of the magnon chain (integer Sturm count)
-#
-# The PT-symmetric chain's characteristic polynomial has real coefficients, so
-# the chain is broken exactly when det(E - H) has a non-real root.  V (a
-# double) and gamma (an mpf) are dyadic rationals, so a power-of-two multiple
-# of det(E - H) has integer coefficients and a Sturm sequence counts its real
-# roots without rounding; this holds however far gamma_c sits below double
-# precision.
-
-def _padd(a: list[int], b: list[int], sign: int = 1) -> list[int]:
-    """a + sign*b for integer coefficient lists, lowest degree first."""
-    if len(a) < len(b):
-        a = a + [0] * (len(b) - len(a))
-    return [x + sign * (b[i] if i < len(b) else 0) for i, x in enumerate(a)]
-
-
-def _pmul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _magnon_int_charpoly(N: int, V: float, g) -> list[int]:
-    """2^u det(E - H) of the magnon chain, integer coefficients, leading first.
-
-    det(E - H) = ((E-V)^2 + g^2) Q_{N-2} - 2(E-V) Q_{N-3} + Q_{N-4}, where
-    Q_m = E Q_{m-1} - Q_{m-2} (Q_0 = 1, Q_{-1} = 0, Q_{-2} = -1) is the
-    zero-diagonal interior chain.
-    """
-    a, den = float(V).as_integer_ratio()
-    s = den.bit_length() - 1  # V = a / 2^s
-    man, exp = g.man_exp
-    t = max(0, -2 * exp)  # g^2 = c / 2^t
-    c = int(man) ** 2 << (2 * exp + t)
-    u = max(2 * s, t)
-    two_v = a << (u - s + 1)  # 2^u * 2V
-    quad = [(a * a << (u - 2 * s)) + (c << (u - t)), -two_v, 1 << u]
-    lin = [-two_v, 1 << (u + 1)]
-    q = [[-1], [0], [1]]  # Q_{m-2} sits at q[m]
-    for _ in range(N - 2):
-        q.append(_padd([0] + q[-1], q[-2], -1))
-    det = _padd(_padd(_pmul(quad, q[N]), _pmul(lin, q[N - 1]), -1),
-                [x << u for x in q[N - 2]])
-    return det[::-1]
-
-
-def _sturm_root_counts(p: list[int]) -> tuple[int, int]:
-    """(distinct real roots, distinct roots) of an integer polynomial.
-
-    p lists the coefficients leading first (p[0] != 0, degree n >= 1).  The
-    Sturm chain is built from pseudo-remainders scaled by |lc|^k > 0, which
-    keeps every sign, and each element is divided by its content to bound
-    coefficient growth.  The chain ends at gcd(p, p'), of degree n minus the
-    number of distinct roots.
-    """
-    n = len(p) - 1
-    chain = [p, [c * (n - i) for i, c in enumerate(p[:-1])]]
-    while len(chain[-1]) > 1:
-        b = chain[-1]
-        lc, sgn = abs(b[0]), (1 if b[0] > 0 else -1)
-        r = chain[-2]
-        while r and len(r) >= len(b):
-            f = sgn * r[0]
-            r = [lc * x - f * (b[i] if i < len(b) else 0)
-                 for i, x in enumerate(r)][1:]
-            while r and r[0] == 0:
-                r = r[1:]
-        if not r:
-            break
-        content = math.gcd(*r)
-        chain.append([-x // content for x in r])
-
-    def sign_changes(signs) -> int:
-        return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
-
-    at_plus = [1 if c[0] > 0 else -1 for c in chain]
-    at_minus = [s if (len(c) - 1) % 2 == 0 else -s
-                for s, c in zip(at_plus, chain)]
-    distinct = n - (len(chain[-1]) - 1)
-    return sign_changes(at_minus) - sign_changes(at_plus), distinct
-
-
-def _magnon_broken(N: int, V: float, g) -> bool:
-    """True iff the magnon chain at (V, g) has a non-real eigenvalue.
-
-    An exceptional point (a repeated real root) counts as unbroken.
-    """
-    real, distinct = _sturm_root_counts(_magnon_int_charpoly(N, V, g))
-    return real < distinct
-
-
 def _magnon_boundary(N: int, V: float, rel_tol: float) -> float:
     """Bisection in 53-bit mpf gamma on the exact predicate (XY chain).
 
@@ -297,13 +202,13 @@ def _magnon_boundary(N: int, V: float, rel_tol: float) -> float:
     eigenvalues are real and simple, so they stay real for small gamma.
     NoRoot where gamma_c underflows a double.
     """
-    with mp.workprec(53):
-        lo, hi = mp.mpf(10) ** -45, mp.mpf(10)
-        if not _magnon_broken(N, V, hi):
+    with precision(prec=53) as ctx:
+        lo, hi = ctx.mpf(10) ** -45, ctx.mpf(10)
+        if not magnon_broken(N, V, hi):
             raise NoTransition(f"no transition in gamma for N={N}, V={V}")
-        while _magnon_broken(N, V, lo):
-            lo *= mp.mpf(10) ** -10
-        gamma_c = bethe._bisect(lambda g: _magnon_broken(N, V, g), lo, hi, rel_tol)
+        while magnon_broken(N, V, lo):
+            lo *= ctx.mpf(10) ** -10
+        gamma_c = bisect(lambda g: magnon_broken(N, V, g), lo, hi, rel_tol)
     if gamma_c == 0.0:
         raise NoRoot(f"gamma_c underflows a double at N={N}, V={V}")
     return gamma_c
@@ -334,7 +239,7 @@ def numeric_boundary_gamma(template: ModelSpec, control_value: float) -> float:
                            f"{name}={control_value}")
     if broken(1e-12):
         raise NoTransition("the Ising chain is broken at gamma=1e-12")
-    return bethe._bisect(broken, 1e-12, 10.0, _REL_TOL)
+    return bisect(broken, 1e-12, 10.0, _REL_TOL)
 
 
 def boundary_table(template: ModelSpec, control_values) -> list[tuple]:

@@ -3,11 +3,9 @@
 Scattering and bound-state quantization conditions, the double-root
 equations locating exceptional points, the exact phase-boundary condition
 for |V| > 2, and the large-V effective two-site model for the end sites.
-Every one-dimensional search on a predicate (grid roots, broken-pair kappa
-and the boundary scans in analysis) is the one geometric bisection, _bisect.
-The exact boundary, whose residual is smooth and signed, is found by Illinois
-regula falsi in ln gamma, _illinois, which ends on _bisect's test and so
-returns the same double in far fewer residual evaluations.
+The grid roots and the broken-pair kappa are found by exact.bisect, and the
+exact boundary by exact.illinois on its smooth signed residual, in the
+calling thread's own mpmath context (exact.precision).
 
 Transcription notes (verified against exact diagonalization):
 
@@ -31,7 +29,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (
@@ -41,6 +38,7 @@ from .errors import (
     NonConvergence,
     NullSpaceRankError,
 )
+from .exact import bisect, illinois, precision
 from .models import StateVector, build_h_w, magnon_basis
 
 ROOT_RESIDUAL_TOL = 1e-10
@@ -115,64 +113,6 @@ def scattering_condition(k: float, N: int, V: float, gamma: float) -> float:
     )
 
 
-def _bisect(broken, lo, hi, rel_tol: float):
-    """Geometric bisection of the onset of broken, relative rel_tol.
-
-    broken is false at lo and true at hi (doubles, or mpmath reals).  Returns
-    the geometric mean of the last bracket.
-    The search also ends once lo and hi round to the same double: rounding is
-    monotone, so every later mean rounds to that double as well.
-    """
-    sqrt = mp.sqrt if isinstance(lo, mp.mpf) else math.sqrt
-    iterations = int(math.ceil(math.log2(float(mp.log(hi / lo)) / rel_tol))) + 2
-    for _ in range(iterations):
-        if float(lo) == float(hi):
-            break
-        mid = sqrt(lo * hi)
-        if broken(mid):
-            hi = mid
-        else:
-            lo = mid
-    return float(sqrt(lo * hi))
-
-
-def _illinois(f, lo, hi, flo, fhi, rel_tol: float) -> float:
-    """Illinois regula falsi (Dowell & Jarratt, BIT 11, 168, 1971) in ln g
-    for the sign change of f in [lo, hi]: mpmath reals, with flo = f(lo) and
-    fhi = f(hi) of opposite signs or zero.
-
-    Each step takes the secant point of (ln lo, flo) and (ln hi, fhi), or the
-    midpoint (the geometric mean in g) where that is not strictly inside; when
-    the same end is replaced twice in a row, the other end's stored f is
-    halved.  Step cap, exit and return are those of
-    _bisect(lambda g: f(g) * flo <= 0, lo, hi, rel_tol): both end on a
-    bracket around the one sign change whose ends round to the same double,
-    and rounding is monotone, so both return that double.
-    """
-    xlo, xhi = mp.log(lo), mp.log(hi)
-    side = 0
-    iterations = int(math.ceil(math.log2(float(xhi - xlo) / rel_tol))) + 2
-    for _ in range(iterations):
-        if float(lo) == float(hi):
-            break
-        x = xhi - fhi * (xhi - xlo) / (fhi - flo) if fhi != flo else xlo
-        if not xlo < x < xhi:
-            x = (xlo + xhi) / 2
-        g = mp.exp(x)
-        fg = f(g)
-        if fg * flo <= 0:  # halving keeps flo's sign
-            hi, xhi, fhi = g, x, fg
-            if side == 1:
-                flo /= 2
-            side = 1
-        else:
-            lo, xlo, flo = g, x, fg
-            if side == -1:
-                fhi /= 2
-            side = -1
-    return float(mp.sqrt(lo * hi))
-
-
 def _grid_roots(f, grid):
     """(root, |f(root)|) at each zero of f on an increasing positive grid and
     at each sign change between neighbours, bisected to double resolution."""
@@ -181,12 +121,12 @@ def _grid_roots(f, grid):
         if fa == 0.0:
             yield float(a), 0.0
         elif fa * fb < 0:
-            root = _bisect(lambda k: f(k) * fa <= 0, float(a), float(b), 2.0 ** -52)
+            root = bisect(lambda k: f(k) * fa <= 0, float(a), float(b), 2.0 ** -52)
             yield root, abs(f(root))
 
 
 def scattering_roots(N: int, gamma: float, V: float = 0.0) -> list[BetheRoot]:
-    """All real scattering momenta in (0, pi), by grid bracketing + _bisect."""
+    """All real scattering momenta in (0, pi), by grid bracketing + bisect."""
     eps = math.pi / (10 * SCAN_SAMPLES)
     grid = np.linspace(eps, math.pi - eps, SCAN_SAMPLES)
     roots = _grid_roots(lambda k: scattering_condition(k, N, V, gamma), grid)
@@ -256,7 +196,7 @@ def broken_pair_kappa(N: int, gamma: float) -> BetheRoot:
     hi = math.log(gamma) + 1.0
     while g(hi) > 0:
         hi *= 2.0
-    kappa = _bisect(lambda k: g(k) <= 0, 1e-150, hi, 2.0 ** -52)
+    kappa = bisect(lambda k: g(k) <= 0, 1e-150, hi, 2.0 ** -52)
     return BetheRoot("bound", complex(math.pi / 2, kappa),
                      2j * math.sinh(kappa), abs(g(kappa)))
 
@@ -369,9 +309,9 @@ def all_bethe_energies(N: int, V: float, gamma: float) -> list[complex]:
 # exact phase boundary, |V| > 2
 
 def _eta(N: int, V, g):
-    """(eta+, eta-, F, c) of the exact-boundary condition, in mpmath when V
-    is an mpf (mp.sqrt) and in complex doubles otherwise (cmath.sqrt)."""
-    sqrt = mp.sqrt if isinstance(V, mp.mpf) else cmath.sqrt
+    """(eta+, eta-, F, c) of the exact-boundary condition, in V's mpmath
+    context when V is an mpf and in complex doubles otherwise (cmath.sqrt)."""
+    sqrt = getattr(V, "context", cmath).sqrt
     ep = 1 + V ** 2 + g ** 2
     em = 1 - V ** 2 - g ** 2
     F = V * (2 * N * ep + em) / (4 * N * (ep - 1))
@@ -388,16 +328,17 @@ def eta_factors(N: int, V: float, gamma: float) -> EtaFactors:
 
 
 def _boundary_log_residual(N: int, V, g):
-    """log(LHS) - log(RHS) of the exact-boundary condition, in mpmath reals.
+    """log(LHS) - log(RHS) of the exact-boundary condition, in V's context.
 
     Returns an mpc when the closed-form cosh(kappa) leaves the real branch
     (no bound EP at this gamma).
     """
+    ctx = V.context
     ep, em, _, c = _eta(N, V, g)
-    s = mp.sqrt(c ** 2 - 1)
+    s = ctx.sqrt(c ** 2 - 1)
     num = ep * c - 2 * V - em * s
     den = ep * c - 2 * V + em * s
-    return 2 * N * mp.log(c + s) - (mp.log(abs(num)) - mp.log(abs(den)))
+    return 2 * N * ctx.log(c + s) - (ctx.log(abs(num)) - ctx.log(abs(den)))
 
 
 def _working_dps(N: int, v: float) -> int:
@@ -415,10 +356,10 @@ def _working_dps(N: int, v: float) -> int:
 def exact_boundary_gamma(N: int, V: float) -> float:
     """Critical gamma of the bound-state exceptional point, |V| > 2.
 
-    Solves the closed-form boundary condition, in arbitrary precision, by
-    Illinois regula falsi in ln gamma (_illinois) on its signed log residual,
-    until both bracket ends round to the same double, so the result is the
-    double nearest the root of the residual.  The balance involves terms like
+    Solves the closed-form boundary condition in this thread's mpmath
+    context (exact.precision), by Illinois regula falsi in ln gamma
+    (exact.illinois) on its signed log residual, until both bracket ends
+    round to the same double, the double nearest its root.  The balance involves terms like
     (c+sqrt(c^2-1))^2N, and gamma_c ~ V^-(N-2) falls below double-precision
     resolution at large V, where g^2 must still register next to V^2.  The
     working precision (_working_dps, which covers the cancellation in the
@@ -435,16 +376,16 @@ def exact_boundary_gamma(N: int, V: float) -> float:
     if N == 2:  # eigenvalues V +- sqrt(1 - gamma^2): the EP sits at gamma = 1
         return 1.0
     v = abs(V)  # gamma_c is even in V (staggered gauge flips the band sign)
-    with mp.workdps(_working_dps(N, v)):
-        vv = mp.mpf(v)
+    with precision(dps=_working_dps(N, v)) as ctx:
+        vv = ctx.mpf(v)
 
         def f(g):
             return _boundary_log_residual(N, vv, g)
 
-        lo = min(mp.mpf(10) ** -50, vv ** -(N - 2) * mp.mpf(10) ** -10)
-        hi = mp.mpf(1)
+        lo = min(ctx.mpf(10) ** -50, vv ** -(N - 2) * ctx.mpf(10) ** -10)
+        hi = ctx.mpf(1)
         fhi = f(hi)
-        while isinstance(fhi, mp.mpc) or not mp.isfinite(fhi):
+        while isinstance(fhi, ctx.mpc) or not ctx.isfinite(fhi):
             hi = hi / 2
             if hi < lo:
                 raise NoBracket("no real-branch gamma found below 1")
@@ -454,9 +395,9 @@ def exact_boundary_gamma(N: int, V: float) -> float:
         # the real-branch edge until the sign changes or hi meets it in a double
         edge = 2 * hi
         while flo * fhi > 0 and hi < 1 and float(hi) != float(edge):
-            mid = mp.sqrt(hi * edge)
+            mid = ctx.sqrt(hi * edge)
             fmid = f(mid)
-            if isinstance(fmid, mp.mpc) or not mp.isfinite(fmid):
+            if isinstance(fmid, ctx.mpc) or not ctx.isfinite(fmid):
                 edge = mid
             else:
                 hi, fhi = mid, fmid
@@ -466,7 +407,7 @@ def exact_boundary_gamma(N: int, V: float) -> float:
             )
         # a fixed rel_tol far below double resolution: the float exit ends the
         # search, and the step cap (~1000) stays finite at any precision
-        gamma_c = _illinois(f, lo, hi, flo, fhi, 1e-300)
+        gamma_c = illinois(f, lo, hi, flo, fhi, 1e-300)
     if gamma_c == 0.0:
         raise NoRoot(f"gamma_c underflows a double at N={N}, V={V}")
     return gamma_c

@@ -3,10 +3,10 @@
 Subcommands: spectrum, phase-diagram, evolve, boundary, reproduce.  Output
 is CSV or JSON (plus optional static SVG plots); identical invocations
 produce byte-identical files.  Exit codes: 0 success, 2 configuration
-error, 3 numeric failure, 4 validation mismatch between the exact and
-numeric phase boundaries.  A command runs with numpy's BLAS on one thread
-(linalg.one_blas_thread), so its output does not depend on the BLAS thread
-count; the sweep's thread pool is its only parallelism.
+error or an unwritable output, 3 numeric failure, 4 validation mismatch
+between the exact and numeric phase boundaries.  A command runs with numpy's
+BLAS on one thread (linalg.one_blas_thread), so its output does not depend
+on the BLAS thread count; the sweep's thread pool is its only parallelism.
 """
 
 from __future__ import annotations
@@ -403,6 +403,9 @@ def main(argv=None) -> int:
             return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output directory or file that cannot be written
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except ValidationMismatch as exc:
         print(f"validation mismatch: {exc}", file=sys.stderr)

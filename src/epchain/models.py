@@ -26,10 +26,10 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 
-import mpmath as mp
 import numpy as np
 
 from .errors import DimensionCap, DimensionMismatch, OddNForW, SectorNotInvariant
+from .exact import precision
 
 FULL_SPACE_CAP = 4096  # 2^12
 
@@ -392,11 +392,11 @@ def _ring_real_templates(N: int):
     no matrix product.  Each row of W holds at most two entries, a weight
     1 or 1/sqrt2 times e^{i pi n / 2N} for an integer n, and sx_l a = T^t b
     puts e^{ikt} sqrt(p_a / p_b) into <b(k)| S |a(k)>.  So every term is
-    weights times sqrt(p_a / p_b) times cos(pi n / 2N), each from mpmath; the
-    terms are summed in np.longdouble and rounded once to double.  Where
-    longdouble is wider than double, every entry is its exact value
-    correctly rounded, and an entry that vanishes is exactly 0.  The arrays
-    are read-only: they are shared.
+    weights times sqrt(p_a / p_b) times cos(pi n / 2N), each from mpmath at
+    128 bits (exact.precision); the terms are summed in np.longdouble and
+    rounded once to double.  Where longdouble is wider than double, every
+    entry is its exact value correctly rounded, and an entry that vanishes
+    is exactly 0.  The arrays are read-only: they are shared.
     """
     idx = np.arange(2 ** N)
     rots = np.array([((idx << r) | (idx >> (N - r))) & (2 ** N - 1)
@@ -420,15 +420,13 @@ def _ring_real_templates(N: int):
     # R F a: every spin flipped, the site order reversed
     rf = (z[:, ::-1] < 0) @ (1 << np.arange(N)[::-1])
     partner, q = owner[rf], shift[rf]
-    # a private mpmath context: a build on a sweep thread never changes the
-    # shared context's precision
-    ctx = mp.MPContext()
-    ctx.prec = 128
-    cos = np.array([_wide(ctx.cospi(ctx.mpf(n) / (2 * N))) for n in range(4 * N)])
-    root = np.zeros((N + 1, N + 1), dtype=np.longdouble)
-    for pa, pb in itertools.product(set(period.tolist()), repeat=2):
-        root[pa, pb] = _wide(ctx.sqrt(ctx.mpf(pa) / pb))
-    r = _wide(ctx.sqrt(ctx.mpf(1) / 2))
+    # the sweep threads may build a table at once: each in its own context
+    with precision(prec=128) as ctx:
+        cos = np.array([_wide(ctx.cospi(ctx.mpf(n) / (2 * N))) for n in range(4 * N)])
+        root = np.zeros((N + 1, N + 1), dtype=np.longdouble)
+        for pa, pb in itertools.product(set(period.tolist()), repeat=2):
+            root[pa, pb] = _wide(ctx.sqrt(ctx.mpf(pa) / pb))
+        r = _wide(ctx.sqrt(ctx.mpf(1) / 2))
     s = z.sum(axis=1)
     zz = (z * np.roll(z, -1, axis=1)).sum(axis=1).astype(float)
     blocks = []

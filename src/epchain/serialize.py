@@ -31,18 +31,21 @@ def csv_text(header, rows) -> str:
 
 def atomic_write(path: str, text: str) -> None:
     """Write-then-rename so readers never observe a partial file; the new
-    file's mode is 0o666 less the umask, as with open(path, "w")."""
+    file's mode is 0o666 less the umask, as with open(path, "w").  A failed
+    write leaves no temporary file and raises an OSError naming path."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".epchain-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def spec_to_dict(spec: ModelSpec) -> dict:

@@ -9,11 +9,16 @@ honestly, naming the clause.
 The ``bloch_blocks`` fixture gives the periodic Ising ring's momentum blocks
 in its complex Bloch basis, an oracle independent of the package's real
 blocks.
+
+Every test must leave mpmath's shared precision as it found it (53 bits):
+the package never sets it, so a change is a leak, and it fails the test
+that caused it.
 """
 
 import collections
 import functools
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.sparse
@@ -69,6 +74,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             tr.write_line(f"CRITERION {number}: FAIL  ({'; '.join(details)})")
         else:
             tr.write_line(f"CRITERION {number}: PASS")
+
+
+@pytest.fixture(autouse=True)
+def _shared_mpmath_precision_unchanged():
+    prec = mp.mp.prec
+    yield
+    if mp.mp.prec != prec:
+        leaked, mp.mp.prec = mp.mp.prec, prec  # the next test starts clean
+        pytest.fail(f"mpmath's shared precision went from {prec} to "
+                    f"{leaked} bits")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from epchain import analysis, bethe, cli, dynamics, linalg, models, serialize
+from epchain import analysis, bethe, cli, dynamics, exact, linalg, models, serialize
 from epchain.errors import ConfigError, NoTransition
 from epchain.models import ModelKind, ModelSpec
 
@@ -177,6 +177,17 @@ def test_sweep_workers_default_counts_the_allowed_cpus(monkeypatch):
     assert analysis._sweep_workers() == 1
 
 
+@pytest.mark.parametrize("template, name", [
+    (ising(6, Delta=0.5), "V"), (xy(6), "Delta"), (xy(6), "gamma"),
+    (ising(6, Delta=0.5), "gamma")])
+def test_sweep_grid_x_axis_is_the_control_parameter(template, name):
+    # an x-axis the Hamiltonian never reads would give a grid constant in x
+    with pytest.raises(ValueError, match="unknown sweep parameter"):
+        analysis.sweep_grid(
+            template, analysis.AxisSpec.from_range(name, 0.5, 2.0, "lin", 3),
+            analysis.AxisSpec.from_range("gamma", 0.1, 1.0, "lin", 3))
+
+
 def test_sweep_grid_requires_gamma_y_axis():
     with pytest.raises(ValueError):
         analysis.sweep_grid(
@@ -244,8 +255,8 @@ def test_numeric_boundary_large_v_is_not_the_scan_threshold(N, V):
     gh = _reference_highprec(N, V, 1e-6, mp.workdps(60))
     assert abs(gn - gh) / gh < 1e-6
     with mp.workdps(60):
-        assert not analysis._magnon_broken(N, V, mp.mpf(gn) * (1 - 2e-6))
-        assert analysis._magnon_broken(N, V, mp.mpf(gn) * (1 + 2e-6))
+        assert not exact.magnon_broken(N, V, mp.mpf(gn) * (1 - 2e-6))
+        assert exact.magnon_broken(N, V, mp.mpf(gn) * (1 + 2e-6))
 
 
 def test_numeric_boundary_ising_j0_small_n():
@@ -296,7 +307,7 @@ def test_ising_scan_raises_when_broken_at_its_lower_end(monkeypatch):
         analysis.numeric_boundary_gamma(ising(4, Delta=1.0), 1.0)
 
 
-# The reference is the boundary scan with bethe._bisect written out: the XY
+# The reference is the boundary scan with exact.bisect written out: the XY
 # chain's exact bisection at a given working precision, and the Ising chain's
 # double-precision loop.  Its threshold keeps the 1e-10*(1+|Delta|) term,
 # which never wins over the floor 3e-4*(1+Delta^2).
@@ -304,14 +315,14 @@ def test_ising_scan_raises_when_broken_at_its_lower_end(monkeypatch):
 def _reference_highprec(N, V, rel_tol, precision):
     with precision:
         lo, hi = mp.mpf(10) ** -45, mp.mpf(10)
-        if not analysis._magnon_broken(N, V, hi):
+        if not exact.magnon_broken(N, V, hi):
             raise NoTransition(f"no transition in gamma for N={N}, V={V}")
-        while analysis._magnon_broken(N, V, lo):
+        while exact.magnon_broken(N, V, lo):
             lo *= mp.mpf(10) ** -10
         iterations = int(math.ceil(math.log2(float(mp.log(hi / lo)) / rel_tol))) + 2
         for _ in range(iterations):
             mid = mp.sqrt(lo * hi)
-            if analysis._magnon_broken(N, V, mid):
+            if exact.magnon_broken(N, V, mid):
                 hi = mid
             else:
                 lo = mid
@@ -370,7 +381,7 @@ def test_bisect_locates_onset_in_its_iteration_count(num):
             calls.append(g)
             return g > onset
 
-        got = bethe._bisect(broken, num("1e-12"), num(10), rel_tol)
+        got = exact.bisect(broken, num("1e-12"), num(10), rel_tol)
     assert abs(got / (math.pi / 1000) - 1) <= rel_tol
     assert len(calls) == math.ceil(math.log2(math.log(1e13) / rel_tol)) + 2
 
@@ -424,24 +435,24 @@ def _interior_chain(m):
     ([4, -8, 4, 0], (2, 2)),      # 4x(x-1)^2, content 4
 ])
 def test_sturm_root_counts_known_roots(coeffs, counts):
-    assert analysis._sturm_root_counts(coeffs) == counts
+    assert exact.sturm_root_counts(coeffs) == counts
 
 
 @pytest.mark.parametrize("N", range(1, 13))
 def test_sturm_counts_open_chain_spectrum(N):
     # V = gamma = 0 leaves the open chain, 2 cos(k pi / (N+1)): N real roots
     q = _interior_chain(N)
-    assert analysis._sturm_root_counts(q) == (N, N)
+    assert exact.sturm_root_counts(q) == (N, N)
     if N >= 2:
         with mp.workdps(60):
-            assert analysis._magnon_int_charpoly(N, 0.0, mp.mpf(0)) == q
+            assert exact.magnon_int_charpoly(N, 0.0, mp.mpf(0)) == q
 
 
 @pytest.mark.parametrize("N", range(2, 7))
 def test_int_charpoly_matches_reference(N):
     with mp.workdps(60):
         V, g = 2.75, mp.mpf("0.0123")
-        p = analysis._magnon_int_charpoly(N, V, g)
+        p = exact.magnon_int_charpoly(N, V, g)
         scale = mp.mpf(p[0])
         ref = _reference_magnon_charpoly(N, V, g)[::-1]
         for c, r in zip(p, ref):
@@ -457,13 +468,13 @@ def test_magnon_broken_matches_polyroots_reference(N):
             gc = bethe.exact_boundary_gamma(N, V)
             for factor in (0.99, 0.9999, 1.0001, 1.01):
                 g = mp.mpf(gc * factor)
-                real, distinct = analysis._sturm_root_counts(
-                    analysis._magnon_int_charpoly(N, V, g))
+                real, distinct = exact.sturm_root_counts(
+                    exact.magnon_int_charpoly(N, V, g))
                 assert distinct == N
                 assert real == _reference_magnon_real_roots(N, V, g)
                 # one conjugate pair leaves the real axis at the boundary
                 assert real == (N - 2 if factor > 1 else N), (V, factor)
-                assert analysis._magnon_broken(N, V, g) == (factor > 1)
+                assert exact.magnon_broken(N, V, g) == (factor > 1)
 
 
 @pytest.mark.parametrize("V", [0.0, 3.0, -2.5, 100.0])
@@ -472,7 +483,7 @@ def test_magnon_broken_two_sites(V):
     # exceptional point gamma = 1 itself (a double real root) is unbroken
     with mp.workdps(60):
         for g in ("0.5", "0.999", "1", "1.001", "2"):
-            assert analysis._magnon_broken(2, V, mp.mpf(g)) == (float(g) > 1)
+            assert exact.magnon_broken(2, V, mp.mpf(g)) == (float(g) > 1)
 
 
 @pytest.mark.parametrize("V", [0.0, 2.0, 10.0])
@@ -482,7 +493,7 @@ def test_magnon_broken_three_sites_matches_dense(V):
         for factor in (0.1, 0.5, 2.0, 5.0):
             g = gc * factor
             dense = analysis.max_im_epsilon(xy(3, V, g))
-            assert analysis._magnon_broken(3, V, mp.mpf(g)) == (dense > 1e-6)
+            assert exact.magnon_broken(3, V, mp.mpf(g)) == (dense > 1e-6)
             assert (dense > 1e-6) == (factor > 1)
 
 

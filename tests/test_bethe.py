@@ -408,7 +408,7 @@ def test_eta_factors_transcription():
 
 
 # ---------------------------------------------------------------------------
-# bethe._bisect against the searches it replaced
+# exact.bisect and exact.illinois against the searches they replaced
 #
 # The references are the previous solvers as they stood: the exact boundary's
 # fixed 240-step bisection, and scipy's brentq (imported here only) on the

@@ -59,6 +59,16 @@ def test_spectrum_bad_gamma_exit_code(tmp_path, capsys):
     assert "--gamma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", ["missing/x.csv", "a_directory"])
+def test_spectrum_unwritable_output_exit_code(tmp_path, capsys, out):
+    (tmp_path / "a_directory").mkdir()
+    path = str(tmp_path / out)
+    rc = run(["spectrum", "--model", "xy", "--n", "4", "--out", path])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+    assert list(tmp_path.rglob(".epchain-*")) == []
+
+
 def test_spectrum_determinism(tmp_path):
     argv = ["spectrum", "--model", "ising", "--n", "4", "--j", "1",
             "--delta", "0.7", "--gamma", "0.4", "--out", None]
@@ -354,6 +364,15 @@ def test_reproduce_unknown_figure(tmp_path, capsys):
     rc = run(["reproduce", "--figure", "9", "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "--figure" in capsys.readouterr().err
+
+
+def test_reproduce_out_dir_is_a_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("")
+    rc = run(["reproduce", "--figure", "1", "--out-dir", str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+    assert list(tmp_path.rglob(".epchain-*")) == []
 
 
 def test_reproduce_fig1_manifest(tmp_path):

@@ -14,8 +14,8 @@ import pytest
 
 import epchain
 
-LAYERS = ["errors", "models", "linalg", "dynamics", "bethe", "analysis",
-          "serialize", "cli", "__init__"]
+LAYERS = ["errors", "exact", "models", "linalg", "dynamics", "bethe",
+          "analysis", "serialize", "cli", "__init__"]
 
 SRC = pathlib.Path(epchain.__file__).parent
 
@@ -134,8 +134,9 @@ def _run_python(code: str) -> str:
 
 
 # the runtime is numpy and mpmath: the package's root searches are
-# bethe._bisect and its propagator is linalg's own Pade kernel, so importing
-# the CLI loads no scipy module, nor numpy.f2py, which scipy.linalg pulls in
+# exact.bisect and exact.illinois and its propagator is linalg's own Pade
+# kernel, so importing the CLI loads no scipy module, nor numpy.f2py, which
+# scipy.linalg pulls in
 def test_cli_import_does_not_load_scipy():
     out = _run_python(
         "import sys, epchain.cli; print(sorted(m for m in sys.modules "
@@ -246,3 +247,59 @@ def test_every_public_name_has_a_package_caller():
                                 for _, name in _names(stmt))):
                 uncalled.add(defn.name)
     assert uncalled == PAPER_API
+
+
+# a module's underscore names are its own: no package module reads one of
+# another's, by attribute or by import
+def _private_reads(tree: ast.AST):
+    """(line, module.name) where tree reads an underscore name of a package
+    module."""
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and not node.module:
+            modules.update((a.asname or a.name, a.name) for a in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            yield node.lineno, f"{modules[node.value.id]}.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.level and node.module:
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield node.lineno, f"{node.module}.{alias.name}"
+
+
+def test_no_module_reads_another_modules_private_names():
+    reads = {m: list(_private_reads(ast.parse((SRC / f"{m}.py").read_text())))
+             for m in LAYERS}
+    assert {m: r for m, r in reads.items() if r} == {}
+
+
+# exact is the one source of mpmath precision: it hands each thread its own
+# context, so no other module sets a precision or makes a context, and no
+# module touches the shared context's
+PRECISION_NAMES = {"workprec", "workdps", "extraprec", "extradps", "MPContext"}
+
+
+def _precision_uses(tree: ast.AST):
+    """Line numbers where tree names an mpmath precision manager or context
+    class, or assigns a prec or dps attribute."""
+    for line, name in _names(tree):
+        if name in PRECISION_NAMES:
+            yield line
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Attribute) and t.attr in ("prec", "dps")
+               for target in targets for t in ast.walk(target)):
+            yield node.lineno
+
+
+def test_only_exact_sets_mpmath_precision():
+    users = {m: list(_precision_uses(ast.parse((SRC / f"{m}.py").read_text())))
+             for m in LAYERS}
+    assert {m for m, lines in users.items() if lines} == {"exact"}, users
