@@ -7,12 +7,14 @@ mirrors block m, so its spectrum is never computed), the whole matrix
 otherwise.  The ring's blocks and the magnon chain are real matrices in a
 PT-invariant basis, so real LAPACK gives an unbroken node max|Im eps| = 0
 exactly; the open Ising chain and the full-space XY chain stay complex.  A
-sweep diagonalizes a row's same-shape blocks as one stack
-(linalg.eigvals_stack).  The numeric boundary has one
-rule per model kind.  The XY chain, in either space, breaks
-exactly where its one-magnon block does (free-fermion map), so it is bisected
-in 53-bit mpmath gamma on exact.magnon_broken, an exact Sturm count, however
-far gamma_c falls below double precision (it decays as 1/V^(N-2)).
+sweep's unit of work is one (row, block) stack: block b of every valid node
+of a grid row, built by models.block_stack and diagonalized by
+linalg.eigvals_stack, so the blocks of one node run on every sweep thread.
+The numeric boundary has one rule per model kind.  The XY chain, in either
+space, breaks exactly where its one-magnon block does (free-fermion map), so
+it is bisected in 53-bit mpmath gamma on exact.magnon_broken, an exact Sturm
+count, however far gamma_c falls below double precision (it decays as
+1/V^(N-2)).
 The Ising chain is bisected on the indicator above a floor that grows as
 1 + Delta^2.
 """
@@ -31,17 +33,17 @@ from . import bethe, linalg
 from .dynamics import default_initial_state, final_fidelity
 from .errors import ConfigError, EpchainError, NonConvergence, NoRoot, NoTransition
 from .exact import bisect, magnon_broken, precision
-from .models import ModelKind, ModelSpec, StateVector, hamiltonian_blocks
+from .models import ModelKind, ModelSpec, StateVector, block_dims, block_stack
 
 BROKEN_THRESHOLD = 1e-10
 
-# Matrix entries a sweep row holds before they go to the eigen kernel, and
-# the most one kernel stack takes (one block at least).  The kernel's
-# temporaries are complex whether a block is real or complex, so the budget
-# counts entries, not bytes.  A row of chain or momentum blocks fits whole;
-# the dense 2^N matrices of the open Ising chain and the full-space XY chain,
-# and stacks of the N=10 ring's blocks, whose temporaries raise peak RSS, go
-# one at a time.
+# The most matrix entries one eigen-kernel call takes (one block at least):
+# a (row, block) stack goes to the kernel in slices of this size, each built
+# just before its call.  The kernel's temporaries are complex whether a block
+# is real or complex, so the budget counts entries, not bytes.  A magnon row
+# fits whole and the N=8 ring's blocks go 12 to 18 at a time; the dense 2^N
+# matrices of the open Ising chain and the full-space XY chain, and the N=10
+# ring's blocks, whose temporaries raise peak RSS, go one at a time.
 _STACK_ENTRIES = 1 << 14
 
 # relative accuracy of the numeric boundary scan
@@ -97,51 +99,28 @@ class PhaseGrid:
         return self.values > BROKEN_THRESHOLD
 
 
-def _max_im_epsilons(nodes) -> np.ndarray:
-    """max|Im eps| of each node, the largest over its symmetry blocks.
-
-    nodes yields each node's list of blocks, or None where its build failed.
-    Same-shape blocks go to linalg.eigvals_stack together, in stacks of up to
-    _STACK_ENTRIES, once the pending blocks reach _STACK_ENTRIES or the nodes
-    run out.  A node is NaN when its build failed or the kernel flags any of
-    its blocks.
-    """
-    values: list[float] = []
-    groups: dict[tuple, tuple[list[int], list[np.ndarray]]] = {}
-
-    def flush() -> None:
-        for owners, blocks in groups.values():
-            step = max(1, _STACK_ENTRIES // blocks[0].size)
-            for s in range(0, len(blocks), step):
-                vals, ok = linalg.eigvals_stack(np.stack(blocks[s:s + step]))
-                im = np.where(ok, np.max(np.abs(vals.imag), axis=-1), np.nan)
-                for n, v in zip(owners[s:s + step], im):
-                    values[n] = np.maximum(values[n], v)  # NaN propagates
-        groups.clear()
-
-    pending = 0
-    for blocks in nodes:
-        values.append(-np.inf if blocks is not None else np.nan)
-        for h in blocks or ():
-            owners, stack = groups.setdefault(h.shape, ([], []))
-            owners.append(len(values) - 1)
-            stack.append(h)
-            pending += h.size
-        if pending >= _STACK_ENTRIES:
-            flush()
-            pending = 0
-    flush()
-    return np.array(values, dtype=float)
+def _block_max_im(specs: list[ModelSpec], b: int) -> np.ndarray:
+    """max|Im eps| of block b of hamiltonian_blocks(spec) for each of specs
+    (one kind and N), NaN where the kernel flags it: the block's stack, sent
+    to linalg.eigvals_stack in slices of _STACK_ENTRIES."""
+    step = max(1, _STACK_ENTRIES // block_dims(specs[0])[b] ** 2)
+    out = np.empty(len(specs))
+    for s in range(0, len(specs), step):
+        vals, ok = linalg.eigvals_stack(block_stack(specs[s:s + step], b))
+        out[s:s + step] = np.where(ok, np.max(np.abs(vals.imag), axis=-1), np.nan)
+    return out
 
 
 def max_im_epsilon(spec: ModelSpec) -> float:
     """max|Im eps| of one model over models.hamiltonian_blocks(spec), the
-    broken-phase indicator; the one-node case of _max_im_epsilons.
+    broken-phase indicator: the largest over its blocks, each from the
+    sweep's per-block function (_block_max_im), run serially.
 
     The boundary scan needs an answer at every gamma it probes, so a block
     the eigen kernel flags raises NonConvergence here instead of giving NaN.
     """
-    value = float(_max_im_epsilons([hamiltonian_blocks(spec)])[0])
+    value = float(np.max([_block_max_im([spec], b)
+                          for b in range(len(block_dims(spec)))]))
     if math.isnan(value):
         raise NonConvergence(f"eigendecomposition failed at {spec}")
     return value
@@ -164,30 +143,39 @@ def sweep_grid(template: ModelSpec, x_axis: AxisSpec, y_axis: AxisSpec) -> Phase
     """Evaluate max|Im eps| at every grid node, deterministic row-major order.
 
     The x-axis is the parameter the model reads, template.kind.control.
-    The thread pool takes one row (one x value) at a time; a row's blocks go
-    to the eigen kernel in stacks.  A node whose spec, build or eigensolve
-    fails (EpchainError or ValueError, or a kernel flag) is recorded as NaN;
-    the grid is still returned.
+    Each node is one dataclasses.replace of the template; a node whose spec
+    fails (EpchainError or ValueError) or whose block the kernel flags is
+    recorded as NaN, and the grid is still returned.  The thread pool takes
+    one (row, block) task at a time: block b of hamiltonian_blocks over the
+    row's valid nodes, one stack that the task builds and diagonalizes
+    (_block_max_im), so a node's blocks run on every worker.  A node's value
+    is the largest over its blocks, the same at any thread count.
     """
     if y_axis.name != "gamma":
         raise ValueError("the sweep y-axis must be gamma")
     if x_axis.name != template.kind.control:
         raise ValueError(f"unknown sweep parameter {x_axis.name!r} for {template.kind}")
 
-    def node_blocks(x: float, g: float) -> list[np.ndarray] | None:
+    def node(x: float, g: float) -> ModelSpec | None:
         try:
-            return hamiltonian_blocks(replace(
-                template, **{x_axis.name: float(x), "gamma": float(g)}))
+            return replace(template, **{x_axis.name: float(x), "gamma": float(g)})
         except (EpchainError, ValueError):
             return None
 
-    def row(x: float) -> np.ndarray:
-        return _max_im_epsilons(node_blocks(x, g) for g in y_axis.values)
-
-    values = np.empty((len(x_axis.values), len(y_axis.values)))
+    values = np.full((len(x_axis.values), len(y_axis.values)), np.nan)
+    blocks = range(len(block_dims(template)))
+    tasks = []  # (row, columns of its valid nodes, their specs, block)
+    for i, x in enumerate(x_axis.values):
+        specs = [node(x, g) for g in y_axis.values]
+        cols = [j for j, s in enumerate(specs) if s is not None]
+        if cols:
+            values[i, cols] = -np.inf
+            valid = [specs[j] for j in cols]
+            tasks += [(i, cols, valid, b) for b in blocks]
     with ThreadPoolExecutor(max_workers=_sweep_workers()) as pool:
-        for i, row_values in enumerate(pool.map(row, x_axis.values)):
-            values[i] = row_values
+        ims = pool.map(lambda task: _block_max_im(task[2], task[3]), tasks)
+        for (i, cols, _, _), im in zip(tasks, ims):
+            values[i, cols] = np.maximum(values[i, cols], im)  # NaN propagates
     return PhaseGrid(template=template, x_axis=x_axis, y_axis=y_axis, values=values)
 
 

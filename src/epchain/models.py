@@ -476,9 +476,44 @@ def _ring_real_templates(N: int):
     return tuple(blocks), orbits, root_period
 
 
+def block_dims(spec: ModelSpec) -> list[int]:
+    """The dimension of each block of hamiltonian_blocks(spec), in order."""
+    if spec.kind is ModelKind.XY_MAGNON:
+        return [spec.N]
+    if not _momentum_ring(spec):
+        return [spec.basis.dim]
+    return [len(block[0]) for block in _ring_real_templates(spec.N)[0]]
+
+
+def block_stack(specs: list[ModelSpec], b: int) -> np.ndarray:
+    """Block b of hamiltonian_blocks for each of specs, which share kind, N
+    and boundary, as one (k, d, d) stack, from block b's template: the ring's
+    Delta X + gamma Y - J diag(zz), the magnon chain's T + V E + gamma O,
+    each entry the same double as a one-node build; the open Ising chain
+    and the full-space XY chain stack build_hamiltonian.
+    """
+    spec = specs[0]
+
+    def param(name: str) -> np.ndarray:  # one value per spec, as (k, 1, 1)
+        return np.array([getattr(s, name) for s in specs])[:, None, None]
+
+    if spec.kind is ModelKind.XY_MAGNON:
+        t, e, o, _ = _magnon_real_templates(spec.N)
+        return t + param("V") * e + param("gamma") * o
+    if not _momentum_ring(spec):
+        dense = [build_hamiltonian(s) for s in specs]  # one node: no copy
+        return dense[0][None] if len(dense) == 1 else np.stack(dense)
+    x, (rows, cols, y), zz, _ = _ring_real_templates(spec.N)[0][b]
+    h = param("Delta") * x
+    h[:, rows, cols] += param("gamma")[:, 0] * y
+    diag = np.arange(len(x))
+    h[:, diag, diag] -= param("J")[:, 0] * zz
+    return h
+
+
 def hamiltonian_blocks(spec: ModelSpec) -> list[np.ndarray]:
     """Diagonal blocks of the Hamiltonian in an orthonormal symmetry basis,
-    each a real matrix where the model has one.
+    each a real matrix where the model has one: block_stack's one-node case.
 
     The periodic Ising ring, at every J, gives its momentum blocks
     k = 2 pi m / N for m = 0 .. N//2 (Sandvik, arXiv:1101.3281), each in its
@@ -491,18 +526,7 @@ def hamiltonian_blocks(spec: ModelSpec) -> list[np.ndarray]:
     [build_hamiltonian(spec)].  The block spectra, taken once per sector of
     sector_blocks(spec), are the spectrum of build_hamiltonian(spec).
     """
-    if spec.kind is ModelKind.XY_MAGNON:
-        t, e, o, _ = _magnon_real_templates(spec.N)
-        return [t + spec.V * e + spec.gamma * o]
-    if not _momentum_ring(spec):
-        return [build_hamiltonian(spec)]
-    out = []
-    for x, (rows, cols, y), zz, _ in _ring_real_templates(spec.N)[0]:
-        h = spec.Delta * x
-        h[rows, cols] += spec.gamma * y
-        h[np.diag_indices_from(h)] -= spec.J * zz
-        out.append(h)
-    return out
+    return [block_stack([spec], b)[0] for b in range(len(block_dims(spec)))]
 
 
 def sector_blocks(spec: ModelSpec) -> list[int]:

@@ -3,7 +3,9 @@ m = 0 .. N//2 of the periodic Ising ring, which stand for their mirror blocks
 N-m too, the real magnon chain, and each block's coordinates of a state; and
 the block-wise broken-phase indicator built on them."""
 
+import threading
 import time
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -128,6 +130,9 @@ def test_ring_node_diagonalizes_blocks_up_to_k_pi(monkeypatch, N, dims, entry):
         return kernel(stack)
 
     monkeypatch.setattr(linalg, "eigvals_stack", counted)
+    # one sweep thread keeps the block order; on more, the order of the
+    # (row, block) tasks is the pool's
+    monkeypatch.setenv("EPCHAIN_THREADS", "1")
     spec = ring(N, Delta=1.0, gamma=0.5)
     if entry == "max_im_epsilon":
         analysis.max_im_epsilon(spec)
@@ -135,6 +140,48 @@ def test_ring_node_diagonalizes_blocks_up_to_k_pi(monkeypatch, N, dims, entry):
         analysis.sweep_grid(spec, analysis.AxisSpec("Delta", "lin", np.array([1.0])),
                             analysis.AxisSpec("gamma", "lin", np.array([0.5])))
     assert sent == dims
+
+
+@pytest.mark.parametrize("N, dims", [(4, [6, 3, 4]), (5, [8, 6, 6])])
+def test_ring_node_blocks_reach_the_kernel_once_each_on_two_threads(
+        monkeypatch, N, dims):
+    kernel, sent, lock = linalg.eigvals_stack, [], threading.Lock()
+
+    def counted(stack):
+        with lock:
+            sent.extend([stack.shape[1]] * len(stack))
+        return kernel(stack)
+
+    monkeypatch.setattr(linalg, "eigvals_stack", counted)
+    monkeypatch.setenv("EPCHAIN_THREADS", "2")
+    analysis.sweep_grid(ring(N, Delta=1.0, gamma=0.5),
+                        analysis.AxisSpec("Delta", "lin", np.array([1.0])),
+                        analysis.AxisSpec("gamma", "lin", np.array([0.5])))
+    assert sorted(sent) == sorted(dims)
+
+
+def test_ring_node_blocks_run_on_two_threads_at_once(monkeypatch):
+    # the first two kernel calls wait for each other, so a sweep that runs a
+    # node's blocks one after another on one thread breaks the barrier
+    kernel, shapes, lock = linalg.eigvals_stack, [], threading.Lock()
+    barrier = threading.Barrier(2, timeout=5)
+
+    def meeting(stack):
+        with lock:
+            shapes.append(stack.shape)
+            first_two = len(shapes) <= 2
+        if first_two:
+            barrier.wait()
+        return kernel(stack)
+
+    monkeypatch.setattr(linalg, "eigvals_stack", meeting)
+    monkeypatch.setenv("EPCHAIN_THREADS", "2")
+    grid = analysis.sweep_grid(ring(10, Delta=2.0),
+                               analysis.AxisSpec("Delta", "lin", np.array([2.0])),
+                               analysis.AxisSpec("gamma", "lin", np.array([1.0])))
+    assert np.isfinite(grid.values).all()
+    # blocks m = 0 .. 5 of the 10-site ring, one call each
+    assert sorted(shapes) == sorted((1, d, d) for d in [108, 99, 105, 99, 105, 100])
 
 
 def _block_adjoints(spec):
@@ -353,3 +400,63 @@ def test_ring_grid_byte_identical_across_thread_counts(monkeypatch):
         texts.append(serialize.grid_to_csv(
             analysis.sweep_grid(ring(6, J=1.0), x_axis, y_axis)))
     assert texts[0] == texts[1]
+
+
+# ---------------------------------------------------------------------------
+# the per-block builder of the sweeps: block b over many nodes at once
+
+def _reference_blocks(spec):
+    """hamiltonian_blocks(spec) as the one-node formula, block by block."""
+    if spec.kind is ModelKind.XY_MAGNON:
+        t, e, o, _ = models._magnon_real_templates(spec.N)
+        return [t + spec.V * e + spec.gamma * o]
+    if spec.ising_boundary is IsingBoundary.OPEN or spec.kind is ModelKind.XY_FULL_SPACE:
+        return [models.build_hamiltonian(spec)]
+    out = []
+    for x, (rows, cols, y), zz, _ in models._ring_real_templates(spec.N)[0]:
+        h = spec.Delta * x
+        h[rows, cols] += spec.gamma * y
+        h[np.diag_indices_from(h)] -= spec.J * zz
+        out.append(h)
+    return out
+
+
+def _builder_templates():
+    magnon = [(ModelSpec(ModelKind.XY_MAGNON, N=N), "V", (-3.7, 0.0, 2.9))
+              for N in range(2, 13)]
+    rings = [(ring(N, J=J), "Delta", (0.0, 0.4, 1.7))
+             for N in range(1, 11) for J in (0.0, 0.3, 1.0)]
+    dense = [(ring(6, J=1.0, ising_boundary=IsingBoundary.OPEN), "Delta", (0.4, 1.7)),
+             (ModelSpec(ModelKind.XY_FULL_SPACE, N=6), "V", (-3.7, 2.9))]
+    return magnon + rings + dense
+
+
+@pytest.mark.parametrize("template, name, controls", _builder_templates())
+def test_block_stack_entries_equal_the_one_node_blocks_bitwise(template, name,
+                                                               controls):
+    specs = [replace(template, **{name: c, "gamma": g})
+             for c in controls for g in (0.0, 3e-9, 0.05, 0.8, 2.5)]
+    dims = models.block_dims(template)
+    ones = [models.hamiltonian_blocks(spec) for spec in specs]
+    refs = [_reference_blocks(spec) for spec in specs]
+    assert all(len(one) == len(ref) == len(dims) for one, ref in zip(ones, refs))
+    for b, d in enumerate(dims):
+        stack = models.block_stack(specs, b)
+        assert stack.shape == (len(specs), d, d)
+        for entry, one, ref in zip(stack, ones, refs):
+            assert entry.dtype == one[b].dtype == ref[b].dtype
+            assert entry.tobytes() == one[b].tobytes() == ref[b].tobytes()
+
+
+@pytest.mark.parametrize("N, x_values, gammas", [
+    (8, np.linspace(0.2, 2.0, 7), np.geomspace(1e-4, 1.0, 9)),
+    (10, np.array([1.3]), np.array([1e-3, 0.1, 0.9]))])
+def test_ring_grid_values_bitwise_equal_at_every_thread_count(monkeypatch, N,
+                                                              x_values, gammas):
+    axes = (analysis.AxisSpec("Delta", "lin", x_values),
+            analysis.AxisSpec("gamma", "log", gammas))
+    grids = []
+    for threads in ("1", "2", "3", "4"):
+        monkeypatch.setenv("EPCHAIN_THREADS", threads)
+        grids.append(analysis.sweep_grid(ring(N, J=1.0), *axes).values.tobytes())
+    assert grids == grids[:1] * 4

@@ -364,6 +364,19 @@ def test_failed_spec_is_a_nan_node():
             analysis.AxisSpec("gamma", "lin", np.array([0.5])))
 
 
+@pytest.mark.parametrize("template, name", [(xy(6), "V"),
+                                            (ring(6, J=1.0), "Delta")])
+def test_non_finite_x_makes_only_its_row_nan(template, name):
+    gammas = analysis.AxisSpec("gamma", "lin", np.array([0.0, 0.3, 1.5]))
+    grid = analysis.sweep_grid(
+        template, analysis.AxisSpec(name, "lin", np.array([np.inf, 3.0])), gammas)
+    assert np.isnan(grid.values[0]).all()
+    finite = analysis.sweep_grid(
+        template, analysis.AxisSpec(name, "lin", np.array([3.0])), gammas)
+    assert grid.values[1:].tobytes() == finite.values.tobytes()
+    assert np.isfinite(finite.values).all()
+
+
 def _kernel_failing_everywhere(stack):
     return np.full(stack.shape[:2], np.nan), np.zeros(len(stack), bool)
 
