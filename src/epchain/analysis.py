@@ -1,22 +1,16 @@
 """Phase-diagram sweeps, boundary extraction and the gamma optimizer.
 
-max|Im eps| over parameter grids is the broken-phase indicator, taken over
-the blocks of models.hamiltonian_blocks, the ones the dynamics propagate:
-the momentum blocks k = 0 .. pi of the periodic Ising ring (block N-m
-mirrors block m, so its spectrum is never computed), the whole matrix
-otherwise.  The ring's blocks and the magnon chain are real matrices in a
-PT-invariant basis, so real LAPACK gives an unbroken node max|Im eps| = 0
-exactly; the open Ising chain and the full-space XY chain stay complex.  A
-sweep's unit of work is one (row, block) stack: block b of every valid node
-of a grid row, built by models.block_stack and diagonalized by
-linalg.eigvals_stack, so the blocks of one node run on every sweep thread.
-The numeric boundary has one rule per model kind.  The XY chain, in either
-space, breaks exactly where its one-magnon block does (free-fermion map), so
-it is bisected in 53-bit mpmath gamma on exact.magnon_broken, an exact Sturm
-count, however far gamma_c falls below double precision (it decays as
-1/V^(N-2)).
-The Ising chain is bisected on the indicator above a floor that grows as
-1 + Delta^2.
+max|Im eps| over the blocks of models.hamiltonian_blocks, the ones the
+dynamics propagate, is the broken-phase indicator.  The ring's blocks and the
+magnon chain are real in a PT-invariant basis, so real LAPACK gives an
+unbroken node max|Im eps| = 0 exactly.  A sweep's unit of work is one (row,
+block) stack, built by models.block_stack and diagonalized by
+linalg.eigvals_stack.  The XY chain, in either space, breaks exactly where its
+one-magnon block does (free-fermion map), so its boundary is bisected in
+53-bit mpmath gamma on exact.magnon_broken, an exact Sturm count, however far
+gamma_c falls below double precision.  The Ising chain is bisected on the
+indicator above a floor that grows as 1 + Delta^2, above the ring's roundoff
+pairs and the open chain's noise.
 """
 
 from __future__ import annotations
@@ -32,7 +26,7 @@ import numpy as np
 from . import bethe, linalg
 from .dynamics import default_initial_state, final_fidelity
 from .errors import ConfigError, EpchainError, NonConvergence, NoRoot, NoTransition
-from .exact import bisect, magnon_broken, precision
+from .exact import bisect, decay_floor, magnon_broken, precision
 from .models import ModelKind, ModelSpec, StateVector, block_dims, block_stack
 
 BROKEN_THRESHOLD = 1e-10
@@ -52,12 +46,13 @@ _REL_TOL = 1e-6
 # boundary_table row as a validation mismatch
 BOUNDARY_REL_TOL = 1e-3
 
-# Full-space spectra develop exponentially ill-conditioned eigenvector bases
-# near their exceptional points (condition ~ (scale/gap)^N), so eigensolver
-# noise in Im(eps) can reach well above 1e-10 just below the true boundary.
-# The Ising boundary scan therefore counts the spectrum as broken only above
-# this floor times 1 + Delta^2; the square-root growth of the true signal
-# above the boundary keeps the induced bias small (~(floor/signal_slope)^2).
+# The Ising boundary scan counts the spectrum as broken only above this floor
+# times 1 + Delta^2.  Below the true boundary, Im(eps) can reach well above
+# 1e-10 from roundoff pairs where levels of opposite site-reflection parity
+# cross inside the ring's real m = 0 and N/2 blocks, and from eigensolver
+# noise in the open chain's dense 2^N matrix, whose eigenvector basis is
+# ill-conditioned as (scale/gap)^N near its exceptional points.  The true
+# signal grows as a square root, so the bias stays ~(floor/signal_slope)^2.
 _FULL_SPACE_SCAN_FLOOR = 3e-4
 
 
@@ -145,11 +140,9 @@ def sweep_grid(template: ModelSpec, x_axis: AxisSpec, y_axis: AxisSpec) -> Phase
     The x-axis is the parameter the model reads, template.kind.control.
     Each node is one dataclasses.replace of the template; a node whose spec
     fails (EpchainError or ValueError) or whose block the kernel flags is
-    recorded as NaN, and the grid is still returned.  The thread pool takes
-    one (row, block) task at a time: block b of hamiltonian_blocks over the
-    row's valid nodes, one stack that the task builds and diagonalizes
-    (_block_max_im), so a node's blocks run on every worker.  A node's value
-    is the largest over its blocks, the same at any thread count.
+    NaN, and the grid is still returned.  The thread pool takes one (row,
+    block) task at a time (_block_max_im), so a node's blocks run on every
+    worker; a node is the largest over its blocks at any thread count.
     """
     if y_axis.name != "gamma":
         raise ValueError("the sweep y-axis must be gamma")
@@ -184,14 +177,14 @@ def _magnon_boundary(N: int, V: float, rel_tol: float) -> float:
 
     Every mpf is dyadic, so the Sturm count is exact at each midpoint, and mpf
     has no exponent limit, so 53 bits locate gamma_c to rel_tol however small
-    it is.  gamma_c decays as V^-(N-2), so the lower bracket starts at 1e-45
-    and steps down by 1e-10 until the chain is unbroken there.  That ends for
-    every finite V: at gamma = 0 the chain is a real Jacobi matrix, whose
+    it is.  The lower bracket starts at exact.decay_floor and steps down by
+    1e-10 until the chain is unbroken there.  That ends for every finite V:
+    at gamma = 0 the chain is a real Jacobi matrix, whose
     eigenvalues are real and simple, so they stay real for small gamma.
     NoRoot where gamma_c underflows a double.
     """
     with precision(prec=53) as ctx:
-        lo, hi = ctx.mpf(10) ** -45, ctx.mpf(10)
+        lo, hi = decay_floor(ctx, N, V), ctx.mpf(10)
         if not magnon_broken(N, V, hi):
             raise NoTransition(f"no transition in gamma for N={N}, V={V}")
         while magnon_broken(N, V, lo):

@@ -38,7 +38,7 @@ from .errors import (
     NonConvergence,
     NullSpaceRankError,
 )
-from .exact import bisect, illinois, precision
+from .exact import bisect, decay_floor, illinois, precision
 from .models import StateVector, build_h_w, magnon_basis
 
 ROOT_RESIDUAL_TOL = 1e-10
@@ -363,9 +363,9 @@ def exact_boundary_gamma(N: int, V: float) -> float:
     (c+sqrt(c^2-1))^2N, and gamma_c ~ V^-(N-2) falls below double-precision
     resolution at large V, where g^2 must still register next to V^2.  The
     working precision (_working_dps, which covers the cancellation in the
-    residual) and the lower bracket therefore scale with (N, V).  N = 2 has
-    its root at gamma = 1 for every V, where the residual is roundoff of
-    either sign, and returns 1.0 without a search.  Raises
+    residual) and the lower bracket (exact.decay_floor) scale with (N, V).
+    N = 2 has its root at gamma = 1 for every V, where the residual is
+    roundoff of either sign, and returns 1.0 without a search.  Raises
     ValueError for |V| <= 2 or non-finite V, NoBracket where the residual has
     no sign change, and NoRoot where gamma_c underflows a double.
     """
@@ -382,8 +382,7 @@ def exact_boundary_gamma(N: int, V: float) -> float:
         def f(g):
             return _boundary_log_residual(N, vv, g)
 
-        lo = min(ctx.mpf(10) ** -50, vv ** -(N - 2) * ctx.mpf(10) ** -10)
-        hi = ctx.mpf(1)
+        lo, hi = decay_floor(ctx, N, v), ctx.mpf(1)
         fhi = f(hi)
         while isinstance(fhi, ctx.mpc) or not ctx.isfinite(fhi):
             hi = hi / 2

@@ -150,8 +150,7 @@ def _save_plot(plt, path: str, panels) -> None:
 
 def cmd_spectrum(args) -> int:
     spec = _model_spec(args, full_space=args.full_space)
-    h = models.build_hamiltonian(spec)
-    spectrum = linalg.eig(h)
+    spectrum = dynamics.block_spectrum(spec)
     if args.format == "json":
         serialize.atomic_write(args.out, serialize.spectrum_to_json(spec, spectrum))
     else:

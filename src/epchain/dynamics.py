@@ -10,15 +10,13 @@ linalg.scaled_propagator, which returns exp(-i H dt) as 2^e u with u
 renormalized inside its squarings: the state never overflows, and e ln 2 goes
 into the log-norm.
 
-Both run in the symmetry blocks of models.hamiltonian_blocks, through one
-core: the blocks are exponentiated in one linalg.scaled_propagator call, and
-every product advances all sectors at once; the states are their sector
-coordinates (models.block_coordinates), and norms and overlaps are taken
-over all sectors.  Each sector takes the propagator of the block that
-models.sector_blocks names for it (on the Ising ring, mirror sector N-m
-that of block m), so no 2^N x 2^N matrix is exponentiated or
-multiplied.  Every entry raises DimensionMismatch unless its states live in
-the model's space (models.check_basis).
+Both run in the symmetry sectors of models.sector_blocks through one core
+(_block_setup): the blocks of models.hamiltonian_blocks exponentiated in one
+linalg.scaled_propagator call, the states as their sector coordinates
+(models.block_coordinates), so no 2^N x 2^N matrix is exponentiated or
+multiplied.  block_spectrum, which steady_fidelity reads, diagonalizes each
+block once for all its sectors.  Every entry raises DimensionMismatch unless
+its states live in the model's space (models.check_basis).
 """
 
 from __future__ import annotations
@@ -36,6 +34,7 @@ from .models import (
     block_coordinates,
     check_basis,
     hamiltonian_blocks,
+    sector_amplitudes,
     sector_blocks,
     site_excitation,
 )
@@ -82,16 +81,12 @@ def _block_setup(spec: ModelSpec, init: StateVector, target: StateVector,
                  t_max: float, dt: float):
     """Validated (u, e, psi, tgt) in the symmetry sectors of spec.
 
-    The blocks of models.hamiltonian_blocks are zero-padded to the largest
-    block dimension d and exponentiated over dt in one
-    linalg.scaled_propagator call; u is 2^-e times the (k, d, d) stack of
-    their propagators for the k sectors of models.block_coordinates, each
-    sector's from its block in models.sector_blocks.  psi and tgt are
-    the (k, d, 1) sector coordinates of init and target, each normalized
-    over all sectors.  The padding is exact: the exponential of a zero-padded
-    block is its own exponential beside the identity on the padded
-    coordinates, which couples to nothing, so the padded amplitudes stay
-    exactly zero.
+    The blocks, zero-padded to the largest dimension d, are exponentiated
+    over dt in one linalg.scaled_propagator call; u is 2^-e times the
+    (k, d, d) stack of the propagators of the k sectors, each its block's.
+    psi and tgt are the (k, d, 1) sector coordinates of init and target,
+    each normalized over all sectors.  The padding is exact: a padded block's
+    exponential is its own beside the identity, so padded amplitudes stay 0.
     """
     if not 0 < t_max < math.inf:
         raise ValueError("t_max must be positive and finite")
@@ -179,24 +174,40 @@ def _dominant_index(eigenvalues: np.ndarray) -> int:
     return int(order[-1])
 
 
-def steady_fidelity(spec: ModelSpec, target: StateVector) -> float:
-    """|<target|dominant right eigenvector>| (the long-time fidelity limit).
+def block_spectrum(spec: ModelSpec) -> linalg.Spectrum:
+    """The spectrum of build_hamiltonian(spec) from its blocks, each
+    diagonalized once and read once per sector of sector_blocks, stably
+    sorted by (Re, Im), with the block residuals (the maps are isometries).
+    Each sector's vectors are mapped into spec.basis by sector_amplitudes
+    and rotated so that their largest entry is real and positive, unless it
+    returns them as they are (a model that is one block in its own basis)."""
+    spectra = [linalg.eig(h) for h in hamiltonian_blocks(spec)]
+    sectors = [spectra[b] for b in sector_blocks(spec)]
+    vals = np.concatenate([sp.eigenvalues for sp in sectors])
+    order = np.lexsort((vals.imag, vals.real))
+    columns = np.split(np.argsort(order), np.cumsum([sp.dim for sp in sectors]))
+    vecs = np.empty((spec.basis.dim, len(order)), dtype=complex)
+    for s, sp in enumerate(sectors):
+        v = sector_amplitudes(spec, s, sp.right_vectors)
+        if v is not sp.right_vectors:
+            top = v[np.argmax(np.abs(v), axis=0), np.arange(sp.dim)]
+            v = v / (top / np.hypot(top.real, top.imag))
+        vecs[:, columns[s]] = v
+    residuals = np.concatenate([sp.residuals for sp in sectors])
+    return linalg.Spectrum(vals[order], vecs, residuals[order])
 
-    The dominant eigenvector is chosen among the eigenvalues of all sectors
-    together, each sector taking its block's (models.sector_blocks), and read
-    in the coordinates of its own sector.  A ring block 0 < m < N/2 also runs
-    the mirror sector N-m, so its eigenvalues count twice and a dominant one
-    there is degenerate (NoDominantState).  DimensionMismatch unless target
-    lives in spec.basis.
+
+def steady_fidelity(spec: ModelSpec, target: StateVector) -> float:
+    """|<target|dominant right eigenvector>| (the long-time fidelity limit),
+    the dominant one chosen in block_spectrum(spec).  A ring block
+    0 < m < N/2 also runs the mirror sector N-m, so its eigenvalues count
+    twice and a dominant one there is degenerate (NoDominantState).
+    DimensionMismatch unless target lives in spec.basis.
     """
     check_basis(spec, target)
-    sectors = sector_blocks(spec)
-    spectra = [linalg.eig(h) for h in hamiltonian_blocks(spec)]
-    n = _dominant_index(np.concatenate([spectra[b].eigenvalues for b in sectors]))
-    s, j = [(s, j) for s, b in enumerate(sectors) for j in range(spectra[b].dim)][n]
-    coords = block_coordinates(spec, target.amplitudes)
-    tgt = coords[s] / np.linalg.norm(np.concatenate(coords))
-    vec = spectra[sectors[s]].right_vectors[:, j]
+    spectrum = block_spectrum(spec)
+    vec = spectrum.right_vectors[:, _dominant_index(spectrum.eigenvalues)]
+    tgt = target.amplitudes / np.linalg.norm(target.amplitudes)
     return float(abs(np.vdot(tgt, vec / np.linalg.norm(vec))))
 
 

@@ -46,6 +46,15 @@ def bisect(broken, lo, hi, rel_tol: float):
     return float(ctx.sqrt(lo * hi))
 
 
+def decay_floor(ctx, N: int, V: float):
+    """The lower bracket of both magnon gamma_c searches, an mpf of ctx:
+    gamma_c decays as |V|^-(N-2), so 1e-45, or |V|^-(N-2) * 1e-10 below it."""
+    v = abs(ctx.mpf(V))  # v ** (N - 2) takes no negative power of V = 0
+    if v ** (N - 2) <= ctx.mpf(10) ** 35:
+        return ctx.mpf(10) ** -45
+    return v ** -(N - 2) * ctx.mpf(10) ** -10
+
+
 def illinois(f, lo, hi, flo, fhi, rel_tol: float) -> float:
     """Illinois regula falsi (Dowell & Jarratt, BIT 11, 168, 1971) in ln g
     for the sign change of f in [lo, hi]: mpmath reals of one context, with

@@ -1,16 +1,12 @@
-"""Dense linear algebra kernel, on numpy alone: complex matrices, and real
-stacks for the eigenvalues of real symmetry blocks.
-
-General (non-Hermitian) eigendecomposition with residual verification,
-biorthogonal inner products, and the propagator exp(-i H dt) by scaling
-and squaring of the degree-13 Pade approximant (Higham, SIAM J. Matrix Anal.
-Appl. 26, 1179, 2005).  One eigen kernel serves a single complex matrix
-(eig) and a stack of real or complex ones (eigvals_stack, one LAPACK call
-for a sweep row); the propagator likewise takes one matrix or a stack, with
-one linear solve for the whole stack, and returns it as 2^e u with u
-renormalized after every squaring, so no growth overflows it.  All functions are pure; nothing here
-mutates its inputs.  one_blas_thread pins numpy's OpenBLAS to one thread
-for a block and restores its thread count afterwards.
+"""Dense linear algebra kernel, on numpy alone: non-Hermitian
+eigendecomposition with residual verification, biorthogonal inner products,
+and the propagator exp(-i H dt) by scaling and squaring of the degree-13 Pade
+approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005).  One eigen
+kernel, with one input rule (a real matrix stays real), serves one matrix
+(eig) and a stack (eigvals_stack, one LAPACK call for a sweep row); the
+propagator takes one matrix or a stack, with one linear solve, as 2^e u.
+Nothing here mutates its inputs.  one_blas_thread pins numpy's OpenBLAS to
+one thread for a block.
 """
 
 from __future__ import annotations
@@ -29,14 +25,24 @@ from .errors import DimensionMismatch, NonConvergence
 RESIDUAL_TOL = 1e-9
 
 
-def as_matrix(m, ndims: tuple[int, ...] = (2,)) -> np.ndarray:
-    """Validate and return a square, finite, complex matrix; with 3 in
-    ndims, also a non-empty (k, d, d) stack of them."""
+def as_matrix(m) -> np.ndarray:
+    """A square, finite, complex matrix or non-empty (k, d, d) stack."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim not in ndims or a.shape[-1] != a.shape[-2] or a.size == 0:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.size == 0:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
+    return a
+
+
+def _kernel_input(m, ndim: int) -> np.ndarray:
+    """m with ndim axes, the last two equal and >= 1 (else DimensionMismatch),
+    real if m is, so LAPACK's real kernel runs on it, else complex."""
+    a = np.asarray(m)
+    a = a.astype(float if np.isrealobj(a) else complex, copy=False)
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise DimensionMismatch(f"expected {ndim} axes, the last two equal, "
+                                f"got shape {a.shape}")
     return a
 
 
@@ -107,18 +113,16 @@ class Spectrum:
 def _eig_stack(a: np.ndarray):
     """Eigendecompositions of a (k, d, d) stack: one np.linalg.eig call.
 
-    Returns (vals, vecs, residuals, ok).  vals[n] is sorted by (Re, Im);
-    vecs[n][:, i] is the unit-norm right eigenvector of vals[n][i], rotated so
-    its largest-magnitude entry is real positive (deterministic output);
-    residuals[n][i] = ||H v_i - eps_i v_i||; ok[n] is False where the matrix
-    is not finite, LAPACK fails on it, or a residual exceeds
-    RESIDUAL_TOL * (1 + ||H||), and one such matrix fails no other.
+    Returns (vals, vecs, residuals, ok): vals[n] sorted by (Re, Im);
+    vecs[n][:, i] the unit right eigenvector of vals[n][i], rotated so its
+    largest entry is real positive; residuals[n][i] = ||H v_i - eps_i v_i||;
+    ok[n] False where the matrix is not finite, LAPACK fails on it, or a
+    residual exceeds RESIDUAL_TOL * (1 + ||H||), failing no other matrix.
 
     The step order fixes the last bits of the printed vectors and residuals:
-    gemm's result and the norm's summation order depend on column order and
-    memory layout, so columns are sorted first and normalized as contiguous
-    rows of cols; the phase divides by hypot, from which np.abs of a complex
-    array can differ in the last bit.
+    columns are sorted first and normalized as contiguous rows of cols (gemm
+    and the norm depend on column order and layout), and the phase divides
+    by hypot, from which np.abs of a complex array can differ in the last bit.
     """
     finite = np.isfinite(a).all(axis=(-2, -1))
     if not finite.all():
@@ -154,38 +158,32 @@ def _eig_stack(a: np.ndarray):
 
 
 def eigvals_stack(stack) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of every matrix of a (k, d, d) stack, in one LAPACK call.
-
-    A real stack stays real, so LAPACK's real kernel returns each real
-    eigenvalue with imaginary part exactly 0 and each complex pair with
-    bitwise-equal real parts; any other stack is complex.  Returns (vals,
-    ok): vals[n] holds the eigenvalues of stack[n] sorted by (Re, Im), as a
-    complex array, and for a complex stack bitwise those of eig(stack[n]);
-    ok[n] is False where that matrix is not finite, LAPACK fails on it, or
-    its residual check fails, and vals[n] is then NaN.  One bad matrix never
-    fails the others.
+    """Eigenvalues of every matrix of a (k, d, d) stack, in one LAPACK call,
+    real or complex by _kernel_input.  Returns (vals, ok): vals[n] holds the
+    eigenvalues of stack[n] sorted by (Re, Im), as a complex array, bitwise
+    those of eig(stack[n]); ok[n] is False where that matrix is not finite,
+    LAPACK fails on it, or its residual check fails, and vals[n] is then
+    NaN.  One bad matrix never fails the others.
     """
-    a = np.asarray(stack)
-    a = a.astype(float if np.isrealobj(a) else complex, copy=False)
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
-        raise DimensionMismatch(
-            f"expected a stack of square matrices, got shape {a.shape}")
-    vals, _, _, ok = _eig_stack(a)
+    vals, _, _, ok = _eig_stack(_kernel_input(stack, ndim=3))
     vals = vals.astype(complex, copy=False)
     vals[~ok] = np.nan
     return vals, ok
 
 
 def eig(m) -> Spectrum:
-    """_eig_stack of one matrix as a Spectrum; NonConvergence unless ok."""
-    a = as_matrix(m)
+    """_eig_stack of one matrix, real or complex by _kernel_input, as a
+    complex Spectrum; ValueError unless finite, NonConvergence unless ok."""
+    a = _kernel_input(m, ndim=2)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     vals, vecs, residuals, ok = _eig_stack(a[None])
     if not ok[0]:
         raise NonConvergence(
             f"eigendecomposition residual {np.max(residuals[0]):.3e} exceeds "
             f"{RESIDUAL_TOL:.0e} * (1 + ||H||)")
-    return Spectrum(eigenvalues=vals[0], right_vectors=vecs[0],
-                    residuals=residuals[0])
+    return Spectrum(vals[0].astype(complex, copy=False),
+                    vecs[0].astype(complex, copy=False), residuals[0])
 
 
 def biorthogonal_overlap(left, right) -> complex:
@@ -227,7 +225,7 @@ def scaled_propagator(m, dt: float) -> tuple[np.ndarray, int]:
     overflows whatever the growth e^{max Im(eps) dt}; with s = 0, u is r_13
     itself and e = 0.  NonConvergence when -i m dt is not finite.
     """
-    a = as_matrix(m, ndims=(2, 3))
+    a = as_matrix(m)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         x = -1j * dt * a
         norm = float(np.abs(x).sum(axis=-2).max())

@@ -486,11 +486,10 @@ def block_dims(spec: ModelSpec) -> list[int]:
 
 
 def block_stack(specs: list[ModelSpec], b: int) -> np.ndarray:
-    """Block b of hamiltonian_blocks for each of specs, which share kind, N
-    and boundary, as one (k, d, d) stack, from block b's template: the ring's
-    Delta X + gamma Y - J diag(zz), the magnon chain's T + V E + gamma O,
-    each entry the same double as a one-node build; the open Ising chain
-    and the full-space XY chain stack build_hamiltonian.
+    """Block b of hamiltonian_blocks for each of specs (one kind, N and
+    boundary) as one (k, d, d) stack, each entry the same double as a
+    one-node build: the ring's Delta X + gamma Y - J diag(zz), the magnon
+    chain's T + V E + gamma O; the one-block models stack build_hamiltonian.
     """
     spec = specs[0]
 
@@ -513,18 +512,14 @@ def block_stack(specs: list[ModelSpec], b: int) -> np.ndarray:
 
 def hamiltonian_blocks(spec: ModelSpec) -> list[np.ndarray]:
     """Diagonal blocks of the Hamiltonian in an orthonormal symmetry basis,
-    each a real matrix where the model has one: block_stack's one-node case.
+    real where the model has a real form: block_stack's one-node case.
 
     The periodic Ising ring, at every J, gives its momentum blocks
-    k = 2 pi m / N for m = 0 .. N//2 (Sandvik, arXiv:1101.3281), each in its
-    real basis, from the ring's one table per N (_ring_real_templates).  Site
-    reflection R commutes with the ring Hamiltonian and R T R^-1 = T^-1, so
-    R maps momentum k onto -k: block N-m acts on a state psi as block m acts
-    on R psi, and is never built (sector_blocks).  The magnon chain comes
-    back as one real matrix (_magnon_real_templates); the open Ising chain
-    and the full-space XY chain come back whole and complex, as
-    [build_hamiltonian(spec)].  The block spectra, taken once per sector of
-    sector_blocks(spec), are the spectrum of build_hamiltonian(spec).
+    k = 2 pi m / N for m = 0 .. N//2 (Sandvik, arXiv:1101.3281).  Site
+    reflection R maps k onto -k, so block N-m acts on psi as block m acts on
+    R psi and is never built (sector_blocks).  The magnon chain is one real
+    matrix; the open Ising chain and the full-space XY chain come back whole
+    and complex, as [build_hamiltonian(spec)].
     """
     return [block_stack([spec], b)[0] for b in range(len(block_dims(spec)))]
 
@@ -542,14 +537,10 @@ def sector_blocks(spec: ModelSpec) -> list[int]:
 def block_coordinates(spec: ModelSpec, amplitudes: np.ndarray) -> list[np.ndarray]:
     """Coordinates of a state in the orthonormal basis of each sector of
     sector_blocks(spec), in that order: on the ring, those of psi in each
-    block, then those of the site-reflected state R psi in each mirror
-    sector N-m, which block m propagates too.
-
-    The ring's coordinates gather its table's flattened Bloch coordinates
-    (_ring_real_templates) over the block's coordinate rows; the magnon
-    chain's gather the positions over its rows; neither builds a basis
-    matrix.  The open Ising chain and the full-space XY chain are one block
-    in their own basis, so their coordinates are [amplitudes] themselves.
+    block, then those of R psi in each mirror sector N-m.  The ring gathers
+    its flattened Bloch coordinates (one inverse FFT along the orbits) over
+    each block's coordinate rows, the magnon chain the positions over its
+    rows; the other models are one block in their own basis: [amplitudes].
     """
     if spec.kind is ModelKind.XY_MAGNON:
         index, weight = _magnon_real_templates(spec.N)[3]
@@ -567,6 +558,30 @@ def block_coordinates(spec: ModelSpec, amplitudes: np.ndarray) -> list[np.ndarra
             index, weight = blocks[b][3]
             out.append((weight * coef[index]).sum(axis=1))
     return out
+
+
+def sector_amplitudes(spec: ModelSpec, sector: int,
+                      coords: np.ndarray) -> np.ndarray:
+    """block_coordinates inverted on one sector: the amplitudes in spec.basis
+    of the (d, n) coordinate columns of that sector, as columns.  The rows
+    are scattered back; on the ring one FFT along the orbits follows (a short
+    orbit's repeats get equal values, to roundoff), then R in a mirror sector."""
+    if spec.kind is ModelKind.XY_MAGNON:
+        rows, size = _magnon_real_templates(spec.N)[3], spec.N
+    elif _momentum_ring(spec):
+        blocks, orbits, root_period = _ring_real_templates(spec.N)
+        rows, size = blocks[sector_blocks(spec)[sector]][3], orbits.size
+    else:
+        return coords
+    n = coords.shape[1]
+    out = np.zeros((size, n), dtype=complex)
+    np.add.at(out, rows[0], rows[1].conj()[..., None] * coords[:, None])
+    if spec.kind is ModelKind.XY_MAGNON:
+        return out
+    psi = np.empty((2 ** spec.N, n), dtype=complex)
+    psi[orbits] = np.fft.fft(out.reshape(spec.N, -1, n), axis=0) / root_period[:, None]
+    flip = np.arange(2 ** spec.N).reshape((2,) * spec.N).T.ravel()
+    return psi if sector < len(blocks) else psi[flip]
 
 
 # ---------------------------------------------------------------------------

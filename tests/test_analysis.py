@@ -244,6 +244,23 @@ def test_numeric_boundary_high_precision_escalation():
     assert abs(gn - ge) / ge < 1e-3
 
 
+def test_magnon_boundary_starts_at_the_decay_floor(monkeypatch):
+    # gamma_c ~ 1e-240 at N = 6, V = 1e60: a lower bracket starting at 1e-45
+    # and stepping down by 1e-10 took 54 Sturm counts; exact.decay_floor
+    # starts below gamma_c, as exact_boundary_gamma does
+    calls = []
+
+    def counted(N, V, g):
+        calls.append(g)
+        return exact.magnon_broken(N, V, g)
+
+    monkeypatch.setattr(analysis, "magnon_broken", counted)
+    gn = analysis.numeric_boundary_gamma(xy(6, V=1e60), 1e60)
+    assert len(calls) < 54
+    ge = bethe.exact_boundary_gamma(6, 1e60)
+    assert abs(gn - ge) / ge < 1e-6
+
+
 @pytest.mark.parametrize("N, V", [(4, 1e3), (12, 1e4), (12, 1e5),
                                   (6, 31.072325059538581)])
 def test_numeric_boundary_large_v_is_not_the_scan_threshold(N, V):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from epchain import analysis, cli, linalg, models, serialize
+from epchain import analysis, cli, dynamics, linalg, models, serialize
 from epchain.models import IsingBoundary, ModelKind, ModelSpec
 
 
@@ -184,6 +184,65 @@ def test_ring_node_blocks_run_on_two_threads_at_once(monkeypatch):
     assert sorted(shapes) == sorted((1, d, d) for d in [108, 99, 105, 99, 105, 100])
 
 
+def _magnon_spectrum_cases():
+    # gamma = 1e-9 is below and 1.5 above gamma_c at every (N, V) here
+    for N in range(2, 11):
+        for V in (-3.0, 0.0, 3.0):
+            for gamma in (1e-9, 1.5):
+                yield ModelSpec(ModelKind.XY_MAGNON, N=N, V=V, gamma=gamma)
+
+
+def _check_block_spectrum(spec):
+    """dynamics.block_spectrum against the dense matrix: the eigenvalues of
+    linalg.eig as a multiset, and every vector an eigenvector of it of unit
+    norm whose largest entry (up to ties) is real and positive."""
+    h = models.build_hamiltonian(spec)
+    scale = 1 + np.linalg.norm(h)
+    got = dynamics.block_spectrum(spec)
+    assert _multiset_distance(got.eigenvalues, linalg.eig(h).eigenvalues) <= 1e-10 * scale
+    v = got.right_vectors
+    assert v.shape == h.shape
+    residuals = np.linalg.norm(h @ v - v * got.eigenvalues, axis=0)
+    assert residuals.max() <= linalg.RESIDUAL_TOL * scale
+    assert np.abs(np.linalg.norm(v, axis=0) - 1).max() <= 1e-12
+    mag = np.abs(v)
+    top = (mag >= mag.max(axis=0) - 1e-12) & (np.abs(v.imag) <= 1e-12) & (v.real > 0)
+    assert top.any(axis=0).all()
+    return got
+
+
+@pytest.mark.parametrize("N, J, Delta, gamma", _ring_params())
+def test_block_spectrum_is_the_dense_spectrum_on_the_ring(N, J, Delta, gamma):
+    _check_block_spectrum(ring(N, J=J, Delta=Delta, gamma=gamma))
+
+
+@pytest.mark.parametrize("spec", _magnon_spectrum_cases())
+def test_block_spectrum_is_the_dense_spectrum_on_the_chain(spec):
+    got = _check_block_spectrum(spec)
+    broken = np.abs(got.eigenvalues.imag).max() > 0
+    assert broken == (spec.gamma > 1)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--model", "ising", "--n", "8", "--delta", "0.5", "--gamma", "0.3"],
+    ["--model", "xy", "--n", "8", "--v", "3", "--gamma", "0.5"],
+])
+def test_spectrum_prints_each_conjugate_pair_in_one_order(flags, tmp_path):
+    # real blocks give a pair's members one real part, bit for bit, so the
+    # (Re, Im) sort prints a - ib, then a + ib; a ring block's mirror copy
+    # puts two equal pairs in one run of equal real parts
+    out = tmp_path / "spec.csv"
+    assert cli.main(["spectrum", *flags, "--out", str(out)]) == 0
+    rows = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
+    runs = {}
+    for re_text, im_text in rows:
+        runs.setdefault(re_text, []).append(float(im_text))
+    assert any(im != 0 for ims in runs.values() for im in ims)  # broken
+    for ims in runs.values():
+        assert ims == sorted(ims)
+        assert sorted(-im for im in ims) == ims
+
+
 def _block_adjoints(spec):
     """B_s^dagger of every sector s of block_coordinates, as dense matrices,
     from the coordinates of the basis states of spec's space."""
@@ -246,6 +305,29 @@ def test_sector_blocks_name_the_block_of_every_sector(spec):
     assert sum(len(blocks[b]) for b in sectors) == dim
     assert np.linalg.norm(np.concatenate(coords)) == pytest.approx(
         np.linalg.norm(psi), rel=1e-13)
+
+
+@pytest.mark.parametrize("spec", _sector_cases())
+def test_sector_amplitudes_invert_block_coordinates(spec):
+    # each sector's columns map to states with those coordinates in that
+    # sector and none elsewhere, at their norm
+    rng = np.random.default_rng(spec.basis.dim + 1)
+    blocks = models.hamiltonian_blocks(spec)
+    for s, b in enumerate(models.sector_blocks(spec)):
+        d = len(blocks[b])
+        coords = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
+        states = models.sector_amplitudes(spec, s, coords)
+        assert states.shape == (spec.basis.dim, 2)
+        assert np.linalg.norm(states, axis=0) == pytest.approx(
+            np.linalg.norm(coords, axis=0), rel=1e-13)
+        for j in range(2):
+            back = models.block_coordinates(spec, states[:, j])
+            assert np.max(np.abs(back[s] - coords[:, j])) <= 1e-13 * np.linalg.norm(coords)
+            assert all(np.max(np.abs(c), initial=0.0) <= 1e-13 * np.linalg.norm(coords)
+                       for t, c in enumerate(back) if t != s)
+        if (spec.kind is ModelKind.XY_FULL_SPACE
+                or spec.ising_boundary is IsingBoundary.OPEN):
+            assert states is coords  # one block in the model's own basis
 
 
 @pytest.mark.parametrize("N", range(2, 9))

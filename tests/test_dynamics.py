@@ -402,7 +402,7 @@ def test_steady_fidelity_matches_trace_limit():
 @pytest.mark.parametrize("N, Delta, gamma", [(6, 0.75, 0.05), (6, 0.5, 0.3),
                                             (8, 0.5, 0.1)])
 def test_ring_steady_fidelity_matches_dense_dominant_state(N, Delta, gamma):
-    # chosen among all momentum blocks, read in its own block's coordinates
+    # chosen among all momentum blocks and their mirror sectors
     spec = ising(N, Delta, gamma)
     target = models.target_state("ghz", N)
     spectrum = linalg.eig(models.build_hamiltonian(spec))

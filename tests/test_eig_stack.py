@@ -37,7 +37,8 @@ def _reference_sorted_eig(a):
 
 
 def reference_eig(m):
-    a = linalg.as_matrix(m)
+    a = np.asarray(m)  # a real matrix stays real, as in linalg.eig
+    a = a.astype(float if np.isrealobj(a) else complex)
     scale = 1.0 + np.linalg.norm(a)
     vals, vecs = _reference_sorted_eig(a)
     residuals = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
@@ -102,6 +103,23 @@ def test_stack_eigenvalues_equal_eig_bitwise(d):
     for m, v in zip(stack, vals):
         assert np.array_equal(v, linalg.eig(m).eigenvalues)
         assert np.array_equal(v, reference_eig(m).eigenvalues)
+
+
+def test_eig_keeps_a_real_matrix_real():
+    # one input rule: eig, like eigvals_stack, sends a real matrix to real
+    # LAPACK, so each real eigenvalue has Im exactly 0 and each pair one Re
+    rng = np.random.default_rng(7)
+    m = rng.normal(size=(9, 9))
+    got = linalg.eig(m)
+    vals, ok = linalg.eigvals_stack(m[None])
+    assert ok[0] and np.array_equal(got.eigenvalues, vals[0])
+    assert got.eigenvalues.dtype == got.right_vectors.dtype == complex
+    pairs = got.eigenvalues[got.eigenvalues.imag != 0]
+    assert pairs.size and np.array_equal(pairs.real[::2], pairs.real[1::2])
+    assert np.array_equal(pairs.imag[::2], -pairs.imag[1::2])
+    assert (pairs.imag[::2] < 0).all()
+    with pytest.raises(ValueError):
+        linalg.eig(np.diag([1.0, np.inf]))
 
 
 @pytest.mark.parametrize("N", [4, 6, 8])
@@ -291,7 +309,8 @@ def test_spectrum_vectors_diagonalizes_once(monkeypatch, tmp_path):
     assert cli.main(["spectrum", "--model", "ising", "--n", "6", "--delta",
                      "0.7", "--gamma", "0.3", "--vectors",
                      "--out", str(tmp_path / "s.csv")]) == 0
-    assert calls == [(1, 64, 64)]
+    # one call per momentum block m = 0 .. 3, none for the mirror sectors
+    assert calls == [(1, d, d) for d in models.block_dims(ring(6))]
 
 
 # ---------------------------------------------------------------------------

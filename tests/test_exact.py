@@ -4,6 +4,7 @@ mpmath contexts that let boundary searches run on several threads."""
 import threading
 
 import mpmath as mp
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,18 @@ def test_precision_is_one_context_per_thread_restored_on_exit():
     thread.join(60)
     assert not thread.is_alive() and others[0] is not outer
     assert mp.mp.prec == 53
+
+
+def test_decay_floor_follows_the_decay_law_below_1e_minus_45():
+    # 1e-45 wherever |V|^(N-2) <= 1e35, V = 0 included, else
+    # |V|^-(N-2) * 1e-10
+    with exact.precision(prec=53) as ctx:
+        tiny = ctx.mpf(10) ** -45
+        assert exact.decay_floor(ctx, 6, 0.0) == tiny
+        assert exact.decay_floor(ctx, 2, 1e60) == tiny
+        assert exact.decay_floor(ctx, 6, -1e8) == tiny
+        assert float(exact.decay_floor(ctx, 6, 1e60)) == pytest.approx(1e-250, rel=1e-12)
+        assert float(exact.decay_floor(ctx, 12, -1e10)) == pytest.approx(1e-110, rel=1e-12)
 
 
 # illinois "ends on bisect's test and so returns the same double": on a

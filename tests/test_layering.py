@@ -192,10 +192,39 @@ def _names(tree: ast.AST):
                 yield node.lineno, alias.name
 
 
-def test_dynamics_does_not_build_the_whole_hamiltonian():
-    tree = ast.parse((SRC / "dynamics.py").read_text())
-    assert [line for line, name in _names(tree)
-            if name == "build_hamiltonian"] == []
+# no command goes back to a dense 2^N matrix where blocks exist:
+# build_hamiltonian is called only by models.block_stack, in its branch for
+# the one-block models, and no module but models and bethe (whose W chain is
+# build_h_w) names a dense builder; the package root only re-exports them
+DENSE_BUILDERS = {"build_hamiltonian", "build_h_eq", "build_h_w",
+                  "build_h_chain_full", "build_h_ghz"}
+
+
+def _calls(tree: ast.AST, name: str):
+    """The Call nodes in tree whose function is name or ends in .name."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and _dotted(node.func).split(".")[-1] == name]
+
+
+def test_only_block_stack_builds_the_whole_hamiltonian():
+    callers = {(m, getattr(stmt, "name", stmt.lineno))
+               for m in LAYERS
+               for stmt in ast.parse((SRC / f"{m}.py").read_text()).body
+               if _calls(stmt, "build_hamiltonian")}
+    assert callers == {("models", "block_stack")}
+    (stack,) = [stmt for stmt in ast.parse((SRC / "models.py").read_text()).body
+                if getattr(stmt, "name", "") == "block_stack"]
+    one_block = [call for node in ast.walk(stack) if isinstance(node, ast.If)
+                 and _calls(node.test, "_momentum_ring")
+                 for stmt in node.body for call in _calls(stmt, "build_hamiltonian")]
+    assert one_block == _calls(stack, "build_hamiltonian")
+
+
+def test_only_models_and_bethe_name_a_dense_builder():
+    users = {m for m in LAYERS if m != "__init__"
+             if any(name in DENSE_BUILDERS for _, name
+                    in _names(ast.parse((SRC / f"{m}.py").read_text())))}
+    assert users <= {"models", "bethe"}, users
 
 
 # the ring's symmetry table and the magnon chain's real-basis templates (with
