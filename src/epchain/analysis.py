@@ -1,16 +1,16 @@
 """Phase-diagram sweeps, boundary extraction and the gamma optimizer.
 
 max|Im eps| over the blocks of models.hamiltonian_blocks, the ones the
-dynamics propagate, is the broken-phase indicator.  The ring's blocks and the
-magnon chain are real in a PT-invariant basis, so real LAPACK gives an
-unbroken node max|Im eps| = 0 exactly.  A sweep's unit of work is one (row,
+dynamics propagate, is the broken-phase indicator.  Every block is real in
+a PT-invariant basis, so real LAPACK gives an unbroken node without
+degenerate levels max|Im eps| = 0 exactly.  A sweep's unit of work is one (row,
 block) stack, built by models.block_stack and diagonalized by
 linalg.eigvals_stack.  The XY chain, in either space, breaks exactly where its
 one-magnon block does (free-fermion map), so its boundary is bisected in
 53-bit mpmath gamma on exact.magnon_broken, an exact Sturm count, however far
 gamma_c falls below double precision.  The Ising chain is bisected on the
-indicator above a floor that grows as 1 + Delta^2, above the ring's roundoff
-pairs and the open chain's noise.
+indicator above a floor that grows as 1 + Delta^2, above the roundoff pairs
+of levels that cross inside one real block.
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ BROKEN_THRESHOLD = 1e-10
 
 # The most matrix entries one eigen-kernel call takes (one block at least):
 # a (row, block) stack goes to the kernel in slices of this size, each built
-# just before its call.  The kernel's temporaries are complex whether a block
-# is real or complex, so the budget counts entries, not bytes.  A magnon row
-# fits whole and the N=8 ring's blocks go 12 to 18 at a time; the dense 2^N
-# matrices of the open Ising chain and the full-space XY chain, and the N=10
-# ring's blocks, whose temporaries raise peak RSS, go one at a time.
+# just before its call.  It counts entries: the blocks are real, but the
+# kernel's temporaries (eigenvectors) are complex.  A magnon row fits whole,
+# the N=8 ring's blocks go 12 to 18 at a time, and the 2^N one-block models
+# and the N=10 ring's blocks, whose temporaries raise peak RSS, one at a time.
 _STACK_ENTRIES = 1 << 14
 
 # relative accuracy of the numeric boundary scan
@@ -49,10 +48,10 @@ BOUNDARY_REL_TOL = 1e-3
 # The Ising boundary scan counts the spectrum as broken only above this floor
 # times 1 + Delta^2.  Below the true boundary, Im(eps) can reach well above
 # 1e-10 from roundoff pairs where levels of opposite site-reflection parity
-# cross inside the ring's real m = 0 and N/2 blocks, and from eigensolver
-# noise in the open chain's dense 2^N matrix, whose eigenvector basis is
-# ill-conditioned as (scale/gap)^N near its exceptional points.  The true
-# signal grows as a square root, so the bias stays ~(floor/signal_slope)^2.
+# cross inside one real block: the ring's m = 0 and N/2 blocks, or the open
+# chain's one block, whose eigenvector basis is also ill-conditioned as
+# (scale/gap)^N near its exceptional points.  The true signal grows as a
+# square root, so the bias stays ~(floor/signal_slope)^2.
 _FULL_SPACE_SCAN_FLOOR = 3e-4
 
 

@@ -13,10 +13,10 @@ into the log-norm.
 Both run in the symmetry sectors of models.sector_blocks through one core
 (_block_setup): the blocks of models.hamiltonian_blocks exponentiated in one
 linalg.scaled_propagator call, the states as their sector coordinates
-(models.block_coordinates), so no 2^N x 2^N matrix is exponentiated or
-multiplied.  block_spectrum, which steady_fidelity reads, diagonalizes each
-block once for all its sectors.  Every entry raises DimensionMismatch unless
-its states live in the model's space (models.check_basis).
+(models.block_coordinates).  block_spectrum and steady_fidelity diagonalize
+each block once for all its sectors and map back only the vectors they use.
+Every entry raises DimensionMismatch unless its states live in the model's
+space (models.check_basis).
 """
 
 from __future__ import annotations
@@ -174,39 +174,41 @@ def _dominant_index(eigenvalues: np.ndarray) -> int:
     return int(order[-1])
 
 
-def block_spectrum(spec: ModelSpec) -> linalg.Spectrum:
-    """The spectrum of build_hamiltonian(spec) from its blocks, each
-    diagonalized once and read once per sector of sector_blocks, stably
-    sorted by (Re, Im), with the block residuals (the maps are isometries).
-    Each sector's vectors are mapped into spec.basis by sector_amplitudes
-    and rotated so that their largest entry is real and positive, unless it
-    returns them as they are (a model that is one block in its own basis)."""
+def _sector_spectra(spec: ModelSpec) -> list[linalg.Spectrum]:
+    """linalg.eig of each block of hamiltonian_blocks, once per sector."""
     spectra = [linalg.eig(h) for h in hamiltonian_blocks(spec)]
-    sectors = [spectra[b] for b in sector_blocks(spec)]
+    return [spectra[b] for b in sector_blocks(spec)]
+
+
+def block_spectrum(spec: ModelSpec, vectors: bool = True) -> linalg.Spectrum:
+    """The spectrum from _sector_spectra, stably sorted by (Re, Im), with the
+    block residuals (the maps are isometries), and right_vectors None unless
+    vectors: then each sector's are mapped into spec.basis by
+    sector_amplitudes and rotated by linalg.rotate_phases."""
+    sectors = _sector_spectra(spec)
     vals = np.concatenate([sp.eigenvalues for sp in sectors])
     order = np.lexsort((vals.imag, vals.real))
+    vecs = np.empty((spec.basis.dim, len(order)), dtype=complex) if vectors else None
     columns = np.split(np.argsort(order), np.cumsum([sp.dim for sp in sectors]))
-    vecs = np.empty((spec.basis.dim, len(order)), dtype=complex)
-    for s, sp in enumerate(sectors):
+    for s, sp in enumerate(sectors if vectors else ()):
         v = sector_amplitudes(spec, s, sp.right_vectors)
-        if v is not sp.right_vectors:
-            top = v[np.argmax(np.abs(v), axis=0), np.arange(sp.dim)]
-            v = v / (top / np.hypot(top.real, top.imag))
-        vecs[:, columns[s]] = v
+        vecs[:, columns[s]] = linalg.rotate_phases(v.T).T
     residuals = np.concatenate([sp.residuals for sp in sectors])
     return linalg.Spectrum(vals[order], vecs, residuals[order])
 
 
 def steady_fidelity(spec: ModelSpec, target: StateVector) -> float:
     """|<target|dominant right eigenvector>| (the long-time fidelity limit),
-    the dominant one chosen in block_spectrum(spec).  A ring block
-    0 < m < N/2 also runs the mirror sector N-m, so its eigenvalues count
-    twice and a dominant one there is degenerate (NoDominantState).
-    DimensionMismatch unless target lives in spec.basis.
-    """
+    the dominant one chosen across the eigenvalues of _sector_spectra and
+    only its vector mapped, as in block_spectrum.  A ring block 0 < m < N/2
+    also runs the mirror sector N-m, so its eigenvalues count twice and a
+    dominant one there is degenerate (NoDominantState).  DimensionMismatch
+    unless target lives in spec.basis."""
     check_basis(spec, target)
-    spectrum = block_spectrum(spec)
-    vec = spectrum.right_vectors[:, _dominant_index(spectrum.eigenvalues)]
+    sectors = _sector_spectra(spec)
+    s, v = [(s, v) for s, sp in enumerate(sectors) for v in sp.right_vectors.T][
+        _dominant_index(np.concatenate([sp.eigenvalues for sp in sectors]))]
+    vec = linalg.rotate_phases(sector_amplitudes(spec, s, v[:, None])[:, 0])
     tgt = target.amplitudes / np.linalg.norm(target.amplitudes)
     return float(abs(np.vdot(tgt, vec / np.linalg.norm(vec))))
 

@@ -94,12 +94,12 @@ def one_blas_thread():
 class Spectrum:
     """Eigendecomposition sorted by (Re, Im) of the eigenvalues.
 
-    right_vectors[:, n] is the unit-norm right eigenvector of eigenvalue n;
-    residuals[n] = ||H v_n - eps_n v_n||.
+    right_vectors[:, n] is the unit-norm right eigenvector of eigenvalue n,
+    or None where no vector was asked for; residuals[n] = ||H v_n - eps_n v_n||.
     """
 
     eigenvalues: np.ndarray
-    right_vectors: np.ndarray
+    right_vectors: np.ndarray | None
     residuals: np.ndarray
 
     @property
@@ -110,19 +110,27 @@ class Spectrum:
         return float(np.max(self.residuals))
 
 
+def rotate_phases(vecs: np.ndarray) -> np.ndarray:
+    """vecs, each vector along the last axis divided in place by the phase
+    (over hypot, not np.abs) of its entry of largest |v| before the division,
+    which so becomes real and positive; on a tie in |v|, roundoff picks it."""
+    top = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=-1)[..., None], -1)
+    vecs /= top / np.hypot(top.real, top.imag)
+    return vecs
+
+
 def _eig_stack(a: np.ndarray):
     """Eigendecompositions of a (k, d, d) stack: one np.linalg.eig call.
 
     Returns (vals, vecs, residuals, ok): vals[n] sorted by (Re, Im);
-    vecs[n][:, i] the unit right eigenvector of vals[n][i], rotated so its
-    largest entry is real positive; residuals[n][i] = ||H v_i - eps_i v_i||;
+    vecs[n][:, i] the unit right eigenvector of vals[n][i], rotated by
+    rotate_phases; residuals[n][i] = ||H v_i - eps_i v_i||;
     ok[n] False where the matrix is not finite, LAPACK fails on it, or a
     residual exceeds RESIDUAL_TOL * (1 + ||H||), failing no other matrix.
 
     The step order fixes the last bits of the printed vectors and residuals:
     columns are sorted first and normalized as contiguous rows of cols (gemm
-    and the norm depend on column order and layout), and the phase divides
-    by hypot, from which np.abs of a complex array can differ in the last bit.
+    and the norm depend on column order and layout).
     """
     finite = np.isfinite(a).all(axis=(-2, -1))
     if not finite.all():
@@ -138,16 +146,14 @@ def _eig_stack(a: np.ndarray):
                 vals[n], vecs[n] = np.linalg.eig(a[n])
             except np.linalg.LinAlgError:
                 pass
-    k, d = a.shape[:2]
-    rows = np.arange(k)[:, None]
+    rows = np.arange(len(a))[:, None]
     order = np.lexsort((vals.imag, vals.real), axis=-1)
     vals = vals[rows, order]
     cols = vecs.swapaxes(-1, -2)[rows, order]
     del vecs
     with np.errstate(invalid="ignore", divide="ignore"):  # failed matrices
         cols /= np.linalg.norm(cols, axis=-1, keepdims=True)
-        top = cols[rows, np.arange(d), np.argmax(np.abs(cols), axis=-1)]
-        cols /= (top / np.hypot(top.real, top.imag))[..., None]
+        rotate_phases(cols)
         vecs = cols.swapaxes(-1, -2)
         hv = a @ vecs
         hv -= vecs * vals[:, None, :]

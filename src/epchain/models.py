@@ -2,8 +2,8 @@
 
 Covers the open XY chain with imaginary boundary fields (full spin space and
 its single-magnon reduction) and the transverse-field Ising model with an
-imaginary longitudinal field, whole or, on the ring, in momentum blocks
-from one table per N, together with each sector's coordinates of a state.
+imaginary longitudinal field, whole and as real symmetry blocks (momentum
+blocks on the ring), together with each sector's coordinates of a state.
 Conventions:
 
 * magnon basis: position states |1> .. |N>, stored as indices 0 .. N-1;
@@ -24,7 +24,7 @@ import enum
 import functools
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -311,47 +311,55 @@ def _momentum_ring(spec: ModelSpec) -> bool:
 # is 1 (Bender & Boettcher, PRL 80, 5243, 1998).  In an orthonormal basis of
 # Theta-invariant vectors its blocks are real, so real LAPACK returns each
 # real eigenvalue with imaginary part exactly 0 and each complex pair as exact
-# conjugates.  hamiltonian_blocks serves these real forms from templates cached
-# per N, each with its coordinate rows (index, weight): coordinate p of a
-# vector x of the parent basis is sum_e weight[p, e] x[index[p, e]].
+# conjugates.  Each block's template, cached per N, is (terms, rows): the sum
+# of its terms (name, index, values), each the parameter name (1 if None)
+# times values at the flat index; coordinate p of a vector x of the parent
+# basis is sum_e weight[p, e] x[index[p, e]] over the rows (index, weight).
 
-@functools.lru_cache(maxsize=None)
-def _magnon_real_templates(N: int):
-    """(T, E, O, rows) with T + V E + gamma O the magnon chain in a real
-    basis, and rows its coordinate rows over the positions.
+@functools.lru_cache(maxsize=None)  # N <= 12 under FULL_SPACE_CAP
+def _pt_real_form(kind: ModelKind, N: int):
+    """The one block of the magnon chain, the XY full space or (kind
+    TRANSVERSE_ISING) the open Ising chain, with read-only, shared arrays.
 
-    P reverses the sites, Theta = P K.  Position l-1 holds
-    u_l = (e_l + e_{N+1-l}) / sqrt2 and position N-l holds
-    v_l = i (e_l - e_{N+1-l}) / sqrt2, for l = 1 .. N//2, and the middle
-    site of an odd chain sits between them.  The hopping T joins u_l to
-    u_{l+1} and v_l to v_{l+1} with 1; at the centre an odd chain joins its
-    middle site to u_{N//2} with sqrt2, and an even chain puts +1 on u_{N/2}
-    and -1 on v_{N/2}.  The end potentials give V on u_1 and v_1 (E), and
-    i gamma (n_1 - n_N) gives -gamma from v_1 to u_1 and +gamma back (O).
-    Every entry is exact.  The arrays are read-only: they are shared.
-    """
-    h = N // 2
-    t = np.zeros((N, N))
-    for l in range(N - 1):
-        t[l, l + 1] = t[l + 1, l] = 1.0
-    if N % 2:  # u_h, middle, v_h at h-1, h, h+1
-        t[h - 1, h] = t[h, h - 1] = np.sqrt(2.0)
-        t[h, h + 1] = t[h + 1, h] = 0.0
-    else:  # u_h, v_h at h-1, h
-        t[h - 1, h] = t[h, h - 1] = 0.0
-        t[h - 1, h - 1], t[h, h] = 1.0, -1.0
-    e = np.zeros((N, N))
-    e[0, 0] = e[N - 1, N - 1] = 1.0
-    o = np.zeros((N, N))
-    o[0, N - 1], o[N - 1, 0] = -1.0, 1.0
-    index = np.sort(np.stack([np.arange(N), np.arange(N)[::-1]], axis=1), axis=1)
-    weight = np.full((N, 2), np.sqrt(0.5), dtype=complex)
-    weight[N - h:] *= [-1j, 1j]  # v_l, conjugated
-    if N % 2:
-        weight[h] = 1.0, 0.0
-    for a in (t, e, o, index, weight):
+    Theta = P K: P reverses the magnon positions, reflects the sites of the
+    XY full space (bit reversal) and flips every spin of the open Ising chain
+    (bit complement).  The basis W holds u = (|a> + |Pa>) / sqrt2 at the
+    smaller index a, v = i (|a> - |Pa>) / sqrt2 at Pa, and |a> where Pa = a.
+    A term is W^dagger M W for M build_hamiltonian's part free of parameters
+    or linear in one, at unit parameters: Gaussian integers.  So an entry is
+    s / sqrt2^k, s a Gaussian integer sum (its imaginary part cancels) and k
+    the number of pairs among its basis vectors, rounded once as the root of
+    s^2 / 2^k."""
+    params = ("J", "Delta", "gamma") if kind is ModelKind.TRANSVERSE_ISING else ("V", "gamma")
+    base = ModelSpec(kind, N, J=0.0, ising_boundary=IsingBoundary.OPEN)
+    d = base.basis.dim
+    pos = np.arange(d)
+    perm = pos.reshape((2,) * N).T.ravel() if kind is ModelKind.XY_FULL_SPACE else pos[::-1]
+    paired = pos != perm
+    # |r> is in the vector at min(r, Pr) with 1 and at max(r, Pr) with +-i
+    at = np.stack([np.minimum(pos, perm), np.maximum(pos, perm)], axis=1)
+    coef = np.stack([np.ones(d), np.where(pos < perm, 1j, -1j) * paired], axis=1)
+    terms = []
+    for name in (None, *params):
+        m = build_hamiltonian(replace(base, **{name: 1.0}) if name else base)
+        if name:
+            m[free[:2]] -= free[2]  # exact: integers
+        r, c = np.nonzero(m)
+        if not name:
+            free = r, c, m[r, c]
+        keys = (at[r, :, None] * d + at[c, None, :]).ravel()
+        sums = (coef[r, :, None].conj() * m[r, c, None, None] * coef[c, None, :]).ravel()
+        index, inverse = np.unique(keys, return_inverse=True)
+        s = np.bincount(inverse, sums.real, len(index))  # exact: integers
+        k = paired[index // d].astype(int) + paired[index % d]
+        values = np.copysign(np.sqrt(s * s / 2.0 ** k), s)  # s / sqrt2^k, rounded
+        terms.append((name, index[values != 0], values[values != 0]))
+    weight = np.full((d, 2), np.sqrt(0.5), dtype=complex)
+    weight[pos > perm] *= [-1j, 1j]  # v, conjugated
+    weight[~paired] = 1.0, 0.0
+    for a in (at, weight, *(a for _, index, values in terms for a in (index, values))):
         a.setflags(write=False)
-    return t, e, o, (index, weight)
+    return tuple(terms), (at, weight)
 
 
 def _wide(x) -> np.longdouble:
@@ -372,10 +380,9 @@ def _ring_real_templates(N: int):
     orthonormal basis; <a(k)|psi> is entry (m, a) of
     ifft(psi[orbits]) * root_period, one inverse FFT along the orbits.
 
-    blocks holds (X, Y, zz, rows) per momentum block m = 0 .. N//2, in a real
-    basis: the block is Delta X + gamma Y - J diag(zz), with Y held as the
-    (rows, cols, values) of its 2 entries per pair, and rows are its
-    coordinate rows over those Bloch coordinates, flattened.
+    blocks holds the (terms, rows) of blocks m = 0 .. N//2 in a real basis:
+    Delta X (dense) + gamma Y (2 entries per pair) - J diag(zz), with rows
+    over the flattened Bloch coordinates.
 
     Theta = R F K is site reflection times global spin flip times complex
     conjugation; it maps each momentum block to itself.  If R F a = T^q c
@@ -464,62 +471,52 @@ def _ring_real_templates(N: int):
             phase = (4 * m * t[keep] - n[rows, e] + n[cols, f]) % (4 * N)
             np.add.at(x, (col[rows, e], col[cols, f]),
                       weight[rows, e] * weight[cols, f] * amp * cos[phase])
-        x = ((x + x.T) / 2).astype(float)
-        y = (np.concatenate([c, a]), np.concatenate([a, c]),
-             np.concatenate([s[mem][a], -s[mem][a]]).astype(float))
-        block = (x, y, zz[mem], coords)
-        for arr in (x, *y, block[2], *coords):
+        terms = (("Delta", slice(None), ((x + x.T) / 2).astype(float).ravel()),
+                 ("gamma", np.concatenate([c * d + a, a * d + c]),
+                  np.concatenate([s[mem][a], -s[mem][a]]).astype(float)),
+                 ("J", np.arange(d) * (d + 1), -zz[mem]))
+        for arr in (terms[0][2], *terms[1][1:], *terms[2][1:], *coords):
             arr.setflags(write=False)
-        blocks.append(block)
+        blocks.append((terms, coords))
     for arr in (orbits, root_period):
         arr.setflags(write=False)
     return tuple(blocks), orbits, root_period
 
 
+def _real_blocks(spec: ModelSpec) -> tuple:
+    """(terms, rows) of each block of hamiltonian_blocks(spec), in order."""
+    ring = _momentum_ring(spec)
+    return _ring_real_templates(spec.N)[0] if ring else (_pt_real_form(spec.kind, spec.N),)
+
+
 def block_dims(spec: ModelSpec) -> list[int]:
     """The dimension of each block of hamiltonian_blocks(spec), in order."""
-    if spec.kind is ModelKind.XY_MAGNON:
-        return [spec.N]
-    if not _momentum_ring(spec):
-        return [spec.basis.dim]
-    return [len(block[0]) for block in _ring_real_templates(spec.N)[0]]
+    return [len(rows[0]) for _, rows in _real_blocks(spec)]
 
 
 def block_stack(specs: list[ModelSpec], b: int) -> np.ndarray:
     """Block b of hamiltonian_blocks for each of specs (one kind, N and
-    boundary) as one (k, d, d) stack, each entry the same double as a
-    one-node build: the ring's Delta X + gamma Y - J diag(zz), the magnon
-    chain's T + V E + gamma O; the one-block models stack build_hamiltonian.
-    """
-    spec = specs[0]
-
-    def param(name: str) -> np.ndarray:  # one value per spec, as (k, 1, 1)
-        return np.array([getattr(s, name) for s in specs])[:, None, None]
-
-    if spec.kind is ModelKind.XY_MAGNON:
-        t, e, o, _ = _magnon_real_templates(spec.N)
-        return t + param("V") * e + param("gamma") * o
-    if not _momentum_ring(spec):
-        dense = [build_hamiltonian(s) for s in specs]  # one node: no copy
-        return dense[0][None] if len(dense) == 1 else np.stack(dense)
-    x, (rows, cols, y), zz, _ = _ring_real_templates(spec.N)[0][b]
-    h = param("Delta") * x
-    h[:, rows, cols] += param("gamma")[:, 0] * y
-    diag = np.arange(len(x))
-    h[:, diag, diag] -= param("J")[:, 0] * zz
-    return h
+    boundary) as one real (k, d, d) stack, the same doubles as one node's:
+    its terms in order, the first written and each later one added."""
+    terms, rows = _real_blocks(specs[0])[b]
+    d = len(rows[0])
+    h = np.zeros((len(specs), d * d))
+    for n, (name, index, values) in enumerate(terms):
+        if name is not None:  # one value per spec, as (k, 1)
+            values = np.array([getattr(s, name) for s in specs])[:, None] * values
+        h[:, index] = h[:, index] + values if n else values
+    return h.reshape(len(specs), d, d)
 
 
 def hamiltonian_blocks(spec: ModelSpec) -> list[np.ndarray]:
-    """Diagonal blocks of the Hamiltonian in an orthonormal symmetry basis,
-    real where the model has a real form: block_stack's one-node case.
+    """Diagonal blocks of the Hamiltonian in an orthonormal basis of
+    Theta-invariant symmetry states, all real: block_stack's one-node case.
 
     The periodic Ising ring, at every J, gives its momentum blocks
     k = 2 pi m / N for m = 0 .. N//2 (Sandvik, arXiv:1101.3281).  Site
     reflection R maps k onto -k, so block N-m acts on psi as block m acts on
-    R psi and is never built (sector_blocks).  The magnon chain is one real
-    matrix; the open Ising chain and the full-space XY chain come back whole
-    and complex, as [build_hamiltonian(spec)].
+    R psi and is never built (sector_blocks).  The other models are one
+    block each (_pt_real_form).
     """
     return [block_stack([spec], b)[0] for b in range(len(block_dims(spec)))]
 
@@ -537,16 +534,13 @@ def sector_blocks(spec: ModelSpec) -> list[int]:
 def block_coordinates(spec: ModelSpec, amplitudes: np.ndarray) -> list[np.ndarray]:
     """Coordinates of a state in the orthonormal basis of each sector of
     sector_blocks(spec), in that order: on the ring, those of psi in each
-    block, then those of R psi in each mirror sector N-m.  The ring gathers
-    its flattened Bloch coordinates (one inverse FFT along the orbits) over
-    each block's coordinate rows, the magnon chain the positions over its
-    rows; the other models are one block in their own basis: [amplitudes].
+    block, then those of R psi in each mirror sector N-m: a gather over the
+    block's rows, on the ring from its flattened Bloch coordinates (one
+    inverse FFT along the orbits), else from the amplitudes.
     """
-    if spec.kind is ModelKind.XY_MAGNON:
-        index, weight = _magnon_real_templates(spec.N)[3]
-        return [(weight * amplitudes[index]).sum(axis=1)]
     if not _momentum_ring(spec):
-        return [amplitudes]
+        ((_, (index, weight)),) = _real_blocks(spec)
+        return [(weight * amplitudes[index]).sum(axis=1)]
     blocks, orbits, root_period = _ring_real_templates(spec.N)
     sectors = sector_blocks(spec)
     reflected = amplitudes.reshape((2,) * spec.N).T.ravel()  # bit order reversed
@@ -555,7 +549,7 @@ def block_coordinates(spec: ModelSpec, amplitudes: np.ndarray) -> list[np.ndarra
                       (reflected, sectors[len(blocks):])):
         coef = (np.fft.ifft(psi[orbits], axis=0) * root_period).ravel()
         for b in part:
-            index, weight = blocks[b][3]
+            index, weight = blocks[b][1]
             out.append((weight * coef[index]).sum(axis=1))
     return out
 
@@ -566,17 +560,16 @@ def sector_amplitudes(spec: ModelSpec, sector: int,
     of the (d, n) coordinate columns of that sector, as columns.  The rows
     are scattered back; on the ring one FFT along the orbits follows (a short
     orbit's repeats get equal values, to roundoff), then R in a mirror sector."""
-    if spec.kind is ModelKind.XY_MAGNON:
-        rows, size = _magnon_real_templates(spec.N)[3], spec.N
-    elif _momentum_ring(spec):
-        blocks, orbits, root_period = _ring_real_templates(spec.N)
-        rows, size = blocks[sector_blocks(spec)[sector]][3], orbits.size
-    else:
-        return coords
+    blocks = _real_blocks(spec)
+    index, weight = blocks[sector_blocks(spec)[sector]][1]
+    ring = _momentum_ring(spec)
+    if ring:
+        _, orbits, root_period = _ring_real_templates(spec.N)
     n = coords.shape[1]
-    out = np.zeros((size, n), dtype=complex)
-    np.add.at(out, rows[0], rows[1].conj()[..., None] * coords[:, None])
-    if spec.kind is ModelKind.XY_MAGNON:
+    out = np.zeros((orbits.size if ring else spec.basis.dim, n), dtype=complex)
+    for e in range(2):
+        np.add.at(out, index[:, e], weight[:, e].conj()[:, None] * coords)
+    if not ring:
         return out
     psi = np.empty((2 ** spec.N, n), dtype=complex)
     psi[orbits] = np.fft.fft(out.reshape(spec.N, -1, n), axis=0) / root_period[:, None]

@@ -3,9 +3,11 @@ m = 0 .. N//2 of the periodic Ising ring, which stand for their mirror blocks
 N-m too, the real magnon chain, and each block's coordinates of a state; and
 the block-wise broken-phase indicator built on them."""
 
+import math
 import threading
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -85,17 +87,15 @@ def test_two_site_ring_blocks():
     ModelSpec(ModelKind.XY_FULL_SPACE, N=3, V=2.0, gamma=0.1),
 ])
 def test_other_models_come_back_whole(spec):
-    # the magnon chain comes back as its real form, the others as h itself
+    # one real block, h in the basis of block_coordinates
     h = models.build_hamiltonian(spec)
     (block,) = models.hamiltonian_blocks(spec)
     assert models.sector_blocks(spec) == [0]
-    assert block.shape == h.shape
+    assert block.shape == h.shape and block.dtype == np.float64
     assert _multiset_distance(np.linalg.eigvals(block), np.linalg.eigvals(h)) \
         <= 1e-10 * (1 + np.linalg.norm(h))
-    if spec.kind is not ModelKind.XY_MAGNON:
-        assert np.array_equal(block, h)
-        (coords,) = models.block_coordinates(spec, h[:, 0])
-        assert np.array_equal(coords, h[:, 0])
+    (a,) = _block_adjoints(spec)
+    assert np.max(np.abs(a @ h @ a.conj().T - block)) <= 1e-13 * (1 + np.abs(h).max())
 
 
 @pytest.mark.parametrize("J", [1.0, -0.7, 0.0])
@@ -223,9 +223,67 @@ def test_block_spectrum_is_the_dense_spectrum_on_the_chain(spec):
     assert broken == (spec.gamma > 1)
 
 
+def _full_space_spectrum_cases():
+    # the XY full space breaks where its magnon block does: gamma = 1e-9 is
+    # below and 1.5 above gamma_c at every (N, V) here
+    for N in range(2, 9):
+        for V in (-3.0, 0.0, 3.0):
+            for gamma in (1e-9, 1.5):
+                yield ModelSpec(ModelKind.XY_FULL_SPACE, N=N, V=V, gamma=gamma)
+
+
+def _open_chain_spectrum_cases():
+    for N in range(2, 9):
+        for J, Delta in ((1.0, 0.5), (-0.7, -0.8), (0.0, 0.9)):
+            for gamma in (1e-3, 1.2):
+                yield ring(N, J=J, Delta=Delta, gamma=gamma,
+                           ising_boundary=IsingBoundary.OPEN)
+
+
+@pytest.mark.parametrize("spec", _full_space_spectrum_cases())
+def test_block_spectrum_is_the_dense_spectrum_on_the_full_space(spec):
+    got = _check_block_spectrum(spec)
+    broken = np.abs(got.eigenvalues.imag).max() > analysis.BROKEN_THRESHOLD
+    assert broken == (spec.gamma > 1)
+
+
+@pytest.mark.parametrize("spec", _open_chain_spectrum_cases())
+def test_block_spectrum_is_the_dense_spectrum_on_the_open_chain(spec):
+    _check_block_spectrum(spec)
+
+
+@pytest.mark.parametrize("spec", [ring(2, J=0.0, Delta=0.7, gamma=0.3),
+                                  ring(6, Delta=0.7, gamma=0.3)])
+def test_each_vector_has_its_chosen_entry_real_and_positive(spec):
+    # linalg.rotate_phases: the entry of largest |v| before the rotation
+    # becomes real and positive; where entries tie in magnitude (orbit
+    # members here) the rotation may leave another, complex one an ulp larger
+    eps = np.finfo(float).eps
+    v = dynamics.block_spectrum(spec).right_vectors
+    mag = np.abs(v)
+    chosen = ((mag >= mag.max(axis=0) * (1 - 2 * eps)) & (v.real > 0)
+              & (np.abs(v.imag) <= 2 * eps * mag))
+    assert chosen.any(axis=0).all()
+
+
+@pytest.mark.parametrize("spec", [
+    ring(6, Delta=0.5, gamma=0.3),
+    ModelSpec(ModelKind.XY_MAGNON, N=6, V=2.0, gamma=0.3),
+    ring(6, Delta=0.5, gamma=0.3, ising_boundary=IsingBoundary.OPEN),
+    ModelSpec(ModelKind.XY_FULL_SPACE, N=6, V=2.0, gamma=0.3),
+])
+def test_every_block_is_float64(spec):
+    blocks = models.hamiltonian_blocks(spec)
+    assert [b.dtype for b in blocks] == [np.float64] * len(blocks)
+    assert models.block_stack([spec, spec], 0).dtype == np.float64
+
+
 @pytest.mark.parametrize("flags", [
     ["--model", "ising", "--n", "8", "--delta", "0.5", "--gamma", "0.3"],
     ["--model", "xy", "--n", "8", "--v", "3", "--gamma", "0.5"],
+    ["--model", "ising", "--boundary", "open", "--n", "8", "--delta", "0.5",
+     "--gamma", "0.3"],
+    ["--model", "xy", "--full-space", "--n", "8", "--v", "3", "--gamma", "0.5"],
 ])
 def test_spectrum_prints_each_conjugate_pair_in_one_order(flags, tmp_path):
     # real blocks give a pair's members one real part, bit for bit, so the
@@ -325,9 +383,6 @@ def test_sector_amplitudes_invert_block_coordinates(spec):
             assert np.max(np.abs(back[s] - coords[:, j])) <= 1e-13 * np.linalg.norm(coords)
             assert all(np.max(np.abs(c), initial=0.0) <= 1e-13 * np.linalg.norm(coords)
                        for t, c in enumerate(back) if t != s)
-        if (spec.kind is ModelKind.XY_FULL_SPACE
-                or spec.ising_boundary is IsingBoundary.OPEN):
-            assert states is coords  # one block in the model's own basis
 
 
 @pytest.mark.parametrize("N", range(2, 9))
@@ -375,13 +430,18 @@ def test_real_magnon_block_has_the_chain_spectrum(N):
                 <= 1e-13 * (1 + np.abs(h).max())
 
 
+def _template_arrays(blocks):
+    """Every array of the (terms, rows) of blocks, a dense term's whole."""
+    return [a for terms, rows in blocks
+            for a in [*rows, *(x for term in terms for x in term[1:]
+                               if isinstance(x, np.ndarray))]]
+
+
 def test_real_templates_are_shared_read_only():
-    t, e, o, rows = models._magnon_real_templates(5)
-    arrays = [t, e, o, *rows]
     blocks, orbits, root_period = models._ring_real_templates(6)
-    arrays += [orbits, root_period]
-    for x, y, zz, rows in blocks:
-        arrays += [x, *y, zz, *rows]
+    arrays = [orbits, root_period, *_template_arrays(blocks)]
+    for kind in ModelKind:
+        arrays += _template_arrays([models._pt_real_form(kind, 5)])
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 1
@@ -402,10 +462,8 @@ def test_real_templates_built_on_sweep_threads_are_exact(monkeypatch):
     blocks, orbits, root_period = models._ring_real_templates(7)
     assert np.array_equal(orbits, single[1])
     assert np.array_equal(root_period, single[2])
-    for (x, y, zz, rows), (x1, y1, zz1, rows1) in zip(blocks, single[0]):
-        assert np.array_equal(x, x1) and np.array_equal(zz, zz1)
-        assert all(np.array_equal(a, b) for a, b in zip(y, y1))
-        assert all(np.array_equal(a, b) for a, b in zip(rows, rows1))
+    for a, b in zip(_template_arrays(blocks), _template_arrays(single[0]), strict=True):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("N", [6, 8, 10])
@@ -485,20 +543,117 @@ def test_ring_grid_byte_identical_across_thread_counts(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the one-block models' real templates against exact arithmetic
+
+def _gaussian_basis(kind, N):
+    """(G, paired): the real basis of _pt_real_form with its 1/sqrt2 factors
+    left out, as integer real and imaginary parts, and which vectors are
+    pairs.  Column p < Pp is e_p + e_Pp, p > Pp is i (e_Pp - e_p), and a
+    fixed point p = Pp is e_p."""
+    d = N if kind is ModelKind.XY_MAGNON else 2 ** N
+    if kind is ModelKind.XY_FULL_SPACE:  # site reflection: the bits reversed
+        perm = [int(format(i, f"0{N}b")[::-1], 2) for i in range(d)]
+    else:  # positions reversed; on spins, every bit complemented
+        perm = [d - 1 - i for i in range(d)]
+    gr, gi = np.zeros((d, d), dtype=np.int64), np.zeros((d, d), dtype=np.int64)
+    for p, q in enumerate(perm):
+        if p < q:
+            gr[p, p] = gr[q, p] = 1
+        elif p > q:
+            gi[q, p], gi[p, p] = 1, -1
+        else:
+            gr[p, p] = 1
+    return (gr, gi), np.array(perm) != np.arange(d)
+
+
+def _is_rounded(x: float, s: int, k: int) -> bool:
+    """True iff x is s / sqrt2^k rounded to the nearest double (k = 0, 1, 2)."""
+    if k != 1 or s == 0:
+        return x == Fraction(s, 2 ** (k // 2))
+    a = abs(x)
+    lo = Fraction(a) - Fraction(math.ulp(math.nextafter(a, 0))) / 2
+    hi = Fraction(a) + Fraction(math.ulp(a)) / 2
+    return (x > 0) == (s > 0) and lo * lo < Fraction(s * s, 2) < hi * hi
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("N", range(2, 7))
+def test_one_block_templates_are_the_exact_real_form_rounded(kind, N):
+    # each term is W^dagger M W for M the parent term at unit parameters:
+    # an integer matrix S over sqrt2^k, k the number of paired vectors, whose
+    # imaginary part vanishes exactly; the template holds S / sqrt2^k rounded
+    params = ("J", "Delta", "gamma") if kind is ModelKind.TRANSVERSE_ISING else ("V", "gamma")
+    base = ModelSpec(kind, N, ising_boundary=IsingBoundary.OPEN,
+                     **dict.fromkeys(params, 0.0))
+    (gr, gi), paired = _gaussian_basis(kind, N)
+    k = paired[:, None].astype(int) + paired[None, :]
+    terms = {name: (index, values) for name, index, values
+             in models._pt_real_form(kind, N)[0]}
+    assert set(terms) <= {None, *params}
+    zero = models.build_hamiltonian(base)
+    for name in (None, *params):
+        m = zero if name is None else models.build_hamiltonian(
+            replace(base, **{name: 1.0})) - zero
+        mr, mi = m.real.astype(np.int64), m.imag.astype(np.int64)
+        assert np.array_equal(mr + 1j * mi, m)
+        # (gr - i gi)^T (mr + i mi) (gr + i gi)
+        ar, ai = gr.T @ mr + gi.T @ mi, gr.T @ mi - gi.T @ mr
+        sr, si = ar @ gr - ai @ gi, ar @ gi + ai @ gr
+        assert not si.any()
+        template = np.zeros(m.size)
+        if name in terms:
+            template[terms[name][0]] = terms[name][1]
+        template = template.reshape(m.shape)
+        assert all(_is_rounded(float(x), int(s), int(j))
+                   for x, s, j in zip(template.ravel(), sr.ravel(), k.ravel()))
+
+
+# ---------------------------------------------------------------------------
 # the per-block builder of the sweeps: block b over many nodes at once
+
+def _magnon_real_block(spec):
+    """The magnon chain in the basis u_l = (e_l + e_{N+1-l}) / sqrt2 at
+    position l-1, v_l = i (e_l - e_{N+1-l}) / sqrt2 at N-l, the middle site of
+    an odd chain between them: T + V E + gamma O with, from the hopping, 1
+    from u_l to u_{l+1} and from v_l to v_{l+1}, and at the centre sqrt2 from
+    the middle site to u_{N//2} (odd N) or +1 on u_{N/2} and -1 on v_{N/2}
+    (even N); V on u_1 and v_1; and -gamma from v_1 to u_1, +gamma back."""
+    N, h = spec.N, spec.N // 2
+    t = np.zeros((N, N))
+    for l in range(N - 1):
+        t[l, l + 1] = t[l + 1, l] = 1.0
+    if N % 2:
+        t[h - 1, h] = t[h, h - 1] = np.sqrt(2.0)
+        t[h, h + 1] = t[h + 1, h] = 0.0
+    else:
+        t[h - 1, h] = t[h, h - 1] = 0.0
+        t[h - 1, h - 1], t[h, h] = 1.0, -1.0
+    e = np.zeros((N, N))
+    e[0, 0] = e[N - 1, N - 1] = 1.0
+    o = np.zeros((N, N))
+    o[0, N - 1], o[N - 1, 0] = -1.0, 1.0
+    return t + spec.V * e + spec.gamma * o
+
 
 def _reference_blocks(spec):
     """hamiltonian_blocks(spec) as the one-node formula, block by block."""
     if spec.kind is ModelKind.XY_MAGNON:
-        t, e, o, _ = models._magnon_real_templates(spec.N)
-        return [t + spec.V * e + spec.gamma * o]
+        return [_magnon_real_block(spec)]
     if spec.ising_boundary is IsingBoundary.OPEN or spec.kind is ModelKind.XY_FULL_SPACE:
-        return [models.build_hamiltonian(spec)]
+        terms, _ = models._pt_real_form(spec.kind, spec.N)
+        d = spec.basis.dim
+        dense = [np.zeros(d * d) for _ in terms]
+        for x, (_, index, values) in zip(dense, terms):
+            x[index] = values
+        return [sum((x.reshape(d, d) * (1.0 if name is None else getattr(spec, name))
+                     for x, (name, _, _) in zip(dense, terms)), np.zeros((d, d)))]
     out = []
-    for x, (rows, cols, y), zz, _ in models._ring_real_templates(spec.N)[0]:
-        h = spec.Delta * x
-        h[rows, cols] += spec.gamma * y
-        h[np.diag_indices_from(h)] -= spec.J * zz
+    for terms, _ in models._ring_real_templates(spec.N)[0]:
+        (_, _, x), (_, gamma_index, y), (_, diag_index, minus_zz) = terms
+        d = len(minus_zz)
+        h = spec.Delta * x.reshape(d, d)
+        h.flat[gamma_index] += spec.gamma * y
+        h.flat[diag_index] -= spec.J * -minus_zz
         out.append(h)
     return out
 

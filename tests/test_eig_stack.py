@@ -361,15 +361,15 @@ def test_xy_grid_is_one_kernel_call_per_row(monkeypatch):
 
 
 def test_dense_nodes_go_to_the_kernel_one_at_a_time(monkeypatch, bloch_blocks):
-    # an open ring is one dense 2^8 matrix per node, 1 MB each
+    # an open ring is one real 2^8 block per node, 0.5 MB each
     template = ring(8, Delta=1.0, ising_boundary=IsingBoundary.OPEN)
     x_axis = analysis.AxisSpec.from_range("Delta", 1.0, 1.0, "lin", 1)
     y_axis = analysis.AxisSpec.from_range("gamma", 0.1, 1.0, "log", 3)
     shapes = _counting_kernel(monkeypatch)
     grid = analysis.sweep_grid(template, x_axis, y_axis)
     assert shapes == [(1, 256, 256)] * 3
-    assert np.array_equal(grid.values,
-                          reference_grid(template, x_axis, y_axis, bloch_blocks))
+    assert_grid_matches_reference(
+        grid, reference_grid(template, x_axis, y_axis, bloch_blocks))
 
 
 def test_failed_spec_is_a_nan_node():

@@ -193,9 +193,10 @@ def _names(tree: ast.AST):
 
 
 # no command goes back to a dense 2^N matrix where blocks exist:
-# build_hamiltonian is called only by models.block_stack, in its branch for
-# the one-block models, and no module but models and bethe (whose W chain is
-# build_h_w) names a dense builder; the package root only re-exports them
+# build_hamiltonian is called only by models._pt_real_form, which builds the
+# one-block models' real templates from it once per N, and no module but
+# models and bethe (whose W chain is build_h_w) names a dense builder; the
+# package root only re-exports them
 DENSE_BUILDERS = {"build_hamiltonian", "build_h_eq", "build_h_w",
                   "build_h_chain_full", "build_h_ghz"}
 
@@ -206,18 +207,12 @@ def _calls(tree: ast.AST, name: str):
             and _dotted(node.func).split(".")[-1] == name]
 
 
-def test_only_block_stack_builds_the_whole_hamiltonian():
+def test_only_the_template_builder_calls_build_hamiltonian():
     callers = {(m, getattr(stmt, "name", stmt.lineno))
                for m in LAYERS
                for stmt in ast.parse((SRC / f"{m}.py").read_text()).body
                if _calls(stmt, "build_hamiltonian")}
-    assert callers == {("models", "block_stack")}
-    (stack,) = [stmt for stmt in ast.parse((SRC / "models.py").read_text()).body
-                if getattr(stmt, "name", "") == "block_stack"]
-    one_block = [call for node in ast.walk(stack) if isinstance(node, ast.If)
-                 and _calls(node.test, "_momentum_ring")
-                 for stmt in node.body for call in _calls(stmt, "build_hamiltonian")]
-    assert one_block == _calls(stack, "build_hamiltonian")
+    assert callers == {("models", "_pt_real_form")}
 
 
 def test_only_models_and_bethe_name_a_dense_builder():
@@ -227,10 +222,10 @@ def test_only_models_and_bethe_name_a_dense_builder():
     assert users <= {"models", "bethe"}, users
 
 
-# the ring's symmetry table and the magnon chain's real-basis templates (with
+# the ring's symmetry table and the one-block models' real templates (with
 # their coordinate rows) are read through hamiltonian_blocks and
 # block_coordinates alone
-BASIS_TABLES = {"_ring_real_templates", "_magnon_real_templates"}
+BASIS_TABLES = {"_ring_real_templates", "_pt_real_form"}
 
 
 def test_only_models_knows_the_momentum_structure():
