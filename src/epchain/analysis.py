@@ -8,9 +8,11 @@ block) stack, built by models.block_stack and diagonalized by
 linalg.eigvals_stack.  The XY chain, in either space, breaks exactly where its
 one-magnon block does (free-fermion map), so its boundary is bisected in
 53-bit mpmath gamma on exact.magnon_broken, an exact Sturm count, however far
-gamma_c falls below double precision.  The Ising chain is bisected on the
-indicator above a floor that grows as 1 + Delta^2, above the roundoff pairs
-of levels that cross inside one real block.
+gamma_c falls below double precision.  Where |V| > 2, bethe's gamma_c seeds a
+window of relative half-width 2^-30 that two counts certify; the bisection
+counts only at midpoints inside it and returns the same double.  The Ising
+chain is bisected on the indicator above a floor that grows as 1 + Delta^2,
+above the roundoff pairs of levels that cross inside one real block.
 """
 
 from __future__ import annotations
@@ -171,7 +173,8 @@ def sweep_grid(template: ModelSpec, x_axis: AxisSpec, y_axis: AxisSpec) -> Phase
     return PhaseGrid(template=template, x_axis=x_axis, y_axis=y_axis, values=values)
 
 
-def _magnon_boundary(N: int, V: float, rel_tol: float) -> float:
+def _magnon_boundary(N: int, V: float, rel_tol: float,
+                     seed: float | None) -> float:
     """Bisection in 53-bit mpf gamma on the exact predicate (XY chain).
 
     Every mpf is dyadic, so the Sturm count is exact at each midpoint, and mpf
@@ -180,6 +183,13 @@ def _magnon_boundary(N: int, V: float, rel_tol: float) -> float:
     1e-10 until the chain is unbroken there.  That ends for every finite V:
     at gamma = 0 the chain is a real Jacobi matrix, whose
     eigenvalues are real and simple, so they stay real for small gamma.
+    A seed (bethe's gamma_c) gives a window [a, b] = seed*(1 -+ 2^-30), or
+    seed -+ 2^-1074 where that is wider, kept only if two Sturm counts
+    certify the chain unbroken at a and broken at b.
+    The predicate is then known outside the window, so the bisection counts
+    only at midpoints inside it, and exact.bisect, whose predicate changes
+    sign once, makes the same decisions and returns the same double.  With
+    no seed, or none certified, the window is (0, inf).
     NoRoot where gamma_c underflows a double.
     """
     with precision(prec=53) as ctx:
@@ -188,25 +198,57 @@ def _magnon_boundary(N: int, V: float, rel_tol: float) -> float:
             raise NoTransition(f"no transition in gamma for N={N}, V={V}")
         while magnon_broken(N, V, lo):
             lo *= ctx.mpf(10) ** -10
-        gamma_c = bisect(lambda g: magnon_broken(N, V, g), lo, hi, rel_tol)
+        a, b = ctx.zero, ctx.inf
+        if seed is not None:
+            # a subnormal seed is only as close as its spacing, 2^-1074
+            width = max(ctx.ldexp(seed, -30), ctx.ldexp(1, -1074))
+            if (not magnon_broken(N, V, seed - width)
+                    and magnon_broken(N, V, seed + width)):
+                a, b = seed - width, seed + width
+        gamma_c = bisect(lambda g: g >= b or (g > a and magnon_broken(N, V, g)),
+                         lo, hi, rel_tol)
     if gamma_c == 0.0:
         raise NoRoot(f"gamma_c underflows a double at N={N}, V={V}")
     return gamma_c
 
 
-def numeric_boundary_gamma(template: ModelSpec, control_value: float) -> float:
+def _bethe_seed(kind: ModelKind, N: int, V: float
+                ) -> tuple[float | None, Exception | None]:
+    """(bethe.exact_boundary_gamma(N, V), None), or (None, the EpchainError
+    or ValueError it raised), for the XY chain at |V| > 2; (None, None)
+    elsewhere."""
+    if kind is ModelKind.TRANSVERSE_ISING or abs(V) <= 2:
+        return None, None
+    try:
+        return bethe.exact_boundary_gamma(N, V), None
+    except (EpchainError, ValueError) as err:
+        return None, err
+
+
+# numeric_boundary_gamma's default seed: ask bethe for it
+_ASK_BETHE = object()
+
+
+def numeric_boundary_gamma(template: ModelSpec, control_value: float, *,
+                           seed=_ASK_BETHE) -> float:
     """Critical gamma, relative _REL_TOL; control_value sets the kind's
     control parameter.
 
     The XY chain, in either space, is bisected on the exact predicate of its
-    one-magnon block (_magnon_boundary).  The Ising chain has gamma_c = 0 at
-    Delta = 0, where Im eps = gamma sum sz; elsewhere it is bisected on
-    max|Im eps| > _FULL_SPACE_SCAN_FLOOR * (1 + Delta^2) in [1e-12, 10].
+    one-magnon block (_magnon_boundary), counted only inside the window
+    around seed that two counts certify: the same double as the plain
+    bisection.  seed is bethe.exact_boundary_gamma at this point (asked for
+    here by default, where |V| > 2), or None for no window.  The Ising chain
+    has gamma_c = 0 at Delta = 0, where Im eps = gamma sum sz; elsewhere it
+    is bisected on max|Im eps| > _FULL_SPACE_SCAN_FLOOR * (1 + Delta^2) in
+    [1e-12, 10].
     """
     name = template.kind.control
     base = replace(template, **{name: float(control_value)})
     if template.kind is not ModelKind.TRANSVERSE_ISING:
-        return _magnon_boundary(base.N, base.V, _REL_TOL)
+        if seed is _ASK_BETHE:
+            seed = _bethe_seed(base.kind, base.N, base.V)[0]
+        return _magnon_boundary(base.N, base.V, _REL_TOL, seed)
     if base.Delta == 0:
         return 0.0
     threshold = _FULL_SPACE_SCAN_FLOOR * (1 + control_value ** 2)
@@ -231,14 +273,19 @@ def boundary_table(template: ModelSpec, control_values) -> list[tuple]:
     |V| > 2 the exact exceptional-point condition applies, and a row whose
     exact and numeric values differ by more than BOUNDARY_REL_TOL relative
     is flagged as a mismatch; there, for even N >= 6, so does the large-V
-    perturbative boundary.
+    perturbative boundary.  bethe.exact_boundary_gamma runs once per row and
+    seeds the numeric scan; where both fail, the numeric scan's error is
+    raised, else the exact method's.
     """
     rows = []
     for control in map(float, control_values):
-        numeric = numeric_boundary_gamma(template, control)
+        seed, error = _bethe_seed(template.kind, template.N, control)
+        numeric = numeric_boundary_gamma(template, control, seed=seed)
         exact = pert = gap = None
         if template.kind is ModelKind.XY_MAGNON and abs(control) > 2:
-            exact = bethe.exact_boundary_gamma(template.N, control)
+            if error is not None:
+                raise error
+            exact = seed
             gap = abs(exact - numeric) / numeric
             if template.N >= 6 and template.N % 2 == 0:
                 pert = bethe.perturbative_boundary(template.N, control)

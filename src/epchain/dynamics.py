@@ -181,19 +181,21 @@ def _sector_spectra(spec: ModelSpec) -> list[linalg.Spectrum]:
 
 
 def block_spectrum(spec: ModelSpec, vectors: bool = True) -> linalg.Spectrum:
-    """The spectrum from _sector_spectra, stably sorted by (Re, Im), with the
-    block residuals (the maps are isometries), and right_vectors None unless
-    vectors: then each sector's are mapped into spec.basis by
-    sector_amplitudes and rotated by linalg.rotate_phases."""
+    """The spectrum from _sector_spectra, stably sorted by (Re, Im, residual),
+    with the block residuals (the maps are isometries), and right_vectors
+    None unless vectors: then each sector's are mapped into spec.basis by
+    sector_amplitudes and rotated by linalg.rotate_phases.  The residual
+    orders eigenvalues that tie bit for bit across sectors, so the rows do
+    not depend on the sector order."""
     sectors = _sector_spectra(spec)
     vals = np.concatenate([sp.eigenvalues for sp in sectors])
-    order = np.lexsort((vals.imag, vals.real))
+    residuals = np.concatenate([sp.residuals for sp in sectors])
+    order = np.lexsort((residuals, vals.imag, vals.real))
     vecs = np.empty((spec.basis.dim, len(order)), dtype=complex) if vectors else None
     columns = np.split(np.argsort(order), np.cumsum([sp.dim for sp in sectors]))
     for s, sp in enumerate(sectors if vectors else ()):
         v = sector_amplitudes(spec, s, sp.right_vectors)
         vecs[:, columns[s]] = linalg.rotate_phases(v.T).T
-    residuals = np.concatenate([sp.residuals for sp in sectors])
     return linalg.Spectrum(vals[order], vecs, residuals[order])
 
 

@@ -28,8 +28,12 @@ def bisect(broken, lo, hi, rel_tol: float):
     """Geometric bisection of the onset of broken, relative rel_tol.
 
     broken is false at lo and true at hi (doubles, or mpmath reals of one
-    context, at that context's precision).  Returns the geometric mean of
-    the last bracket.
+    context, at that context's precision) and changes sign once between
+    them: false below its onset, true above.  Two predicates that agree at
+    every midpoint give the same decisions and the same double, so a caller
+    may answer without computing wherever the answer is already known, as
+    analysis's XY boundary search does outside its certified window.
+    Returns the geometric mean of the last bracket.
     The search also ends once lo and hi round to the same double: rounding is
     monotone, so every later mean rounds to that double as well.
     """

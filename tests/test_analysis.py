@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from epchain import analysis, bethe, cli, dynamics, exact, linalg, models, serialize
-from epchain.errors import ConfigError, NoTransition
+from epchain.errors import ConfigError, NoBracket, NoRoot, NoTransition
 from epchain.models import ModelKind, ModelSpec
 
 
@@ -244,10 +244,8 @@ def test_numeric_boundary_high_precision_escalation():
     assert abs(gn - ge) / ge < 1e-3
 
 
-def test_magnon_boundary_starts_at_the_decay_floor(monkeypatch):
-    # gamma_c ~ 1e-240 at N = 6, V = 1e60: a lower bracket starting at 1e-45
-    # and stepping down by 1e-10 took 54 Sturm counts; exact.decay_floor
-    # starts below gamma_c, as exact_boundary_gamma does
+def _counted_sturm(monkeypatch):
+    """Record every exact.magnon_broken call of the analysis module."""
     calls = []
 
     def counted(N, V, g):
@@ -255,10 +253,53 @@ def test_magnon_boundary_starts_at_the_decay_floor(monkeypatch):
         return exact.magnon_broken(N, V, g)
 
     monkeypatch.setattr(analysis, "magnon_broken", counted)
+    return calls
+
+
+def test_magnon_boundary_starts_at_the_decay_floor(monkeypatch):
+    # gamma_c ~ 1e-240 at N = 6, V = 1e60: a lower bracket starting at 1e-45
+    # and stepping down by 1e-10 took 54 Sturm counts; exact.decay_floor
+    # starts below gamma_c, as exact_boundary_gamma does
+    calls = _counted_sturm(monkeypatch)
     gn = analysis.numeric_boundary_gamma(xy(6, V=1e60), 1e60)
-    assert len(calls) < 54
+    assert len(calls) <= 4  # hi, lo and the two that certify bethe's window
     ge = bethe.exact_boundary_gamma(6, 1e60)
     assert abs(gn - ge) / ge < 1e-6
+
+
+def test_magnon_boundary_at_huge_v_counts_only_in_bethes_window(monkeypatch):
+    # gamma_c ~ 1e-200 at N = 12, V = 1e20, where each Sturm count is slow
+    # (the plain bisection takes about 31): bethe's window leaves the hi
+    # check, the lower bracket and its two certifying counts
+    calls = _counted_sturm(monkeypatch)
+    gn = analysis.numeric_boundary_gamma(xy(12), 1e20)
+    assert len(calls) <= 10
+    assert gn.hex() == _reference_highprec(12, 1e20, 1e-6, mp.workprec(53)).hex()
+
+
+# The window changes which midpoints run a Sturm count, not a decision of
+# the bisection: a seed that cannot be certified (x2, x0.5) or that raises
+# leaves the plain search, and every seed gives the plain bisection's double.
+@pytest.mark.parametrize("seeding", ["bethe", "x2", "x0.5", "near", "raises"])
+@pytest.mark.parametrize("N, V", [(3, 2.05), (4, -3.07), (6, 10.0), (7, 2.2),
+                                  (8, -97.0), (12, 31.07), (5, 1e6),
+                                  (4, 1e160), (6, 1.2e80)])  # subnormal
+def test_magnon_boundary_is_the_plain_bisection_for_any_seed(monkeypatch, N, V,
+                                                             seeding):
+    exact_gamma = bethe.exact_boundary_gamma
+
+    def seed(n, v):
+        if seeding == "raises":
+            raise NoBracket("no seed")
+        factor = {"bethe": 1.0, "x2": 2.0, "x0.5": 0.5, "near": 1 + 2.0 ** -40}
+        return exact_gamma(n, v) * factor[seeding]
+
+    monkeypatch.setattr(bethe, "exact_boundary_gamma", seed)
+    calls = _counted_sturm(monkeypatch)
+    gn = analysis.numeric_boundary_gamma(xy(N), V)
+    assert gn.hex() == _reference_highprec(N, V, 1e-6, mp.workprec(53)).hex()
+    if seeding in ("bethe", "near"):
+        assert len(calls) <= 8
 
 
 @pytest.mark.parametrize("N, V", [(4, 1e3), (12, 1e4), (12, 1e5),
@@ -331,7 +372,10 @@ def test_ising_scan_raises_when_broken_at_its_lower_end(monkeypatch):
 
 def _reference_highprec(N, V, rel_tol, precision):
     with precision:
+        v = abs(mp.mpf(V))
         lo, hi = mp.mpf(10) ** -45, mp.mpf(10)
+        if v ** (N - 2) > mp.mpf(10) ** 35:  # exact.decay_floor
+            lo = v ** -(N - 2) * mp.mpf(10) ** -10
         if not exact.magnon_broken(N, V, hi):
             raise NoTransition(f"no transition in gamma for N={N}, V={V}")
         while exact.magnon_broken(N, V, lo):
@@ -582,6 +626,59 @@ def test_boundary_table_columns_follow_the_domain_rules(template, controls,
         assert [i for i in (1, 2, 4) if row[i] is None] == list(empty), row
         assert row[3] > 0
         assert row[5] is False
+
+
+def _counted_bethe(monkeypatch, raises=None):
+    """Record every bethe.exact_boundary_gamma call; raise raises if given."""
+    calls, exact_gamma = [], bethe.exact_boundary_gamma
+
+    def counted(N, V):
+        calls.append(V)
+        if raises is not None:
+            raise raises
+        return exact_gamma(N, V)
+
+    monkeypatch.setattr(bethe, "exact_boundary_gamma", counted)
+    return calls
+
+
+@pytest.mark.parametrize("template", [
+    xy(6), xy(3), ModelSpec(ModelKind.XY_FULL_SPACE, N=4)])
+def test_boundary_table_runs_bethe_once_per_row(monkeypatch, template):
+    controls = [-10.0, -3.0, 0.0, 2.0, 2.05, 97.0]
+    expected = [(v, bethe.exact_boundary_gamma(template.N, v))
+                for v in controls if abs(v) > 2]
+    calls = _counted_bethe(monkeypatch)
+    rows = analysis.boundary_table(template, controls)
+    assert calls == [v for v, _ in expected]  # the seed where |V| > 2 only
+    assert [row[3] for row in rows] == [
+        _reference_highprec(template.N, v, 1e-6, mp.workprec(53))
+        for v in controls]
+    if template.kind is ModelKind.XY_MAGNON:
+        assert [(row[0], row[1]) for row in rows if row[1] is not None] == expected
+
+
+def test_boundary_table_row_where_gamma_c_underflows(monkeypatch):
+    # both methods raise NoRoot at N = 12, V = 1e33 (gamma_c ~ 1e-330)
+    calls = _counted_bethe(monkeypatch)
+    with pytest.raises(NoRoot, match=r"^gamma_c underflows a double at "
+                                     r"N=12, V=1e\+33$"):
+        analysis.boundary_table(xy(12), [1e33])
+    assert calls == [1e33]
+
+
+def test_boundary_table_raises_the_exact_error_after_the_numeric_scan(
+        monkeypatch):
+    calls = _counted_bethe(monkeypatch, NoBracket("forced"))
+    with pytest.raises(NoBracket, match="^forced$"):
+        analysis.boundary_table(xy(6), [10.0])
+    assert calls == [10.0]
+    # where both fail, the numeric scan's error is raised
+    monkeypatch.setattr(analysis, "magnon_broken", lambda N, V, g: False)
+    with pytest.raises(NoTransition,
+                       match=r"^no transition in gamma for N=6, V=10\.0$"):
+        analysis.boundary_table(xy(6), [10.0])
+    assert calls == [10.0, 10.0]
 
 
 def test_boundary_command_writes_the_table(tmp_path):

@@ -301,6 +301,31 @@ def test_spectrum_prints_each_conjugate_pair_in_one_order(flags, tmp_path):
         assert sorted(-im for im in ims) == ims
 
 
+@pytest.mark.parametrize("spec", [
+    ring(8, J=0.0, Delta=0.7, gamma=0.3),  # the J = 0 ring's dimers tie
+    ring(6, J=0.0, Delta=-0.7, gamma=0.3),  # across blocks, bit for bit
+    ring(8, J=1.0, Delta=0.7),  # gamma = 0: real levels tie across blocks
+    ring(8, J=1.0, Delta=0.5, gamma=0.3),
+    ring(8, Delta=0.5, gamma=0.3, ising_boundary=IsingBoundary.OPEN),
+    ModelSpec(ModelKind.XY_FULL_SPACE, N=8, V=3.0, gamma=0.5),
+])
+def test_spectrum_rows_do_not_depend_on_the_sector_order(spec, monkeypatch):
+    # block_spectrum sorts by (Re, Im, residual): eigenvalues that tie bit
+    # for bit in two blocks come out in one order whatever order the sectors
+    # are diagonalized in
+    def rows():
+        return serialize.spectrum_to_csv(dynamics.block_spectrum(spec, False))
+
+    expected = rows()
+    sectors = dynamics._sector_spectra
+    rng = np.random.default_rng(20261020)
+    for _ in range(10):
+        perm = rng.permutation(len(models.sector_blocks(spec)))
+        monkeypatch.setattr(dynamics, "_sector_spectra",
+                            lambda s: [sectors(s)[i] for i in perm])
+        assert rows() == expected
+
+
 def _block_adjoints(spec):
     """B_s^dagger of every sector s of block_coordinates, as dense matrices,
     from the coordinates of the basis states of spec's space."""
