@@ -3,9 +3,11 @@
 max|Im eps| over the blocks of models.hamiltonian_blocks, the ones the
 dynamics propagate, is the broken-phase indicator.  Every block is real in
 a PT-invariant basis, so real LAPACK gives an unbroken node without
-degenerate levels max|Im eps| = 0 exactly.  A sweep's unit of work is one (row,
-block) stack, built by models.block_stack and diagonalized by
-linalg.eigvals_stack.  The XY chain, in either space, breaks exactly where its
+degenerate levels max|Im eps| = 0 exactly.  A sweep's unit of work is one
+block over a chunk of valid nodes, taken row-major over the whole grid and
+just large enough that numpy runs its values-only LAPACK without the GIL:
+built by models.block_stack, sent to linalg.eigvals_stack in one call.  The
+XY chain, in either space, breaks exactly where its
 one-magnon block does (free-fermion map), so its boundary is bisected in
 53-bit mpmath gamma on exact.magnon_broken, an exact Sturm count, however far
 gamma_c falls below double precision.  Where |V| > 2, bethe's gamma_c seeds a
@@ -33,13 +35,15 @@ from .models import ModelKind, ModelSpec, StateVector, block_dims, block_stack
 
 BROKEN_THRESHOLD = 1e-10
 
-# The most matrix entries one eigen-kernel call takes (one block at least):
-# a (row, block) stack goes to the kernel in slices of this size, each built
-# just before its call.  It counts entries: the blocks are real, but the
-# kernel's temporaries (eigenvectors) are complex.  A magnon row fits whole,
-# the N=8 ring's blocks go 12 to 18 at a time, and the 2^N one-block models
-# and the N=10 ring's blocks, whose temporaries raise peak RSS, one at a time.
-_STACK_ENTRIES = 1 << 14
+# numpy (2.4) keeps the GIL through np.linalg.eigvals unless the stack's
+# count x dimension exceeds this, while np.linalg.eig releases it at every
+# size: on two threads, one BLAS thread each, eigvals ran at CPU/wall 1.0
+# for (5, 100) and (50, 10) stacks and 1.8-2.0 for (6, 100) and (51, 10).
+# So a sweep sends a block of dimension d in chunks of
+# _EIGVALS_GIL_SIZE // d + 1 nodes, the fewest that run in parallel; a
+# chunk holds at most about 500 d + d^2 entries, and a block of d > 500
+# goes one node at a time.
+_EIGVALS_GIL_SIZE = 500
 
 # relative accuracy of the numeric boundary scan
 _REL_TOL = 1e-6
@@ -98,13 +102,9 @@ class PhaseGrid:
 def _block_max_im(specs: list[ModelSpec], b: int) -> np.ndarray:
     """max|Im eps| of block b of hamiltonian_blocks(spec) for each of specs
     (one kind and N), NaN where the kernel flags it: the block's stack, sent
-    to linalg.eigvals_stack in slices of _STACK_ENTRIES."""
-    step = max(1, _STACK_ENTRIES // block_dims(specs[0])[b] ** 2)
-    out = np.empty(len(specs))
-    for s in range(0, len(specs), step):
-        vals, ok = linalg.eigvals_stack(block_stack(specs[s:s + step], b))
-        out[s:s + step] = np.where(ok, np.max(np.abs(vals.imag), axis=-1), np.nan)
-    return out
+    to linalg.eigvals_stack in one call."""
+    vals, ok = linalg.eigvals_stack(block_stack(specs, b))
+    return np.where(ok, np.max(np.abs(vals.imag), axis=-1), np.nan)
 
 
 def max_im_epsilon(spec: ModelSpec) -> float:
@@ -141,9 +141,11 @@ def sweep_grid(template: ModelSpec, x_axis: AxisSpec, y_axis: AxisSpec) -> Phase
     The x-axis is the parameter the model reads, template.kind.control.
     Each node is one dataclasses.replace of the template; a node whose spec
     fails (EpchainError or ValueError) or whose block the kernel flags is
-    NaN, and the grid is still returned.  The thread pool takes one (row,
-    block) task at a time (_block_max_im), so a node's blocks run on every
-    worker; a node is the largest over its blocks at any thread count.
+    NaN, and the grid is still returned.  The valid nodes are taken
+    row-major, and the thread pool takes one task at a time: one block over
+    a chunk of _EIGVALS_GIL_SIZE // d + 1 of them (_block_max_im), so the
+    pool's LAPACK calls overlap and a node's blocks run on every worker; a
+    node is the largest over its blocks at any thread count.
     """
     if y_axis.name != "gamma":
         raise ValueError("the sweep y-axis must be gamma")
@@ -156,20 +158,19 @@ def sweep_grid(template: ModelSpec, x_axis: AxisSpec, y_axis: AxisSpec) -> Phase
         except (EpchainError, ValueError):
             return None
 
-    values = np.full((len(x_axis.values), len(y_axis.values)), np.nan)
-    blocks = range(len(block_dims(template)))
-    tasks = []  # (row, columns of its valid nodes, their specs, block)
-    for i, x in enumerate(x_axis.values):
-        specs = [node(x, g) for g in y_axis.values]
-        cols = [j for j, s in enumerate(specs) if s is not None]
-        if cols:
-            values[i, cols] = -np.inf
-            valid = [specs[j] for j in cols]
-            tasks += [(i, cols, valid, b) for b in blocks]
+    specs = [node(x, g) for x in x_axis.values for g in y_axis.values]
+    valid = [s for s in specs if s is not None]
+    tasks = []  # (block b, start, stop): b over valid[start:stop]
+    for b, d in enumerate(block_dims(template)):
+        step = _EIGVALS_GIL_SIZE // d + 1
+        tasks += [(b, s, s + step) for s in range(0, len(valid), step)]
+    im = np.full(len(valid), -np.inf)
     with ThreadPoolExecutor(max_workers=_sweep_workers()) as pool:
-        ims = pool.map(lambda task: _block_max_im(task[2], task[3]), tasks)
-        for (i, cols, _, _), im in zip(tasks, ims):
-            values[i, cols] = np.maximum(values[i, cols], im)  # NaN propagates
+        ims = pool.map(lambda t: _block_max_im(valid[t[1]:t[2]], t[0]), tasks)
+        for (_, s, e), chunk in zip(tasks, ims):
+            im[s:e] = np.maximum(im[s:e], chunk)  # NaN propagates
+    values = np.full((len(x_axis.values), len(y_axis.values)), np.nan)
+    values[np.array([s is not None for s in specs]).reshape(values.shape)] = im
     return PhaseGrid(template=template, x_axis=x_axis, y_axis=y_axis, values=values)
 
 

@@ -131,7 +131,7 @@ def test_ring_node_diagonalizes_blocks_up_to_k_pi(monkeypatch, N, dims, entry):
 
     monkeypatch.setattr(linalg, "eigvals_stack", counted)
     # one sweep thread keeps the block order; on more, the order of the
-    # (row, block) tasks is the pool's
+    # (block, chunk) tasks is the pool's
     monkeypatch.setenv("EPCHAIN_THREADS", "1")
     spec = ring(N, Delta=1.0, gamma=0.5)
     if entry == "max_im_epsilon":

@@ -1,4 +1,4 @@
-"""The stacked eigen kernel (linalg.eigvals_stack) and the row-wise sweep
+"""The stacked eigen kernel (linalg.eigvals_stack) and the chunked sweep
 built on it, checked bitwise against a per-matrix reference: a test-only copy
 of the single-matrix eigendecomposition the kernel replaced, and the
 node-by-node sweep that called it."""
@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from epchain import analysis, cli, linalg, models
+from epchain import analysis, bethe, cli, linalg, models
 from epchain.errors import DimensionMismatch, NonConvergence
 from epchain.models import IsingBoundary, ModelKind, ModelSpec
 
@@ -162,17 +162,17 @@ def test_nonfinite_matrix_flags_only_itself(bad):
         assert np.array_equal(vals[n], linalg.eig(stack[n]).eigenvalues)
 
 
-def _spy_eig(monkeypatch, change=None):
-    """Record the dtype of every stack np.linalg.eig gets; change(vals, vecs)
+def _spy_eigvals(monkeypatch, change=None):
+    """Record the dtype of every stack np.linalg.eigvals gets; change(a, vals)
     may rewrite what it returns."""
-    dtypes, eig = [], np.linalg.eig
+    dtypes, eigvals = [], np.linalg.eigvals
 
     def spied(a):
         dtypes.append(a.dtype)
-        vals, vecs = eig(a)
-        return change(vals, vecs) if change else (vals, vecs)
+        vals = eigvals(a)
+        return change(a, vals) if change else vals
 
-    monkeypatch.setattr(np.linalg, "eig", spied)
+    monkeypatch.setattr(np.linalg, "eigvals", spied)
     return dtypes
 
 
@@ -180,7 +180,7 @@ def _spy_eig(monkeypatch, change=None):
 def test_real_stack_goes_to_real_lapack(monkeypatch, d):
     rng = np.random.default_rng(200 + d)
     stack = rng.normal(size=(7, d, d))
-    dtypes = _spy_eig(monkeypatch)
+    dtypes = _spy_eigvals(monkeypatch)
     vals, ok = linalg.eigvals_stack(stack)
     assert dtypes == [np.float64]
     assert vals.dtype == complex and vals.shape == (7, d) and ok.all()
@@ -200,7 +200,7 @@ def test_real_stack_fails_only_its_bad_matrix(monkeypatch):
     clean, _ = linalg.eigvals_stack(stack)
     bad = stack.copy()
     bad[1, 2, 2] = np.nan
-    dtypes = _spy_eig(monkeypatch)
+    dtypes = _spy_eigvals(monkeypatch)
     vals, ok = linalg.eigvals_stack(bad)
     assert ok.tolist() == [True, False, True, True, True]
     assert np.isnan(vals[1]).all()
@@ -208,13 +208,13 @@ def test_real_stack_fails_only_its_bad_matrix(monkeypatch):
     assert np.array_equal(vals[keep], clean[keep])
     assert dtypes == [np.float64]
 
-    def unpaired(vals, vecs):  # matrix 3's vectors no longer fit its values
-        vecs = vecs.copy()
-        vecs[3] = np.roll(vecs[3], 1, axis=-1)
-        return vals, vecs
+    def shifted(a, vals):  # one eigenvalue of matrix 3 moves off its matrix
+        vals = vals.astype(complex)
+        vals[3, 0] += 1e-6 * (1 + np.linalg.norm(a[3]))
+        return vals
 
     monkeypatch.undo()
-    _spy_eig(monkeypatch, unpaired)
+    _spy_eigvals(monkeypatch, shifted)
     vals, ok = linalg.eigvals_stack(stack)
     assert ok.tolist() == [True, True, True, False, True]
     assert np.isnan(vals[3]).all()
@@ -230,16 +230,28 @@ def test_stack_shape_is_checked():
     assert vals.shape == (0, 3) and ok.shape == (0,)
 
 
-def _eig_failing_on(poisoned):
-    """np.linalg.eig that raises LinAlgError for any input holding a matrix
-    that poisoned(m) picks, as LAPACK does for the whole stack."""
-    eig = np.linalg.eig
+@pytest.mark.parametrize("N", [4, 7, 10])
+def test_power_sum_guard_holds_at_exceptional_points(N):
+    # the guard reads no vectors, so it stays quiet where they coalesce:
+    # at bethe's gamma_c, and over V up to 1e6 and gamma from 1e-10 to 1e3
+    specs = [xy(N, V=V, gamma=bethe.exact_boundary_gamma(N, V) * (1 + t))
+             for V in (3.0, 10.0, 100.0) for t in (-1e-12, 0.0, 1e-12)]
+    specs += [xy(N, V=float(V), gamma=float(g)) for V in np.geomspace(2.5, 1e6, 8)
+              for g in np.geomspace(1e-10, 1e3, 14)]
+    vals, ok = linalg.eigvals_stack(models.block_stack(specs, 0))
+    assert ok.all() and np.isfinite(vals).all()
+
+
+def _failing_on(solver, poisoned):
+    """solver (np.linalg.eig or eigvals) raising LinAlgError for any input
+    holding a matrix that poisoned(m) picks, as LAPACK does for the whole
+    stack."""
 
     def failing(a):
         mats = a if a.ndim == 3 else a[None]
         if any(poisoned(m) for m in mats):
             raise np.linalg.LinAlgError("injected non-convergence")
-        return eig(a)
+        return solver(a)
 
     return failing
 
@@ -248,8 +260,13 @@ def test_linalg_error_in_stack_lands_on_its_matrix(monkeypatch):
     rng = np.random.default_rng(5)
     stack = _random_stack(rng, 4, 5)
     expected = [linalg.eig(m).eigenvalues for m in stack]
-    monkeypatch.setattr(np.linalg, "eig",
-                        _eig_failing_on(lambda m: m[0, 0] == stack[1, 0, 0]))
+
+    def poisoned(m):
+        return m[0, 0] == stack[1, 0, 0]
+
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name,
+                            _failing_on(getattr(np.linalg, name), poisoned))
     vals, ok = linalg.eigvals_stack(stack)
     assert ok.tolist() == [True, False, True, True]
     assert np.isnan(vals[1]).all()
@@ -266,13 +283,46 @@ def test_linalg_error_makes_only_the_owning_node_nan(monkeypatch):
     # the real magnon block holds V at [0, 0] and gamma at [-1, 0], which
     # pick one node: V = 5, the middle gamma
     g = axes[1].values[1]
-    monkeypatch.setattr(np.linalg, "eig", _eig_failing_on(
-        lambda m: m[0, 0] == 5.0 and m[-1, 0] == g))
+    monkeypatch.setattr(np.linalg, "eigvals", _failing_on(
+        np.linalg.eigvals, lambda m: m[0, 0] == 5.0 and m[-1, 0] == g))
     grid = analysis.sweep_grid(xy(6), *axes)
     assert np.array_equal(np.isnan(grid.values),
                           [[0, 0, 0], [0, 1, 0], [0, 0, 0]])
     keep = ~np.isnan(grid.values)
     assert np.array_equal(grid.values[keep], clean.values[keep])
+
+
+def _swept_stacks():
+    """(model, stack) for each block the figures and the benchmark sweep,
+    over V or Delta in the figures' ranges and gamma from 1e-8 to 1.5: the
+    magnon chain at N = 2 .. 10, the ring at N = 4 .. 10 (d <= 108), and the
+    open Ising chain and the XY full space, one block each, at N <= 6."""
+    gammas = np.geomspace(1e-8, 1.5, 8)
+    templates = [xy(N) for N in range(2, 11)]
+    templates += [ring(N, J=1.0) for N in range(4, 11)]
+    templates += [ring(N, ising_boundary=IsingBoundary.OPEN) for N in range(2, 7)]
+    templates += [ModelSpec(ModelKind.XY_FULL_SPACE, N=N) for N in range(2, 7)]
+    for t in templates:
+        name = t.kind.control
+        xs = (np.geomspace(2.0, 100.0, 6) if name == "V"
+              else np.linspace(0.2, 2.0, 6))
+        specs = [replace(t, **{name: float(x), "gamma": float(g)})
+                 for x in xs for g in gammas]
+        for b in range(len(models.block_dims(t))):
+            yield t, models.block_stack(specs, b)
+
+
+def test_stack_eigenvalues_equal_eig_on_every_swept_block():
+    # values-only LAPACK rounds as eig does up to d = 108, so every value a
+    # sweep reads is one that eig's residual check certifies
+    count = 0
+    for t, stack in _swept_stacks():
+        vals, ok = linalg.eigvals_stack(stack)
+        assert ok.all(), t
+        for m, v in zip(stack, vals):
+            assert np.array_equal(v, linalg.eig(m).eigenvalues), (t, m.shape)
+        count += len(stack)
+    assert count == 49 * 48  # blocks x nodes
 
 
 def test_spectrum_csvs_byte_identical_to_reference_eig(monkeypatch, tmp_path):
@@ -314,7 +364,7 @@ def test_spectrum_vectors_diagonalizes_once(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the row-wise sweep
+# the chunked sweep
 
 def _figure_axes(number, x_name, x_key):
     params = cli.FIGURES[number][1]
@@ -352,22 +402,70 @@ def _counting_kernel(monkeypatch):
     return shapes
 
 
-def test_xy_grid_is_one_kernel_call_per_row(monkeypatch):
+def _chunk_spy(monkeypatch):
+    """Record each kernel call's shape and each (node, block) pair built for
+    the kernel."""
     shapes = _counting_kernel(monkeypatch)
-    analysis.sweep_grid(xy(6),
-                        analysis.AxisSpec.from_range("V", 2.0, 100.0, "log", 24),
-                        analysis.AxisSpec.from_range("gamma", 1e-8, 1.0, "log", 24))
-    assert shapes == [(24, 6, 6)] * 24
+    pairs, build, lock = [], analysis.block_stack, threading.Lock()
+
+    def built(specs, b):
+        with lock:
+            pairs.extend((s, b) for s in specs)
+        return build(specs, b)
+
+    monkeypatch.setattr(analysis, "block_stack", built)
+    return shapes, pairs
 
 
-def test_dense_nodes_go_to_the_kernel_one_at_a_time(monkeypatch, bloch_blocks):
-    # an open ring is one real 2^8 block per node, 0.5 MB each
+def _chunked_shapes(nodes, dims):
+    """The chunk rule: block b over the valid nodes in chunks of
+    _EIGVALS_GIL_SIZE // d + 1, the last chunk of each block shorter."""
+    out = []
+    for d in dims:
+        step = analysis._EIGVALS_GIL_SIZE // d + 1
+        out += [(min(step, nodes - s), d, d) for s in range(0, nodes, step)]
+    return sorted(out)
+
+
+def test_xy_grid_goes_to_the_kernel_in_chunks(monkeypatch):
+    shapes, pairs = _chunk_spy(monkeypatch)
+    x_axis = analysis.AxisSpec.from_range("V", 2.0, 100.0, "log", 24)
+    y_axis = analysis.AxisSpec.from_range("gamma", 1e-8, 1.0, "log", 24)
+    grid = analysis.sweep_grid(xy(6), x_axis, y_axis)
+    # 576 nodes in chunks of 84 across rows: 6 full and one of 72
+    assert sorted(shapes) == [(72, 6, 6)] + [(84, 6, 6)] * 6
+    assert len(pairs) == len(set(pairs)) == 576
+    monkeypatch.undo()
+    for i, x in enumerate(x_axis.values):
+        row = analysis.sweep_grid(xy(6), analysis.AxisSpec("V", "lin", x[None]),
+                                  y_axis)
+        assert row.values[0].tobytes() == grid.values[i].tobytes()
+
+
+def test_ring_grid_chunks_each_block_over_the_valid_nodes(monkeypatch):
+    # a negative gamma fails its spec, so 4 x 6 - 4 = 20 valid nodes
+    template = ring(8, J=1.0)
+    shapes, pairs = _chunk_spy(monkeypatch)
+    grid = analysis.sweep_grid(
+        template, analysis.AxisSpec.from_range("Delta", 0.2, 2.0, "lin", 4),
+        analysis.AxisSpec("gamma", "lin", np.array([-0.1, 1e-4, 0.01, 0.1, 0.5, 1.0])))
+    assert np.isnan(grid.values[:, 0]).all() and np.isfinite(grid.values[:, 1:]).all()
+    dims = models.block_dims(template)
+    assert sorted(shapes) == _chunked_shapes(20, dims)
+    assert sorted(shapes) != sorted((20, d, d) for d in dims)  # chunks split
+    assert len(pairs) == len(set(pairs)) == 20 * len(dims)
+    assert {s.gamma for s, _ in pairs} == {1e-4, 0.01, 0.1, 0.5, 1.0}
+
+
+def test_dense_nodes_go_to_the_kernel_in_chunks(monkeypatch, bloch_blocks):
+    # an open ring is one real 2^8 block per node: two nodes per chunk
     template = ring(8, Delta=1.0, ising_boundary=IsingBoundary.OPEN)
     x_axis = analysis.AxisSpec.from_range("Delta", 1.0, 1.0, "lin", 1)
     y_axis = analysis.AxisSpec.from_range("gamma", 0.1, 1.0, "log", 3)
-    shapes = _counting_kernel(monkeypatch)
+    shapes, pairs = _chunk_spy(monkeypatch)
     grid = analysis.sweep_grid(template, x_axis, y_axis)
-    assert shapes == [(1, 256, 256)] * 3
+    assert sorted(shapes) == [(1, 256, 256), (2, 256, 256)]
+    assert len(pairs) == len(set(pairs)) == 3
     assert_grid_matches_reference(
         grid, reference_grid(template, x_axis, y_axis, bloch_blocks))
 
