@@ -4,13 +4,14 @@ max|Im eps| over the blocks of models.hamiltonian_blocks, the ones the
 dynamics propagate, is the broken-phase indicator.  Every block is real in
 a PT-invariant basis, so real LAPACK gives an unbroken node without
 degenerate levels max|Im eps| = 0 exactly.  A sweep's unit of work is one
-block over a chunk of valid nodes, taken row-major over the whole grid and
-just large enough that numpy runs its values-only LAPACK without the GIL:
-built by models.block_stack, sent to linalg.eigvals_stack in one call.  The
-XY chain, in either space, breaks exactly where its
-one-magnon block does (free-fermion map), so its boundary is bisected in
-53-bit mpmath gamma on exact.magnon_broken, an exact Sturm count, however far
-gamma_c falls below double precision.  Where |V| > 2, bethe's gamma_c seeds a
+block over a chunk of valid nodes, taken row-major over the whole grid:
+built by models.block_stack, sent to linalg.eigvals_stack in one call, whose
+LAPACK runs without the GIL at any chunk size.  A chunk is just long enough
+to take numpy's batched loop, so tasks stay fine-grained.  The XY chain, in
+either space, breaks exactly where its one-magnon block does (free-fermion
+map), so its boundary is bisected in 53-bit mpmath gamma on
+exact.magnon_broken, an exact Sturm count, however far gamma_c falls below
+double precision.  Where |V| > 2, bethe's gamma_c seeds a
 window of relative half-width 2^-30 that two counts certify; the bisection
 counts only at midpoints inside it and returns the same double.  The Ising
 chain is bisected on the indicator above a floor that grows as 1 + Delta^2,
@@ -34,16 +35,6 @@ from .exact import bisect, decay_floor, magnon_broken, precision
 from .models import ModelKind, ModelSpec, StateVector, block_dims, block_stack
 
 BROKEN_THRESHOLD = 1e-10
-
-# numpy (2.4) keeps the GIL through np.linalg.eigvals unless the stack's
-# count x dimension exceeds this, while np.linalg.eig releases it at every
-# size: on two threads, one BLAS thread each, eigvals ran at CPU/wall 1.0
-# for (5, 100) and (50, 10) stacks and 1.8-2.0 for (6, 100) and (51, 10).
-# So a sweep sends a block of dimension d in chunks of
-# _EIGVALS_GIL_SIZE // d + 1 nodes, the fewest that run in parallel; a
-# chunk holds at most about 500 d + d^2 entries, and a block of d > 500
-# goes one node at a time.
-_EIGVALS_GIL_SIZE = 500
 
 # relative accuracy of the numeric boundary scan
 _REL_TOL = 1e-6
@@ -143,9 +134,14 @@ def sweep_grid(template: ModelSpec, x_axis: AxisSpec, y_axis: AxisSpec) -> Phase
     fails (EpchainError or ValueError) or whose block the kernel flags is
     NaN, and the grid is still returned.  The valid nodes are taken
     row-major, and the thread pool takes one task at a time: one block over
-    a chunk of _EIGVALS_GIL_SIZE // d + 1 of them (_block_max_im), so the
-    pool's LAPACK calls overlap and a node's blocks run on every worker; a
-    node is the largest over its blocks at any thread count.
+    a chunk of linalg.EIGVALS_GIL_SIZE // d + 1 of them (_block_max_im).
+    The kernel releases the GIL at any chunk size, so chunks overlap on the
+    pool whatever their length; a full chunk is the fewest nodes that take
+    numpy's batched loop, cheaper on tiny matrices than the ctypes loop of
+    a shorter real stack, in tasks small enough that a node's blocks run on
+    every worker.  A chunk holds at most about 500 d + d^2 entries, and a
+    block of d > 500 goes one node at a time.  A node is the largest over
+    its blocks at any thread count.
     """
     if y_axis.name != "gamma":
         raise ValueError("the sweep y-axis must be gamma")
@@ -162,7 +158,7 @@ def sweep_grid(template: ModelSpec, x_axis: AxisSpec, y_axis: AxisSpec) -> Phase
     valid = [s for s in specs if s is not None]
     tasks = []  # (block b, start, stop): b over valid[start:stop]
     for b, d in enumerate(block_dims(template)):
-        step = _EIGVALS_GIL_SIZE // d + 1
+        step = linalg.EIGVALS_GIL_SIZE // d + 1
         tasks += [(b, s, s + step) for s in range(0, len(valid), step)]
     im = np.full(len(valid), -np.inf)
     with ThreadPoolExecutor(max_workers=_sweep_workers()) as pool:

@@ -4,10 +4,13 @@ and the propagator exp(-i H dt) by scaling and squaring of the degree-13 Pade
 approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005).  One input
 rule (a real matrix stays real) serves the eigendecomposition of one matrix
 (eig, right vectors and residuals) and the eigenvalues of a stack
-(eigvals_stack, one values-only LAPACK call for a sweep chunk, checked by a
-power-sum guard); the propagator takes one matrix or a stack, with one
-linear solve, as 2^e u.  Nothing here mutates its inputs.  one_blas_thread
-pins numpy's OpenBLAS to one thread for a block.
+(eigvals_stack, values-only LAPACK for a sweep chunk, checked by a power-sum
+guard).  A short real stack reaches numpy's own LAPACK dgeev through ctypes,
+which releases the GIL where np.linalg.eigvals keeps it; every other stack
+goes to np.linalg.eigvals, and both give the same bits.  The propagator
+takes one matrix or a stack, with one linear solve, as 2^e u.  Nothing here
+mutates its inputs.  one_blas_thread pins numpy's OpenBLAS to one thread for
+a block.
 """
 
 from __future__ import annotations
@@ -47,25 +50,106 @@ def _kernel_input(m, ndim: int) -> np.ndarray:
     return a
 
 
+# numpy (2.4) keeps the GIL through np.linalg.eigvals unless the stack's
+# count x dimension exceeds this, while np.linalg.eig releases it at every
+# size: on two threads, one BLAS thread each, eigvals ran at CPU/wall 1.0
+# for (5, 100) and (50, 10) stacks and 1.8-2.0 for (6, 100) and (51, 10).
+# So eigvals_stack sends a real stack whose count x dimension is at most
+# this to dgeev through ctypes, which releases the GIL at every size, and a
+# larger one to numpy.  Sending every real stack to ctypes made the sweeps'
+# long chunks of tiny matrices slower: bench/run.py --workload xy-grid
+# (d <= 10, 2 vCPU, 9 alternating pairs of 8 s runs) read wall_s 0.047 ->
+# 0.059 s and cpu_s 0.059 -> 0.074 s, medians, slower in 9 of 9 pairs.
+EIGVALS_GIL_SIZE = 500
+
+
+@functools.cache
+def _numpy_lapack():
+    """numpy's LAPACK extension opened by ctypes, the one library whose
+    LAPACK and BLAS np.linalg calls, or None where it does not open."""
+    try:
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return None
+
+
+def _bind(name, argtypes, restype):
+    """The function name of _numpy_lapack(), typed here once, or None where
+    the library or the name is missing (None has no attributes either)."""
+    try:
+        fn = getattr(_numpy_lapack(), name)
+    except AttributeError:
+        return None
+    fn.argtypes, fn.restype = argtypes, restype
+    return fn
+
+
 # numpy's own OpenBLAS (the scipy-openblas build of numpy >= 2 wheels) names
-# its thread count functions so; dlsym on numpy's LAPACK extension finds them
-# in the library it links
+# its thread count functions and its ILP64 LAPACK (64-bit integers) so
 _BLAS_THREAD_SYMBOLS = ("scipy_openblas_get_num_threads64_",
                         "scipy_openblas_set_num_threads64_")
+_DGEEV_SYMBOL = "scipy_dgeev_64_"
 
 
 @functools.cache
 def _blas_threads():
     """(get, set) of the thread count of numpy's OpenBLAS, or None where
     numpy links another BLAS or an OpenBLAS under other names."""
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        get, set_ = (getattr(lib, name) for name in _BLAS_THREAD_SYMBOLS)
-    except (AttributeError, OSError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
+    get = _bind(_BLAS_THREAD_SYMBOLS[0], [], ctypes.c_int)
+    set_ = _bind(_BLAS_THREAD_SYMBOLS[1], [ctypes.c_int], None)
+    return None if get is None or set_ is None else (get, set_)
+
+
+@functools.cache
+def _dgeev():
+    """LAPACK dgeev from numpy's library, the routine np.linalg.eigvals runs
+    on a real stack, with every array passed as an address, or None."""
+    i64, ptr, char = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p, ctypes.c_char_p
+    # jobvl, jobvr, n, a, lda, wr, wi, vl, ldvl, vr, ldvr, work, lwork, info
+    return _bind(_DGEEV_SYMBOL, [char, char, i64, ptr, i64, ptr, ptr, ptr, i64,
+                                 ptr, i64, ptr, i64, i64], None)
+
+
+@functools.cache
+def _dgeev_lwork(d: int) -> int:
+    """dgeev's workspace for values only at dimension d, from one workspace
+    query, truncated to an integer as numpy takes it."""
+    work, n, one = ctypes.c_double(), ctypes.c_int64(d), ctypes.c_int64(1)
+    _dgeev()(b"N", b"N", n, None, n, None, None, None, one, None, one,
+             ctypes.addressof(work), ctypes.c_int64(-1), ctypes.c_int64())
+    return int(work.value)
+
+
+def _dgeev_eigvals(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a real (k, d, d) stack as np.linalg.eigvals computes
+    them (dgeev('N', 'N') on a Fortran-order copy, with the workspace its
+    query asks for), one matrix per ctypes call, which releases the GIL;
+    complex (k, d).  LinAlgError where dgeev fails on a matrix, as numpy."""
+    k, d = a.shape[:2]
+    dgeev, lwork = _dgeev(), ctypes.c_int64(_dgeev_lwork(d))
+    f = np.ascontiguousarray(a.swapaxes(-1, -2))  # f[i]: a[i] in Fortran order
+    w = np.empty((k, 2, d))  # (wr, wi) of each matrix
+    work = np.empty(lwork.value)  # this call's own: threads share none
+    n, one, info = ctypes.c_int64(d), ctypes.c_int64(1), ctypes.c_int64()
+    fp, wp, wk, row = f.ctypes.data, w.ctypes.data, work.ctypes.data, 8 * d
+    for i in range(k):
+        dgeev(b"N", b"N", n, fp + i * d * row, n, wp + 2 * i * row,
+              wp + (2 * i + 1) * row, None, one, None, one, wk, lwork, info)
+        if info.value:
+            raise np.linalg.LinAlgError(f"dgeev failed with info {info.value}")
+    vals = np.empty((k, d), dtype=complex)
+    vals.real, vals.imag = w[:, 0], w[:, 1]
+    return vals
+
+
+def _eigvals(a: np.ndarray) -> np.ndarray:
+    """The kernel's one LAPACK seam: the unsorted eigenvalues of a finite
+    (k, d, d) float or complex stack, by the path eigvals_stack describes;
+    LinAlgError where LAPACK fails on any matrix."""
+    if (a.dtype == float and a.shape[0] * a.shape[1] <= EIGVALS_GIL_SIZE
+            and _dgeev() is not None):
+        return _dgeev_eigvals(a)
+    return np.linalg.eigvals(a)
 
 
 @contextlib.contextmanager
@@ -165,12 +249,20 @@ def _eig_stack(a: np.ndarray):
 
 
 def eigvals_stack(stack) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of every matrix of a (k, d, d) stack, values only, in one
-    np.linalg.eigvals call, real or complex by _kernel_input.  Returns
-    (vals, ok): vals[n] holds the eigenvalues of stack[n] sorted by (Re, Im),
-    as a complex array; ok[n] is False where that matrix is not finite,
-    LAPACK fails on it, or it fails the power-sum guard, and vals[n] is then
-    NaN.  One bad matrix never fails the others.
+    """Eigenvalues of every matrix of a (k, d, d) stack, values only, real
+    or complex by _kernel_input.  Returns (vals, ok): vals[n] holds the
+    eigenvalues of stack[n] sorted by (Re, Im), as a complex array; ok[n] is
+    False where that matrix is not finite, LAPACK fails on it, or it fails
+    the power-sum guard, and vals[n] is then NaN.  One bad matrix never
+    fails the others.
+
+    The stack goes to LAPACK through _eigvals: a real stack of k d <=
+    EIGVALS_GIL_SIZE to dgeev through ctypes, one matrix per call, so that
+    pool threads overlap at every chunk size; a longer or complex stack (or
+    any, where numpy's dgeev is not found) to one np.linalg.eigvals call.
+    The ctypes path repeats numpy's call (the same routine in the same
+    library, the same Fortran-order copy and workspace), so each matrix gets
+    the same bits on either path.
 
     The power-sum guard stands in for eig's residual check, which needs
     vectors: with s = 1 + ||A||_F it asks |sum(lam) - tr A| <= tol d s and
@@ -186,13 +278,13 @@ def eigvals_stack(stack) -> tuple[np.ndarray, np.ndarray]:
     if not finite.all():
         a = np.where(finite[:, None, None], a, 0)
     try:
-        vals = np.linalg.eigvals(a)
+        vals = _eigvals(a)
     except np.linalg.LinAlgError:
         # error path: retry one matrix at a time so the failure lands on it
         vals = np.full(a.shape[:-1], np.nan, dtype=complex)
         for n in range(len(a)):
             try:
-                vals[n] = np.linalg.eigvals(a[n])
+                vals[n] = _eigvals(a[n:n + 1])[0]
             except np.linalg.LinAlgError:
                 pass
     order = np.lexsort((vals.imag, vals.real), axis=-1)

@@ -3,6 +3,7 @@ built on it, checked bitwise against a per-matrix reference: a test-only copy
 of the single-matrix eigendecomposition the kernel replaced, and the
 node-by-node sweep that called it."""
 
+import ctypes
 import threading
 from dataclasses import replace
 
@@ -162,64 +163,138 @@ def test_nonfinite_matrix_flags_only_itself(bad):
         assert np.array_equal(vals[n], linalg.eig(stack[n]).eigenvalues)
 
 
-def _spy_eigvals(monkeypatch, change=None):
-    """Record the dtype of every stack np.linalg.eigvals gets; change(a, vals)
-    may rewrite what it returns."""
-    dtypes, eigvals = [], np.linalg.eigvals
+def _spy_kernel(patch, change=None):
+    """Record the dtype of every stack the kernel's one LAPACK seam
+    (linalg._eigvals, both paths) gets; change(a, vals) may rewrite what it
+    returns."""
+    dtypes, seam = [], linalg._eigvals
 
     def spied(a):
         dtypes.append(a.dtype)
-        vals = eigvals(a)
+        vals = seam(a)
         return change(a, vals) if change else vals
 
-    monkeypatch.setattr(np.linalg, "eigvals", spied)
+    patch.setattr(linalg, "_eigvals", spied)
     return dtypes
+
+
+def _short_and_long(d, short):
+    """A short stack length (count x d <= EIGVALS_GIL_SIZE: dgeev through
+    ctypes) and the shortest long one (np.linalg.eigvals) at dimension d."""
+    assert short * d <= linalg.EIGVALS_GIL_SIZE
+    return short, linalg.EIGVALS_GIL_SIZE // d + 1
 
 
 @pytest.mark.parametrize("d", range(1, 13))
 def test_real_stack_goes_to_real_lapack(monkeypatch, d):
-    rng = np.random.default_rng(200 + d)
-    stack = rng.normal(size=(7, d, d))
-    dtypes = _spy_eigvals(monkeypatch)
-    vals, ok = linalg.eigvals_stack(stack)
-    assert dtypes == [np.float64]
-    assert vals.dtype == complex and vals.shape == (7, d) and ok.all()
-    for v in vals:
-        assert np.array_equal(np.lexsort((v.imag, v.real)), np.arange(d))
-        # each conjugate pair sits side by side, Im < 0 first, with one Re
-        pairs = np.flatnonzero(v.imag != 0)
-        lo, hi = pairs[::2], pairs[1::2]
-        assert np.array_equal(hi, lo + 1)
-        assert np.array_equal(v[hi], v[lo].conj()) and np.all(v[lo].imag < 0)
-    assert (vals.imag != 0).any() == (d > 1)  # a random stack holds pairs
+    for k in _short_and_long(d, 7):
+        rng = np.random.default_rng(200 + d)
+        stack = rng.normal(size=(k, d, d))
+        with monkeypatch.context() as patch:
+            dtypes = _spy_kernel(patch)
+            vals, ok = linalg.eigvals_stack(stack)
+        assert dtypes == [np.float64]
+        assert vals.dtype == complex and vals.shape == (k, d) and ok.all()
+        for v in vals:
+            assert np.array_equal(np.lexsort((v.imag, v.real)), np.arange(d))
+            # each conjugate pair sits side by side, Im < 0 first, with one Re
+            pairs = np.flatnonzero(v.imag != 0)
+            lo, hi = pairs[::2], pairs[1::2]
+            assert np.array_equal(hi, lo + 1)
+            assert np.array_equal(v[hi], v[lo].conj()) and np.all(v[lo].imag < 0)
+        assert (vals.imag != 0).any() == (d > 1)  # a random stack holds pairs
 
 
 def test_real_stack_fails_only_its_bad_matrix(monkeypatch):
-    rng = np.random.default_rng(6)
+    for k in _short_and_long(6, 5):
+        rng = np.random.default_rng(6)
+        stack = rng.normal(size=(k, 6, 6))
+        clean, _ = linalg.eigvals_stack(stack)
+        bad = stack.copy()
+        bad[1, 2, 2] = np.nan
+        with monkeypatch.context() as patch:
+            dtypes = _spy_kernel(patch)
+            vals, ok = linalg.eigvals_stack(bad)
+        assert ok.tolist() == [n != 1 for n in range(k)]
+        assert np.isnan(vals[1]).all()
+        assert np.array_equal(vals[ok], clean[ok])
+        assert dtypes == [np.float64]
+
+        def shifted(a, vals):  # one eigenvalue of matrix 3 moves off its matrix
+            vals = vals.astype(complex)
+            vals[3, 0] += 1e-6 * (1 + np.linalg.norm(a[3]))
+            return vals
+
+        with monkeypatch.context() as patch:
+            _spy_kernel(patch, shifted)
+            vals, ok = linalg.eigvals_stack(stack)
+        assert ok.tolist() == [n != 3 for n in range(k)]
+        assert np.isnan(vals[3]).all()
+        assert np.array_equal(vals[ok], clean[ok])
+
+
+def test_dgeev_failure_lands_on_its_matrix(monkeypatch):
+    # dgeev's info > 0 (no convergence) becomes LinAlgError, and the
+    # per-matrix retry flags only the matrix it came from
+    if linalg._dgeev() is None:
+        pytest.skip("numpy's LAPACK exposes no ILP64 dgeev")
+    rng = np.random.default_rng(9)
     stack = rng.normal(size=(5, 6, 6))
     clean, _ = linalg.eigvals_stack(stack)
-    bad = stack.copy()
-    bad[1, 2, 2] = np.nan
-    dtypes = _spy_eigvals(monkeypatch)
-    vals, ok = linalg.eigvals_stack(bad)
-    assert ok.tolist() == [True, False, True, True, True]
-    assert np.isnan(vals[1]).all()
-    keep = [0, 2, 3, 4]
-    assert np.array_equal(vals[keep], clean[keep])
-    assert dtypes == [np.float64]
+    dgeev = linalg._dgeev()
 
-    def shifted(a, vals):  # one eigenvalue of matrix 3 moves off its matrix
-        vals = vals.astype(complex)
-        vals[3, 0] += 1e-6 * (1 + np.linalg.norm(a[3]))
-        return vals
+    def failing_on_matrix_2(*args):
+        # a[0, 0] of the Fortran-order copy, read before dgeev overwrites it
+        poisoned = ctypes.c_double.from_address(args[3]).value == stack[2, 0, 0]
+        dgeev(*args)
+        if poisoned:
+            args[-1].value = 1
 
-    monkeypatch.undo()
-    _spy_eigvals(monkeypatch, shifted)
+    monkeypatch.setattr(linalg, "_dgeev", lambda: failing_on_matrix_2)
     vals, ok = linalg.eigvals_stack(stack)
-    assert ok.tolist() == [True, True, True, False, True]
-    assert np.isnan(vals[3]).all()
-    keep = [0, 1, 2, 4]
-    assert np.array_equal(vals[keep], clean[keep])
+    assert ok.tolist() == [True, True, False, True, True]
+    assert np.isnan(vals[2]).all()
+    assert np.array_equal(vals[ok], clean[ok])
+
+
+def _dispatch_spy(patch):
+    """Count the kernel's dgeev calls through ctypes and its
+    np.linalg.eigvals calls."""
+    calls = {"dgeev": 0, "eigvals": 0}
+    dgeev, eigvals = linalg._dgeev(), np.linalg.eigvals
+
+    def counted_dgeev(*args):
+        calls["dgeev"] += 1
+        return dgeev(*args)
+
+    def counted_eigvals(a):
+        calls["eigvals"] += 1
+        return eigvals(a)
+
+    patch.setattr(linalg, "_dgeev", lambda: counted_dgeev)
+    patch.setattr(np.linalg, "eigvals", counted_eigvals)
+    return calls
+
+
+@pytest.mark.parametrize("d", [1, 6, 33, 100, 500])
+def test_short_real_stacks_reach_dgeev_and_the_rest_numpy(monkeypatch, d):
+    # on either side of count x d = EIGVALS_GIL_SIZE
+    if linalg._dgeev() is None:
+        pytest.skip("numpy's LAPACK exposes no ILP64 dgeev")
+    short, long_ = _short_and_long(d, linalg.EIGVALS_GIL_SIZE // d)
+    rng = np.random.default_rng(d)
+    linalg._dgeev_lwork(d)  # its workspace query is not counted
+    for k, real, path, count in [(short, True, "dgeev", short),
+                                 (long_, True, "eigvals", 1),
+                                 (short, False, "eigvals", 1)]:
+        stack = rng.normal(size=(k, d, d))
+        if not real:
+            stack = stack + 1j * rng.normal(size=(k, d, d))
+        with monkeypatch.context() as patch:
+            calls = _dispatch_spy(patch)
+            vals, ok = linalg.eigvals_stack(stack)
+        assert ok.all()
+        assert calls == {"dgeev": 0, "eigvals": 0, path: count}, (k, real)
 
 
 def test_stack_shape_is_checked():
@@ -243,9 +318,9 @@ def test_power_sum_guard_holds_at_exceptional_points(N):
 
 
 def _failing_on(solver, poisoned):
-    """solver (np.linalg.eig or eigvals) raising LinAlgError for any input
-    holding a matrix that poisoned(m) picks, as LAPACK does for the whole
-    stack."""
+    """solver (np.linalg.eig or eigvals, or the kernel's LAPACK seam
+    linalg._eigvals) raising LinAlgError for any input holding a matrix that poisoned(m)
+    picks, as LAPACK does for the whole stack."""
 
     def failing(a):
         mats = a if a.ndim == 3 else a[None]
@@ -277,19 +352,24 @@ def test_linalg_error_in_stack_lands_on_its_matrix(monkeypatch):
 
 
 def test_linalg_error_makes_only_the_owning_node_nan(monkeypatch):
-    axes = (analysis.AxisSpec.from_range("V", 2.0, 8.0, "lin", 3),
-            analysis.AxisSpec.from_range("gamma", 0.1, 1.0, "lin", 3))
-    clean = analysis.sweep_grid(xy(6), *axes)
-    # the real magnon block holds V at [0, 0] and gamma at [-1, 0], which
-    # pick one node: V = 5, the middle gamma
-    g = axes[1].values[1]
-    monkeypatch.setattr(np.linalg, "eigvals", _failing_on(
-        np.linalg.eigvals, lambda m: m[0, 0] == 5.0 and m[-1, 0] == g))
-    grid = analysis.sweep_grid(xy(6), *axes)
-    assert np.array_equal(np.isnan(grid.values),
-                          [[0, 0, 0], [0, 1, 0], [0, 0, 0]])
-    keep = ~np.isnan(grid.values)
-    assert np.array_equal(grid.values[keep], clean.values[keep])
+    # 3 x 3 nodes go in one short chunk (dgeev through ctypes); with 3 x 41
+    # the poisoned node, 61, falls in the first chunk of 84 (np.linalg.eigvals)
+    for count in (3, 41):
+        axes = (analysis.AxisSpec.from_range("V", 2.0, 8.0, "lin", 3),
+                analysis.AxisSpec.from_range("gamma", 0.1, 1.0, "lin", count))
+        clean = analysis.sweep_grid(xy(6), *axes)
+        # the real magnon block holds V at [0, 0] and gamma at [-1, 0], which
+        # pick one node: V = 5, the middle gamma
+        g = axes[1].values[count // 2]
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_eigvals", _failing_on(
+                linalg._eigvals, lambda m: m[0, 0] == 5.0 and m[-1, 0] == g))
+            grid = analysis.sweep_grid(xy(6), *axes)
+        expected = np.zeros((3, count), bool)
+        expected[1, count // 2] = True
+        assert np.array_equal(np.isnan(grid.values), expected)
+        keep = ~expected
+        assert np.array_equal(grid.values[keep], clean.values[keep])
 
 
 def _swept_stacks():
@@ -312,17 +392,72 @@ def _swept_stacks():
             yield t, models.block_stack(specs, b)
 
 
+def _sorted_eigvals(m):
+    """np.linalg.eigvals of one matrix, sorted by (Re, Im) as the kernel
+    sorts."""
+    v = np.linalg.eigvals(m).astype(complex)
+    return v[np.lexsort((v.imag, v.real))]
+
+
+def _sent_three_ways(stack):
+    """(vals, ok) of eigvals_stack on the whole stack, one node at a time,
+    and in the longest short chunks: count x d <= EIGVALS_GIL_SIZE, the
+    stacks that go to dgeev through ctypes, where d allows more than one."""
+    step = max(1, linalg.EIGVALS_GIL_SIZE // stack.shape[-1])
+    ways = []
+    for size in (len(stack), 1, step):
+        parts = [linalg.eigvals_stack(stack[s:s + size])
+                 for s in range(0, len(stack), size)]
+        ways.append(tuple(np.concatenate(p) for p in zip(*parts)))
+    return ways
+
+
 def test_stack_eigenvalues_equal_eig_on_every_swept_block():
     # values-only LAPACK rounds as eig does up to d = 108, so every value a
-    # sweep reads is one that eig's residual check certifies
+    # sweep reads is one that eig's residual check certifies, whichever
+    # path (dgeev through ctypes, or np.linalg.eigvals) the stack takes
     count = 0
     for t, stack in _swept_stacks():
-        vals, ok = linalg.eigvals_stack(stack)
-        assert ok.all(), t
-        for m, v in zip(stack, vals):
-            assert np.array_equal(v, linalg.eig(m).eigenvalues), (t, m.shape)
+        expected = [linalg.eig(m).eigenvalues for m in stack]
+        for vals, ok in _sent_three_ways(stack):
+            assert ok.all(), t
+            for m, v, e in zip(stack, vals, expected):
+                assert np.array_equal(v, e), (t, m.shape)
+                assert np.array_equal(v, _sorted_eigvals(m)), (t, m.shape)
         count += len(stack)
     assert count == 49 * 48  # blocks x nodes
+
+
+def _large_stacks():
+    """The open chain and the XY full space at N = 8 (d = 256), six nodes
+    each, and two random real matrices each at d = 499 and 500, the largest
+    a single ctypes call takes."""
+    gammas = np.geomspace(1e-8, 1.5, 3)
+    for t in (ring(8, ising_boundary=IsingBoundary.OPEN),
+              ModelSpec(ModelKind.XY_FULL_SPACE, N=8)):
+        name = t.kind.control
+        xs = (2.0, 100.0) if name == "V" else (0.2, 2.0)
+        yield models.block_stack([replace(t, **{name: x, "gamma": float(g)})
+                                  for x in xs for g in gammas], 0)
+    rng = np.random.default_rng(499)
+    for d in (499, 500):
+        yield rng.normal(size=(2, d, d))
+
+
+def test_large_stacks_equal_numpy_bitwise_on_either_path():
+    # whole, these stacks go to np.linalg.eigvals; one node at a time, to
+    # dgeev through ctypes.  From d = 128 values-only LAPACK may round apart
+    # from eig, so eig is met to roundoff only.
+    for stack in _large_stacks():
+        d = stack.shape[-1]
+        expected = [_sorted_eigvals(m) for m in stack]
+        for vals, ok in _sent_three_ways(stack):
+            assert ok.all(), d
+            for v, e in zip(vals, expected):
+                assert np.array_equal(v, e), d
+        for m, e in zip(stack, expected if d == 256 else []):
+            got = linalg.eig(m).eigenvalues
+            assert np.max(np.abs(got - e)) <= 1e-10 * (1 + np.linalg.norm(m))
 
 
 def test_spectrum_csvs_byte_identical_to_reference_eig(monkeypatch, tmp_path):
@@ -419,10 +554,10 @@ def _chunk_spy(monkeypatch):
 
 def _chunked_shapes(nodes, dims):
     """The chunk rule: block b over the valid nodes in chunks of
-    _EIGVALS_GIL_SIZE // d + 1, the last chunk of each block shorter."""
+    EIGVALS_GIL_SIZE // d + 1, the last chunk of each block shorter."""
     out = []
     for d in dims:
-        step = analysis._EIGVALS_GIL_SIZE // d + 1
+        step = linalg.EIGVALS_GIL_SIZE // d + 1
         out += [(min(step, nodes - s), d, d) for s in range(0, nodes, step)]
     return sorted(out)
 

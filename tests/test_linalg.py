@@ -326,14 +326,54 @@ def _no_library(path):
     raise OSError(f"cannot load {path}")
 
 
+@pytest.fixture
+def fresh_bindings():
+    """Clear the cached ctypes bindings of numpy's library before and after
+    the test, so a patched ctypes.CDLL is what they open, and the real
+    library is found again on the next call after it."""
+    caches = (linalg._numpy_lapack, linalg._blas_threads, linalg._dgeev)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
 @pytest.mark.parametrize("cdll", [_LibraryWithoutThreadCount, _no_library])
-def test_one_blas_thread_without_the_symbols_does_nothing(monkeypatch, cdll):
+def test_one_blas_thread_without_the_symbols_does_nothing(monkeypatch, cdll,
+                                                          fresh_bindings):
     monkeypatch.setattr(linalg.ctypes, "CDLL", cdll)
-    linalg._blas_threads.cache_clear()
-    try:
-        assert linalg._blas_threads() is None
-        with linalg.one_blas_thread():
-            spectrum = linalg.eig(h_eq(4, 0.0, 0.5))
-        assert spectrum.dim == 4
-    finally:
-        linalg._blas_threads.cache_clear()  # found again on the next call
+    assert linalg._blas_threads() is None
+    with linalg.one_blas_thread():
+        spectrum = linalg.eig(h_eq(4, 0.0, 0.5))
+    assert spectrum.dim == 4
+
+
+# ---------------------------------------------------------------------------
+# eigvals_stack without numpy's dgeev
+
+def _short_real_stacks():
+    rng = np.random.default_rng(11)
+    stacks = [rng.normal(size=(k, d, d)) for k, d in [(1, 1), (7, 6), (5, 100)]]
+    return stacks + [models.block_stack(
+        [ModelSpec(ModelKind.TRANSVERSE_ISING, N=8, Delta=0.7, gamma=g)
+         for g in (1e-3, 0.2, 0.9)], b) for b in range(3)]
+
+
+@pytest.mark.parametrize("cdll", [_LibraryWithoutThreadCount, _no_library])
+def test_eigvals_stack_without_dgeev_gives_the_same_bits(monkeypatch, cdll,
+                                                         fresh_bindings):
+    # every stack here is real and short, so with dgeev found it goes
+    # through ctypes; without it, to np.linalg.eigvals
+    stacks = _short_real_stacks()
+    assert linalg._dgeev() is not None
+    found = [linalg.eigvals_stack(a) for a in stacks]
+    linalg._dgeev.cache_clear()
+    linalg._numpy_lapack.cache_clear()
+    monkeypatch.setattr(linalg.ctypes, "CDLL", cdll)
+    assert linalg._dgeev() is None
+    for a, (vals, ok) in zip(stacks, found):
+        got, got_ok = linalg.eigvals_stack(a)
+        assert ok.all() and np.array_equal(got_ok, ok)
+        assert got.tobytes() == vals.tobytes()
+
