@@ -3,11 +3,13 @@
 max|Im eps| over the blocks of models.hamiltonian_blocks, the ones the
 dynamics propagate, is the broken-phase indicator.  Every block is real in
 a PT-invariant basis, so real LAPACK gives an unbroken node without
-degenerate levels max|Im eps| = 0 exactly.  A sweep's unit of work is one
-block over a chunk of valid nodes, taken row-major over the whole grid:
-built by models.block_stack, sent to linalg.eigvals_stack in one call, whose
-LAPACK runs without the GIL at any chunk size.  A chunk is just long enough
-to take numpy's batched loop, so tasks stay fine-grained.  The XY chain, in
+degenerate levels max|Im eps| = 0 exactly.  A sweep validates each axis
+value once and takes its valid nodes row-major over the whole grid as two
+parameter arrays; its unit of work is one block over a chunk of them: built
+by models.block_stack from the arrays' slices, with no ModelSpec per node,
+and sent to linalg.eigvals_stack in one call, whose LAPACK runs without the
+GIL at any chunk size.  A chunk is just long enough to take numpy's batched
+loop, so tasks stay fine-grained.  The XY chain, in
 either space, breaks exactly where its one-magnon block does (free-fermion
 map), so its boundary is bisected in 53-bit mpmath gamma on
 exact.magnon_broken, an exact Sturm count, however far gamma_c falls below
@@ -16,6 +18,7 @@ window of relative half-width 2^-30 that two counts certify; the bisection
 counts only at midpoints inside it and returns the same double.  The Ising
 chain is bisected on the indicator above a floor that grows as 1 + Delta^2,
 above the roundoff pairs of levels that cross inside one real block.
+mpmath is not imported here: analysis.mp loads it on first read.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
-import mpmath as mp  # kept as analysis.mp: bench/tracer.py wraps analysis.mp.polyroots
 import numpy as np
 
 from . import bethe, linalg
@@ -50,6 +52,14 @@ BOUNDARY_REL_TOL = 1e-3
 # (scale/gap)^N near its exceptional points.  The true signal grows as a
 # square root, so the bias stays ~(floor/signal_slope)^2.
 _FULL_SPACE_SCAN_FLOOR = 3e-4
+
+
+def __getattr__(name: str):
+    """analysis.mp: mpmath, imported on first read, for bench/tracer.py."""
+    if name == "mp":
+        import mpmath
+        return mpmath
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -90,11 +100,12 @@ class PhaseGrid:
         return self.values > BROKEN_THRESHOLD
 
 
-def _block_max_im(specs: list[ModelSpec], b: int) -> np.ndarray:
-    """max|Im eps| of block b of hamiltonian_blocks(spec) for each of specs
-    (one kind and N), NaN where the kernel flags it: the block's stack, sent
-    to linalg.eigvals_stack in one call."""
-    vals, ok = linalg.eigvals_stack(block_stack(specs, b))
+def _block_max_im(template: ModelSpec, b: int,
+                  params: dict[str, np.ndarray] | None = None) -> np.ndarray:
+    """max|Im eps| of block b of hamiltonian_blocks at each node of
+    block_stack(template, b, params), NaN where the kernel flags it: the
+    block's stack, sent to linalg.eigvals_stack in one call."""
+    vals, ok = linalg.eigvals_stack(block_stack(template, b, params))
     return np.where(ok, np.max(np.abs(vals.imag), axis=-1), np.nan)
 
 
@@ -106,7 +117,7 @@ def max_im_epsilon(spec: ModelSpec) -> float:
     The boundary scan needs an answer at every gamma it probes, so a block
     the eigen kernel flags raises NonConvergence here instead of giving NaN.
     """
-    value = float(np.max([_block_max_im([spec], b)
+    value = float(np.max([_block_max_im(spec, b)
                           for b in range(len(block_dims(spec)))]))
     if math.isnan(value):
         raise NonConvergence(f"eigendecomposition failed at {spec}")
@@ -130,11 +141,14 @@ def sweep_grid(template: ModelSpec, x_axis: AxisSpec, y_axis: AxisSpec) -> Phase
     """Evaluate max|Im eps| at every grid node, deterministic row-major order.
 
     The x-axis is the parameter the model reads, template.kind.control.
-    Each node is one dataclasses.replace of the template; a node whose spec
-    fails (EpchainError or ValueError) or whose block the kernel flags is
-    NaN, and the grid is still returned.  The valid nodes are taken
-    row-major, and the thread pool takes one task at a time: one block over
-    a chunk of linalg.EIGVALS_GIL_SIZE // d + 1 of them (_block_max_im).
+    Each axis value is validated once, as one dataclasses.replace of the
+    template; ModelSpec checks each field on its own, so a node is valid
+    exactly when both of its values are.  A node with an invalid value
+    (EpchainError or ValueError) or whose block the kernel flags is NaN,
+    and the grid is still returned.  The valid nodes are taken row-major as
+    two parameter arrays, and the thread pool takes one task at a time: one
+    block over a chunk of linalg.EIGVALS_GIL_SIZE // d + 1 of them, built by
+    block_stack from the arrays' slices (_block_max_im).
     The kernel releases the GIL at any chunk size, so chunks overlap on the
     pool whatever their length; a full chunk is the fewest nodes that take
     numpy's batched loop, cheaper on tiny matrices than the ctypes loop of
@@ -145,28 +159,38 @@ def sweep_grid(template: ModelSpec, x_axis: AxisSpec, y_axis: AxisSpec) -> Phase
     """
     if y_axis.name != "gamma":
         raise ValueError("the sweep y-axis must be gamma")
-    if x_axis.name != template.kind.control:
+    name = template.kind.control
+    if x_axis.name != name:
         raise ValueError(f"unknown sweep parameter {x_axis.name!r} for {template.kind}")
 
-    def node(x: float, g: float) -> ModelSpec | None:
+    def checked(axis: AxisSpec, value: float) -> bool:
         try:
-            return replace(template, **{x_axis.name: float(x), "gamma": float(g)})
+            replace(template, **{axis.name: value})
         except (EpchainError, ValueError):
-            return None
+            return False
+        return True
 
-    specs = [node(x, g) for x in x_axis.values for g in y_axis.values]
-    valid = [s for s in specs if s is not None]
-    tasks = []  # (block b, start, stop): b over valid[start:stop]
+    xs, gs = (np.asarray(a.values, dtype=float) for a in (x_axis, y_axis))
+    mask = np.logical_and.outer([checked(x_axis, x) for x in xs.tolist()],
+                                [checked(y_axis, g) for g in gs.tolist()])
+    x_grid, g_grid = np.meshgrid(xs, gs, indexing="ij")
+    params = {name: x_grid[mask], "gamma": g_grid[mask]}  # row-major
+    nodes = len(params["gamma"])
+    tasks = []  # (block b, start, stop): b over the valid nodes [start, stop)
     for b, d in enumerate(block_dims(template)):
         step = linalg.EIGVALS_GIL_SIZE // d + 1
-        tasks += [(b, s, s + step) for s in range(0, len(valid), step)]
-    im = np.full(len(valid), -np.inf)
+        tasks += [(b, s, s + step) for s in range(0, nodes, step)]
+
+    def task(t: tuple[int, int, int]) -> np.ndarray:
+        b, s, e = t
+        return _block_max_im(template, b, {k: v[s:e] for k, v in params.items()})
+
+    im = np.full(nodes, -np.inf)
     with ThreadPoolExecutor(max_workers=_sweep_workers()) as pool:
-        ims = pool.map(lambda t: _block_max_im(valid[t[1]:t[2]], t[0]), tasks)
-        for (_, s, e), chunk in zip(tasks, ims):
+        for (_, s, e), chunk in zip(tasks, pool.map(task, tasks)):
             im[s:e] = np.maximum(im[s:e], chunk)  # NaN propagates
-    values = np.full((len(x_axis.values), len(y_axis.values)), np.nan)
-    values[np.array([s is not None for s in specs]).reshape(values.shape)] = im
+    values = np.full(mask.shape, np.nan)
+    values[mask] = im
     return PhaseGrid(template=template, x_axis=x_axis, y_axis=y_axis, values=values)
 
 

@@ -1,24 +1,26 @@
 """Exact arithmetic: the one-dimensional searches, the magnon chain's exact
 broken-phase predicate, and precision(), the package's one source of mpmath
-precision, which gives each thread its own context: no module touches the
-shared one, so boundary searches may run on several threads at once.
+contexts, which gives each thread its own: no module touches the shared
+one, so boundary searches may run on several threads at once.  mpmath is
+imported with the first context, so a run that needs no exact arithmetic
+(a magnon-chain sweep, evolve, spectrum) never loads it.
 """
 
 import contextlib
 import math
 import threading
 
-import mpmath as mp
-
 _local = threading.local()
 
 
 @contextlib.contextmanager
 def precision(*, prec: int | None = None, dps: int | None = None):
-    """This thread's own mpmath context, made once per thread, at prec bits
-    or dps digits; its previous precision is restored on exit."""
+    """This thread's own mpmath context, made once per thread (importing
+    mpmath the first time), at prec bits or dps digits; its previous
+    precision is restored on exit."""
     if not hasattr(_local, "ctx"):
-        _local.ctx = mp.MPContext()
+        import mpmath
+        _local.ctx = mpmath.MPContext()
     ctx = _local.ctx
     with ctx.workprec(prec) if dps is None else ctx.workdps(dps):
         yield ctx

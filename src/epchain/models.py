@@ -494,23 +494,30 @@ def block_dims(spec: ModelSpec) -> list[int]:
     return [len(rows[0]) for _, rows in _real_blocks(spec)]
 
 
-def block_stack(specs: list[ModelSpec], b: int) -> np.ndarray:
-    """Block b of hamiltonian_blocks for each of specs (one kind, N and
-    boundary) as one real (k, d, d) stack, the same doubles as one node's:
-    its terms in order, the first written and each later one added."""
-    terms, rows = _real_blocks(specs[0])[b]
+def block_stack(template: ModelSpec, b: int,
+                params: dict[str, np.ndarray] | None = None) -> np.ndarray:
+    """Block b of hamiltonian_blocks over k nodes as one real (k, d, d)
+    stack: params maps parameter names to equal-length (k,) arrays, and a
+    name not in params is read from template; with no params, the one node
+    template.  The caller validates the values (sweep_grid does, per axis).
+    Each entry is the same double as that node's own block: its terms in
+    order, each its parameter times the term's values, the first written
+    and each later one added."""
+    cols = {name: np.asarray(v, dtype=float)[:, None] for name, v in (params or {}).items()}
+    k = len(next(iter(cols.values()))) if cols else 1
+    terms, rows = _real_blocks(template)[b]
     d = len(rows[0])
-    h = np.zeros((len(specs), d * d))
+    h = np.zeros((k, d * d))
     for n, (name, index, values) in enumerate(terms):
-        if name is not None:  # one value per spec, as (k, 1)
-            values = np.array([getattr(s, name) for s in specs])[:, None] * values
+        if name is not None:  # a (k, 1) column, or the template's one value
+            values = cols.get(name, getattr(template, name)) * values
         h[:, index] = h[:, index] + values if n else values
-    return h.reshape(len(specs), d, d)
+    return h.reshape(k, d, d)
 
 
 def hamiltonian_blocks(spec: ModelSpec) -> list[np.ndarray]:
     """Diagonal blocks of the Hamiltonian in an orthonormal basis of
-    Theta-invariant symmetry states, all real: block_stack's one-node case.
+    Theta-invariant symmetry states, all real: block_stack(spec, b)[0].
 
     The periodic Ising ring, at every J, gives its momentum blocks
     k = 2 pi m / N for m = 0 .. N//2 (Sandvik, arXiv:1101.3281).  Site
@@ -518,7 +525,7 @@ def hamiltonian_blocks(spec: ModelSpec) -> list[np.ndarray]:
     R psi and is never built (sector_blocks).  The other models are one
     block each (_pt_real_form).
     """
-    return [block_stack([spec], b)[0] for b in range(len(block_dims(spec)))]
+    return [block_stack(spec, b)[0] for b in range(len(block_dims(spec)))]
 
 
 def sector_blocks(spec: ModelSpec) -> list[int]:

@@ -275,7 +275,8 @@ def test_each_vector_has_its_chosen_entry_real_and_positive(spec):
 def test_every_block_is_float64(spec):
     blocks = models.hamiltonian_blocks(spec)
     assert [b.dtype for b in blocks] == [np.float64] * len(blocks)
-    assert models.block_stack([spec, spec], 0).dtype == np.float64
+    params = {"gamma": np.array([spec.gamma, spec.gamma])}
+    assert models.block_stack(spec, 0, params).dtype == np.float64
 
 
 @pytest.mark.parametrize("flags", [
@@ -696,14 +697,17 @@ def _builder_templates():
 @pytest.mark.parametrize("template, name, controls", _builder_templates())
 def test_block_stack_entries_equal_the_one_node_blocks_bitwise(template, name,
                                                                controls):
+    gammas = (0.0, 3e-9, 0.05, 0.8, 2.5)
     specs = [replace(template, **{name: c, "gamma": g})
-             for c in controls for g in (0.0, 3e-9, 0.05, 0.8, 2.5)]
+             for c in controls for g in gammas]
+    params = {name: np.repeat(controls, len(gammas)),
+              "gamma": np.tile(gammas, len(controls))}
     dims = models.block_dims(template)
     ones = [models.hamiltonian_blocks(spec) for spec in specs]
     refs = [_reference_blocks(spec) for spec in specs]
     assert all(len(one) == len(ref) == len(dims) for one, ref in zip(ones, refs))
     for b, d in enumerate(dims):
-        stack = models.block_stack(specs, b)
+        stack = models.block_stack(template, b, params)
         assert stack.shape == (len(specs), d, d)
         for entry, one, ref in zip(stack, ones, refs):
             assert entry.dtype == one[b].dtype == ref[b].dtype

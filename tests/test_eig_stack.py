@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from epchain import analysis, bethe, cli, linalg, models
-from epchain.errors import DimensionMismatch, NonConvergence
+from epchain.errors import DimensionMismatch, EpchainError, NonConvergence
 from epchain.models import IsingBoundary, ModelKind, ModelSpec
 
 # ---------------------------------------------------------------------------
@@ -309,11 +309,13 @@ def test_stack_shape_is_checked():
 def test_power_sum_guard_holds_at_exceptional_points(N):
     # the guard reads no vectors, so it stays quiet where they coalesce:
     # at bethe's gamma_c, and over V up to 1e6 and gamma from 1e-10 to 1e3
-    specs = [xy(N, V=V, gamma=bethe.exact_boundary_gamma(N, V) * (1 + t))
+    nodes = [(V, bethe.exact_boundary_gamma(N, V) * (1 + t))
              for V in (3.0, 10.0, 100.0) for t in (-1e-12, 0.0, 1e-12)]
-    specs += [xy(N, V=float(V), gamma=float(g)) for V in np.geomspace(2.5, 1e6, 8)
+    nodes += [(V, g) for V in np.geomspace(2.5, 1e6, 8)
               for g in np.geomspace(1e-10, 1e3, 14)]
-    vals, ok = linalg.eigvals_stack(models.block_stack(specs, 0))
+    V, gamma = np.array(nodes).T
+    vals, ok = linalg.eigvals_stack(models.block_stack(xy(N), 0,
+                                                       {"V": V, "gamma": gamma}))
     assert ok.all() and np.isfinite(vals).all()
 
 
@@ -386,10 +388,10 @@ def _swept_stacks():
         name = t.kind.control
         xs = (np.geomspace(2.0, 100.0, 6) if name == "V"
               else np.linspace(0.2, 2.0, 6))
-        specs = [replace(t, **{name: float(x), "gamma": float(g)})
-                 for x in xs for g in gammas]
+        params = {name: np.repeat(xs, len(gammas)),
+                  "gamma": np.tile(gammas, len(xs))}
         for b in range(len(models.block_dims(t))):
-            yield t, models.block_stack(specs, b)
+            yield t, models.block_stack(t, b, params)
 
 
 def _sorted_eigvals(m):
@@ -437,8 +439,8 @@ def _large_stacks():
               ModelSpec(ModelKind.XY_FULL_SPACE, N=8)):
         name = t.kind.control
         xs = (2.0, 100.0) if name == "V" else (0.2, 2.0)
-        yield models.block_stack([replace(t, **{name: x, "gamma": float(g)})
-                                  for x in xs for g in gammas], 0)
+        yield models.block_stack(t, 0, {name: np.repeat(xs, len(gammas)),
+                                        "gamma": np.tile(gammas, len(xs))})
     rng = np.random.default_rng(499)
     for d in (499, 500):
         yield rng.normal(size=(2, d, d))
@@ -539,14 +541,16 @@ def _counting_kernel(monkeypatch):
 
 def _chunk_spy(monkeypatch):
     """Record each kernel call's shape and each (node, block) pair built for
-    the kernel."""
+    the kernel, a node keyed on its parameter values as ((name, value), ...)."""
     shapes = _counting_kernel(monkeypatch)
     pairs, build, lock = [], analysis.block_stack, threading.Lock()
 
-    def built(specs, b):
+    def built(template, b, params):
+        names = sorted(params)
         with lock:
-            pairs.extend((s, b) for s in specs)
-        return build(specs, b)
+            pairs.extend((tuple(zip(names, node)), b)
+                         for node in zip(*(params[n] for n in names)))
+        return build(template, b, params)
 
     monkeypatch.setattr(analysis, "block_stack", built)
     return shapes, pairs
@@ -589,7 +593,7 @@ def test_ring_grid_chunks_each_block_over_the_valid_nodes(monkeypatch):
     assert sorted(shapes) == _chunked_shapes(20, dims)
     assert sorted(shapes) != sorted((20, d, d) for d in dims)  # chunks split
     assert len(pairs) == len(set(pairs)) == 20 * len(dims)
-    assert {s.gamma for s, _ in pairs} == {1e-4, 0.01, 0.1, 0.5, 1.0}
+    assert {dict(node)["gamma"] for node, _ in pairs} == {1e-4, 0.01, 0.1, 0.5, 1.0}
 
 
 def test_dense_nodes_go_to_the_kernel_in_chunks(monkeypatch, bloch_blocks):
@@ -627,6 +631,40 @@ def test_non_finite_x_makes_only_its_row_nan(template, name):
         template, analysis.AxisSpec(name, "lin", np.array([3.0])), gammas)
     assert grid.values[1:].tobytes() == finite.values.tobytes()
     assert np.isfinite(finite.values).all()
+
+
+@pytest.mark.parametrize("template", [
+    xy(5), ModelSpec(ModelKind.XY_FULL_SPACE, N=4), ring(4, J=1.0),
+    ring(4, J=1.0, ising_boundary=IsingBoundary.OPEN)])
+def test_axis_validity_is_node_validity(template):
+    # sweep_grid validates each axis value once; ModelSpec checks each field
+    # on its own, so a node is valid exactly when both of its values are
+    name = template.kind.control
+    xs = np.array([np.nan, -np.inf, np.inf, -2.5, -0.0, 0.0, 3.0])
+    gs = np.array([np.nan, np.inf, -np.inf, -0.5, -0.0, 0.0, 0.3, 1.7])
+
+    def valid(**kw):
+        try:
+            replace(template, **kw)
+        except (ValueError, EpchainError):
+            return False
+        return True
+
+    grid = analysis.sweep_grid(template, analysis.AxisSpec(name, "lin", xs),
+                               analysis.AxisSpec("gamma", "lin", gs))
+    assert grid.values.shape == (len(xs), len(gs))
+    for i, x in enumerate(xs.tolist()):
+        for j, g in enumerate(gs.tolist()):
+            node = valid(**{name: x, "gamma": g})
+            assert node == (valid(**{name: x}) and valid(gamma=g)), (x, g)
+            assert np.isnan(grid.values[i, j]) == (not node), (x, g)
+            if node:
+                one = analysis.sweep_grid(
+                    template, analysis.AxisSpec(name, "lin", np.array([x])),
+                    analysis.AxisSpec("gamma", "lin", np.array([g])))
+                alone = analysis.max_im_epsilon(replace(template, **{name: x, "gamma": g}))
+                assert grid.values[i, j].tobytes() == one.values[0, 0].tobytes()
+                assert grid.values[i, j].tobytes() == np.float64(alone).tobytes()
 
 
 def _kernel_failing_everywhere(stack):

@@ -1,7 +1,9 @@
 """Import layering of the epchain package, read from the source by AST.
 
-Every module imports only modules below it in LAYERS, and only at module
-level, so the package has no import cycle to break with a lazy import.
+Every module imports only package modules below it in LAYERS, and only at
+module level, so the package has no import cycle to break with a lazy
+import.  The rule is about package modules: a third-party module may be
+imported on first use (mpmath, by exact.precision).
 """
 
 import ast
@@ -90,8 +92,9 @@ def test_only_linalg_diagonalizes_or_exponentiates():
 
 # only linalg calls LAPACK, so only linalg reaches into numpy's BLAS library
 # (its thread count) through ctypes
-def _ctypes_imports(tree: ast.AST):
-    """Line numbers where tree imports ctypes or one of its submodules."""
+def _imports_of(tree: ast.AST, top: str):
+    """Line numbers where tree imports the module top or one of its
+    submodules, at any depth."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -99,14 +102,28 @@ def _ctypes_imports(tree: ast.AST):
             names = [node.module or ""]
         else:
             continue
-        if any(name.split(".")[0] == "ctypes" for name in names):
+        if any(name.split(".")[0] == top for name in names):
             yield node.lineno
 
 
 def test_only_linalg_imports_ctypes():
-    users = {m: list(_ctypes_imports(ast.parse((SRC / f"{m}.py").read_text())))
+    users = {m: list(_imports_of(ast.parse((SRC / f"{m}.py").read_text()), "ctypes"))
              for m in LAYERS}
     assert {m for m, lines in users.items() if lines} == {"linalg"}, users
+
+
+# exact.precision is the one source of mpmath contexts and imports mpmath
+# with the first; the one exception is analysis's module __getattr__, which
+# serves analysis.mp to bench/tracer.py
+MPMATH_IMPORTERS = {("exact", "precision"), ("analysis", "__getattr__")}
+
+
+def test_only_exact_imports_mpmath():
+    importers = {(m, getattr(stmt, "name", stmt.lineno))
+                 for m in LAYERS
+                 for stmt in ast.parse((SRC / f"{m}.py").read_text()).body
+                 if any(_imports_of(stmt, "mpmath"))}
+    assert importers == MPMATH_IMPORTERS
 
 
 # each model kind's control parameter is chosen in one place
@@ -142,6 +159,39 @@ def test_cli_import_does_not_load_scipy():
         "import sys, epchain.cli; print(sorted(m for m in sys.modules "
         "if m.split('.')[0] == 'scipy' or m.startswith('numpy.f2py')))")
     assert out.strip() == "[]", out
+
+
+# mpmath loads with the first exact.precision context: the magnon chain's
+# sweep, evolution and spectrum need none, the XY boundary search does, and
+# analysis.mp (read by bench/tracer.py) loads it on first read
+def test_mpmath_loads_on_first_use(tmp_path):
+    chain = ["--model", "xy", "--n", "6", "--v", "3"]
+    runs = [["phase-diagram", *chain, "--x-range", "2:10:lin:4",
+             "--gamma-range", "0.01:1:log:4"],
+            ["evolve", *chain, "--gamma", "0.5", "--target", "bell",
+             "--t-max", "10"],
+            ["spectrum", *chain, "--gamma", "0.5", "--vectors"]]
+    runs = [[*argv, "--out", str(tmp_path / f"{n}.csv")]
+            for n, argv in enumerate(runs)]
+    boundary = ["boundary", "--model", "xy", "--n", "6", "--x-range",
+                "3:5:lin:2", "--out", str(tmp_path / "b.csv")]
+    out = _run_python(
+        "import contextlib, io, sys\n"
+        "from epchain import cli\n"
+        "def main(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        f"for argv in {runs!r}:\n"
+        "    main(argv)\n"
+        "print('mpmath' in sys.modules)\n"
+        f"main({boundary!r})\n"
+        "print('mpmath' in sys.modules)\n")
+    assert out.split() == ["False", "True"], out
+    out = _run_python("import sys\n"
+                      "from epchain import analysis\n"
+                      "print('mpmath' in sys.modules)\n"
+                      "print(analysis.mp.polyroots.__name__, 'mpmath' in sys.modules)\n")
+    assert out.split() == ["False", "polyroots", "True"], out
 
 
 # a scipy import inside a function passes the guard above: a propagating run

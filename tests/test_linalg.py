@@ -356,8 +356,8 @@ def _short_real_stacks():
     rng = np.random.default_rng(11)
     stacks = [rng.normal(size=(k, d, d)) for k, d in [(1, 1), (7, 6), (5, 100)]]
     return stacks + [models.block_stack(
-        [ModelSpec(ModelKind.TRANSVERSE_ISING, N=8, Delta=0.7, gamma=g)
-         for g in (1e-3, 0.2, 0.9)], b) for b in range(3)]
+        ModelSpec(ModelKind.TRANSVERSE_ISING, N=8, Delta=0.7), b,
+        {"gamma": np.array([1e-3, 0.2, 0.9])}) for b in range(3)]
 
 
 @pytest.mark.parametrize("cdll", [_LibraryWithoutThreadCount, _no_library])
