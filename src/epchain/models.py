@@ -24,7 +24,7 @@ import enum
 import functools
 import itertools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -307,59 +307,52 @@ def _momentum_ring(spec: ModelSpec) -> bool:
             and spec.ising_boundary is IsingBoundary.PERIODIC)
 
 
-# Every model here commutes with an antiunitary PT operator Theta whose square
-# is 1 (Bender & Boettcher, PRL 80, 5243, 1998).  In an orthonormal basis of
-# Theta-invariant vectors its blocks are real, so real LAPACK returns each
-# real eigenvalue with imaginary part exactly 0 and each complex pair as exact
-# conjugates.  Each block's template, cached per N, is (terms, rows): the sum
+# Every model here commutes with an antiunitary PT operator Theta = P K whose
+# square is 1 (Bender & Boettcher, PRL 80, 5243, 1998), P an involution of
+# its basis.  In an orthonormal basis of Theta-invariant vectors its blocks are
+# real, so real LAPACK returns each real eigenvalue with imaginary part
+# exactly 0 and each complex pair as exact conjugates.  One table per model
+# and N, _real_templates, holds every block's template (terms, rows): the sum
 # of its terms (name, index, values), each the parameter name (1 if None)
-# times values at the flat index; coordinate p of a vector x of the parent
-# basis is sum_e weight[p, e] x[index[p, e]] over the rows (index, weight).
+# times values at the flat index; coordinate p of a vector x is
+# sum_e weight[p, e] x[index[p, e]] over the rows (index, weight), x the
+# amplitudes, or on the ring their flattened Bloch coordinates.
 
-@functools.lru_cache(maxsize=None)  # N <= 12 under FULL_SPACE_CAP
-def _pt_real_form(kind: ModelKind, N: int):
-    """The one block of the magnon chain, the XY full space or (kind
-    TRANSVERSE_ISING) the open Ising chain, with read-only, shared arrays.
+def _site_reflection(N: int) -> np.ndarray:
+    """R on the spin-z indices: entry x is x with its N bits in reverse order,
+    site l moved to site N+1-l."""
+    return np.arange(2 ** N).reshape((2,) * N).T.ravel()
 
-    Theta = P K: P reverses the magnon positions, reflects the sites of the
-    XY full space (bit reversal) and flips every spin of the open Ising chain
-    (bit complement).  The basis W holds u = (|a> + |Pa>) / sqrt2 at the
-    smaller index a, v = i (|a> - |Pa>) / sqrt2 at Pa, and |a> where Pa = a.
-    A term is W^dagger M W for M build_hamiltonian's part free of parameters
-    or linear in one, at unit parameters: Gaussian integers.  So an entry is
-    s / sqrt2^k, s a Gaussian integer sum (its imaginary part cancels) and k
-    the number of pairs among its basis vectors, rounded once as the root of
-    s^2 / 2^k."""
-    params = ("J", "Delta", "gamma") if kind is ModelKind.TRANSVERSE_ISING else ("V", "gamma")
-    base = ModelSpec(kind, N, J=0.0, ising_boundary=IsingBoundary.OPEN)
-    d = base.basis.dim
-    pos = np.arange(d)
-    perm = pos.reshape((2,) * N).T.ravel() if kind is ModelKind.XY_FULL_SPACE else pos[::-1]
-    paired = pos != perm
-    # |r> is in the vector at min(r, Pr) with 1 and at max(r, Pr) with +-i
-    at = np.stack([np.minimum(pos, perm), np.maximum(pos, perm)], axis=1)
-    coef = np.stack([np.ones(d), np.where(pos < perm, 1j, -1j) * paired], axis=1)
-    terms = []
-    for name in (None, *params):
-        m = build_hamiltonian(replace(base, **{name: 1.0}) if name else base)
-        if name:
-            m[free[:2]] -= free[2]  # exact: integers
-        r, c = np.nonzero(m)
-        if not name:
-            free = r, c, m[r, c]
-        keys = (at[r, :, None] * d + at[c, None, :]).ravel()
-        sums = (coef[r, :, None].conj() * m[r, c, None, None] * coef[c, None, :]).ravel()
-        index, inverse = np.unique(keys, return_inverse=True)
-        s = np.bincount(inverse, sums.real, len(index))  # exact: integers
-        k = paired[index // d].astype(int) + paired[index % d]
-        values = np.copysign(np.sqrt(s * s / 2.0 ** k), s)  # s / sqrt2^k, rounded
-        terms.append((name, index[values != 0], values[values != 0]))
-    weight = np.full((d, 2), np.sqrt(0.5), dtype=complex)
-    weight[pos > perm] *= [-1j, 1j]  # v, conjugated
-    weight[~paired] = 1.0, 0.0
-    for a in (at, weight, *(a for _, index, values in terms for a in (index, values))):
-        a.setflags(write=False)
-    return tuple(terms), (at, weight)
+
+def _parent_terms(kind: ModelKind, ring: bool, N: int, idx: np.ndarray):
+    """(P idx, terms): Theta's involution P on the basis indices idx, and the
+    model's terms from idx at unit parameters, in the order block_stack sums
+    them.  A term (name, src, dst, amp, n0) puts amp i^n0 from each src to
+    its dst; name None is free of parameters.
+
+    P reverses the magnon positions; it is site reflection R on the XY full
+    space, global spin flip F (bit complement) on the open Ising chain and
+    R F on the ring."""
+    if kind is ModelKind.XY_MAGNON:  # idx: the N positions
+        hop, ends = idx[:-1], np.array([0, N - 1])
+        return N - 1 - idx, [(None, np.r_[hop, hop + 1], np.r_[hop + 1, hop], 1, 0),
+                             ("V", ends, ends, 1, 0),
+                             ("gamma", ends, ends, np.array([1, -1]), 1)]
+    z = _spin_z(N)[1][idx]
+    if kind is ModelKind.XY_FULL_SPACE:
+        # s+_l s-_{l+1} + h.c. swaps the two spins where they differ
+        hop = [idx[z[:, l] != z[:, l + 1]] for l in range(N - 1)]
+        swapped = [h ^ (3 << (N - 2 - l)) for l, h in enumerate(hop)]
+        n_1, n_N = (z[:, 0] + 1) // 2, (z[:, -1] + 1) // 2
+        return _site_reflection(N)[idx], [
+            (None, np.concatenate(hop), np.concatenate(swapped), 1, 0),
+            ("V", idx, idx, n_1 + n_N, 0), ("gamma", idx, idx, n_1 - n_N, 1)]
+    flip = idx ^ (2 ** N - 1)
+    zz = z * np.roll(z, -1, axis=1)  # bond l couples sites l+1 and l+2 (mod N)
+    return _site_reflection(N)[flip] if ring else flip, [
+        ("Delta", np.repeat(idx, N), (idx[:, None] ^ (1 << np.arange(N))).ravel(), 1, 0),
+        ("gamma", idx, idx, z.sum(axis=1), 1),
+        ("J", idx, idx, -(zz if ring else zz[:, :-1]).sum(axis=1), 0)]
 
 
 def _wide(x) -> np.longdouble:
@@ -369,83 +362,80 @@ def _wide(x) -> np.longdouble:
 
 
 @functools.lru_cache(maxsize=None)  # N <= 12 under FULL_SPACE_CAP
-def _ring_real_templates(N: int):
-    """(blocks, orbits, root_period): the N-site ring's one symmetry table.
+def _real_templates(kind: ModelKind, ring: bool, N: int):
+    """(blocks, orbits, root_period): the one symmetry table of a model of
+    kind on N sites, the periodic Ising ring if ring.
 
-    T rotates the bitstring left by one site.  Each orbit of T has one
-    representative a, its smallest index, with period p_a; orbits holds
-    T^r a for r = 0 .. N-1 (as columns), and root_period sqrt(p_a).  The
-    Bloch state |a(k)> = p_a^-1/2 sum_{r < p_a} e^{-ikr} T^r |a> exists for
-    k = 2 pi m / N when m p_a is a multiple of N, and these states form an
-    orthonormal basis; <a(k)|psi> is entry (m, a) of
-    ifft(psi[orbits]) * root_period, one inverse FFT along the orbits.
+    The basis is symmetrized over a group of L basis permutations: the
+    rotations T^r on the ring (T rotates the bitstring left by one site,
+    L = N), the identity elsewhere (L = 1), a block per momentum.  Each orbit
+    has one representative a, its smallest index, with period p_a; orbits
+    holds T^r a for r = 0 .. L-1 (as columns), and root_period sqrt(p_a).
+    The Bloch state |a(k)> = p_a^-1/2 sum_{r < p_a} e^{-ikr} T^r |a> exists
+    for k = 2 pi m / L when m p_a is a multiple of L, and these states form
+    an orthonormal basis; <a(k)|psi> is entry (m, a) of
+    ifft(psi[orbits]) * root_period, one inverse FFT along the orbits, and
+    with L = 1 simply psi[a].  blocks holds the (terms, rows) of blocks
+    m = 0 .. L//2 in a real basis, with rows over those flattened
+    coordinates.
 
-    blocks holds the (terms, rows) of blocks m = 0 .. N//2 in a real basis:
-    Delta X (dense) + gamma Y (2 entries per pair) - J diag(zz), with rows
-    over the flattened Bloch coordinates.
-
-    Theta = R F K is site reflection times global spin flip times complex
-    conjugation; it maps each momentum block to itself.  If R F a = T^q c
-    for representatives a and c, then Theta |a(k)> = e^{ikq} |c(k)>, so the
-    Theta-invariant orthonormal basis holds e^{ikq/2} |a(k)> where c = a, and
-    u = (|a> + e^{ikq} |c>) / sqrt2 at the position of a and
-    v = i (|a> - e^{ikq} |c>) / sqrt2 at that of c where a < c.  With W the
-    block's change to this basis, X = Re(W^dagger S W) for the block's
-    sum_l sx_l, symmetrized; zz, the sum of sz_l sz_{l+1}, is the same on a
-    and c; and i sum_l sz_l maps u to s v and v to -s u, with
-    s = sum_l sz_l(a) = -sum_l sz_l(c), which Y holds.
-
-    X is summed term by term from the orbit tables, with no 2^N array and
-    no matrix product.  Each row of W holds at most two entries, a weight
-    1 or 1/sqrt2 times e^{i pi n / 2N} for an integer n, and sx_l a = T^t b
-    puts e^{ikt} sqrt(p_a / p_b) into <b(k)| S |a(k)>.  So every term is
-    weights times sqrt(p_a / p_b) times cos(pi n / 2N), each from mpmath at
-    128 bits (exact.precision); the terms are summed in np.longdouble and
-    rounded once to double.  Where longdouble is wider than double, every
-    entry is its exact value correctly rounded, and an entry that vanishes
-    is exactly 0.  The arrays are read-only: they are shared.
+    If P a = T^q c for representatives a and c, then Theta |a(k)> =
+    e^{ikq} |c(k)>, so the Theta-invariant orthonormal basis holds
+    e^{ikq/2} |a(k)> where c = a, and u = (|a> + e^{ikq} |c>) / sqrt2 at the
+    position of a and v = i (|a> - e^{ikq} |c>) / sqrt2 at that of c where
+    a < c.  Each row of W, the block's change to this basis, holds at most
+    two entries, a weight 1 or 1/sqrt2 times e^{i pi n / 2L} for an integer
+    n, and a term (_parent_terms) that maps a to T^t b with amplitude
+    amp i^n0 puts e^{ikt} sqrt(p_a / p_b) amp i^n0 into <b(k)| . |a(k)>.  So
+    every contribution to an entry is weights times amp sqrt(p_a / p_b)
+    times cos(pi n / 2L): 1/sqrt2 the correctly rounded np.longdouble root,
+    the other constants exact with L = 1 and from mpmath at 128 bits
+    (exact.precision) with L > 1.  Each term's contributions are
+    summed in np.longdouble, with no 2^N array and no matrix product, and
+    rounded once to double; entries that vanish are dropped.  Where
+    longdouble is wider than double, every entry is its exact value
+    correctly rounded, and an entry that vanishes is exactly 0.  The arrays
+    are read-only: they are shared.
     """
-    idx = np.arange(2 ** N)
+    L = N if ring else 1
+    idx = np.arange(N if kind is ModelKind.XY_MAGNON else 2 ** N)
     rots = np.array([((idx << r) | (idx >> (N - r))) & (2 ** N - 1)
-                     for r in range(N)])  # rots[r] = T^r idx
+                     for r in range(L)])  # rots[r] = T^r idx
     reps = np.flatnonzero(rots.min(axis=0) == idx)
     n_reps = reps.size
     orbits = rots[:, reps]
-    # a comes back to itself at N / p_a of the N rotations
-    period = N // np.sum(orbits == reps, axis=0)
+    # a comes back to itself at L / p_a of the L rotations
+    period = L // np.sum(orbits == reps, axis=0)
     root_period = np.sqrt(period)
     # x = T^shift[x] reps[owner[x]] for every index x, shift the largest such
-    # r < N (the last write wins), which fixes the sign of e^{ikq/2} below
-    owner = np.empty(2 ** N, dtype=int)
-    shift = np.empty(2 ** N, dtype=int)
+    # r < L (the last write wins), which fixes the sign of e^{ikq/2} below
+    owner = np.empty(idx.size, dtype=int)
+    shift = np.empty(idx.size, dtype=int)
     owner[orbits] = np.arange(n_reps)
-    shift[orbits] = np.arange(N)[:, None]
-    # sx_l a = T^t b for every site l of every representative a
-    flipped = (reps[:, None] ^ (1 << np.arange(N))).ravel()
-    dst, src, t = owner[flipped], np.repeat(np.arange(n_reps), N), shift[flipped]
-    z = _spin_z(N)[1][reps]
-    # R F a: every spin flipped, the site order reversed
-    rf = (z[:, ::-1] < 0) @ (1 << np.arange(N)[::-1])
-    partner, q = owner[rf], shift[rf]
-    # the sweep threads may build a table at once: each in its own context
-    with precision(prec=128) as ctx:
-        cos = np.array([_wide(ctx.cospi(ctx.mpf(n) / (2 * N))) for n in range(4 * N)])
-        root = np.zeros((N + 1, N + 1), dtype=np.longdouble)
-        for pa, pb in itertools.product(set(period.tolist()), repeat=2):
-            root[pa, pb] = _wide(ctx.sqrt(ctx.mpf(pa) / pb))
-        r = _wide(ctx.sqrt(ctx.mpf(1) / 2))
-    s = z.sum(axis=1)
-    zz = (z * np.roll(z, -1, axis=1)).sum(axis=1).astype(float)
+    shift[orbits] = np.arange(L)[:, None]
+    involuted, terms = _parent_terms(kind, ring, N, reps)
+    partner, q = owner[involuted], shift[involuted]
+    r = np.sqrt(np.longdouble(0.5))
+    if L == 1:  # cos(pi n / 2) and sqrt(1 / 1) are exact: no mpmath
+        cos = np.array([1, 0, -1, 0], dtype=np.longdouble)
+        root = np.ones((2, 2), dtype=np.longdouble)
+    else:
+        # the sweep threads may build a table at once: each in its own context
+        with precision(prec=128) as ctx:
+            cos = np.array([_wide(ctx.cospi(ctx.mpf(n) / (2 * L))) for n in range(4 * L)])
+            root = np.zeros((L + 1, L + 1), dtype=np.longdouble)
+            for pa, pb in itertools.product(set(period.tolist()), repeat=2):
+                root[pa, pb] = _wide(ctx.sqrt(ctx.mpf(pa) / pb))
     blocks = []
-    for m in range(N // 2 + 1):
-        mem = np.flatnonzero(m * period % N == 0)
+    for m in range(L // 2 + 1):
+        mem = np.flatnonzero(m * period % L == 0)
         d = mem.size
         local = np.full(n_reps, -1)
         local[mem] = np.arange(d)
         i, j = np.arange(d), local[partner[mem]]
         a, c = i[i < j], j[i < j]
-        qm = 4 * m * q[mem]  # e^{ikq} = e^{i pi qm / 2N}
-        # row b of W: entries (col[b, e], weight[b, e] e^{i pi n[b, e] / 2N})
+        qm = 4 * m * q[mem]  # e^{ikq} = e^{i pi qm / 2L}
+        # row b of W: entries (col[b, e], weight[b, e] e^{i pi n[b, e] / 2L})
         col = np.stack([i, j], axis=1)
         weight = np.zeros((d, 2), dtype=np.longdouble)
         n = np.zeros((d, 2), dtype=int)
@@ -454,44 +444,48 @@ def _ring_real_templates(N: int):
         n[fixed, 0] = qm[fixed] // 2
         weight[a], weight[c] = r, r
         col[c] = col[a]
-        n[a, 1] = N  # i
-        n[c, 0], n[c, 1] = qm[a], qm[a] + 3 * N  # e^{ikq}, -i e^{ikq}
+        n[a, 1] = L  # i
+        n[c, 0], n[c, 1] = qm[a], qm[a] + 3 * L  # e^{ikq}, -i e^{ikq}
         # coordinate row p: column p of W, conjugated; a pair's two columns
         # are its two rows transposed
         nt = n.copy()
         nt[a, 1], nt[c, 0] = n[c, 0], n[a, 1]
         coords = (m * n_reps + mem[col],
-                  (weight * cos[nt % (4 * N)]).astype(float)
-                  - 1j * (weight * cos[(nt - N) % (4 * N)]).astype(float))
-        keep = (local[src] >= 0) & (local[dst] >= 0)
-        rows, cols = local[dst[keep]], local[src[keep]]
-        amp = root[period[src[keep]], period[dst[keep]]]
-        x = np.zeros((d, d), dtype=np.longdouble)
-        for e, f in itertools.product(range(2), repeat=2):
-            phase = (4 * m * t[keep] - n[rows, e] + n[cols, f]) % (4 * N)
-            np.add.at(x, (col[rows, e], col[cols, f]),
-                      weight[rows, e] * weight[cols, f] * amp * cos[phase])
-        terms = (("Delta", slice(None), ((x + x.T) / 2).astype(float).ravel()),
-                 ("gamma", np.concatenate([c * d + a, a * d + c]),
-                  np.concatenate([s[mem][a], -s[mem][a]]).astype(float)),
-                 ("J", np.arange(d) * (d + 1), -zz[mem]))
-        for arr in (terms[0][2], *terms[1][1:], *terms[2][1:], *coords):
+                  (weight * cos[nt % (4 * L)]).astype(float)
+                  - 1j * (weight * cos[(nt - L) % (4 * L)]).astype(float))
+        block_terms = []
+        for name, src, dst, amp, n0 in terms:
+            a_src, b_dst = owner[src], owner[dst]  # dst = T^t reps[b_dst]
+            keep = (local[a_src] >= 0) & (local[b_dst] >= 0)
+            a_src, b_dst, t = a_src[keep], b_dst[keep], shift[dst[keep]]
+            rows, cols = local[b_dst], local[a_src]
+            amp = np.broadcast_to(amp, src.shape)[keep] * root[period[a_src], period[b_dst]]
+            keys, sums = [], []
+            for e, f in itertools.product(range(2), repeat=2):
+                phase = (4 * m * t + n0 * L - n[rows, e] + n[cols, f]) % (4 * L)
+                keys.append(col[rows, e] * d + col[cols, f])
+                sums.append(weight[rows, e] * weight[cols, f] * amp * cos[phase])
+            index, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+            total = np.zeros(index.size, dtype=np.longdouble)
+            np.add.at(total, inverse, np.concatenate(sums))
+            values = total.astype(float)
+            block_terms.append((name, index[values != 0], values[values != 0]))
+        for arr in (*coords, *(x for term in block_terms for x in term[1:])):
             arr.setflags(write=False)
-        blocks.append((terms, coords))
+        blocks.append((tuple(block_terms), coords))
     for arr in (orbits, root_period):
         arr.setflags(write=False)
     return tuple(blocks), orbits, root_period
 
 
-def _real_blocks(spec: ModelSpec) -> tuple:
-    """(terms, rows) of each block of hamiltonian_blocks(spec), in order."""
-    ring = _momentum_ring(spec)
-    return _ring_real_templates(spec.N)[0] if ring else (_pt_real_form(spec.kind, spec.N),)
+def _templates(spec: ModelSpec) -> tuple:
+    """spec's symmetry table, (blocks, orbits, root_period) of _real_templates."""
+    return _real_templates(spec.kind, _momentum_ring(spec), spec.N)
 
 
 def block_dims(spec: ModelSpec) -> list[int]:
     """The dimension of each block of hamiltonian_blocks(spec), in order."""
-    return [len(rows[0]) for _, rows in _real_blocks(spec)]
+    return [len(rows[0]) for _, rows in _templates(spec)[0]]
 
 
 def block_stack(template: ModelSpec, b: int,
@@ -501,29 +495,30 @@ def block_stack(template: ModelSpec, b: int,
     name not in params is read from template; with no params, the one node
     template.  The caller validates the values (sweep_grid does, per axis).
     Each entry is the same double as that node's own block: its terms in
-    order, each its parameter times the term's values, the first written
-    and each later one added."""
+    order, each its parameter times the term's values, added to a zero
+    block, so no entry is -0.0."""
     cols = {name: np.asarray(v, dtype=float)[:, None] for name, v in (params or {}).items()}
     k = len(next(iter(cols.values()))) if cols else 1
-    terms, rows = _real_blocks(template)[b]
+    terms, rows = _templates(template)[0][b]
     d = len(rows[0])
     h = np.zeros((k, d * d))
-    for n, (name, index, values) in enumerate(terms):
+    for name, index, values in terms:
         if name is not None:  # a (k, 1) column, or the template's one value
             values = cols.get(name, getattr(template, name)) * values
-        h[:, index] = h[:, index] + values if n else values
+        h[:, index] += values
     return h.reshape(k, d, d)
 
 
 def hamiltonian_blocks(spec: ModelSpec) -> list[np.ndarray]:
     """Diagonal blocks of the Hamiltonian in an orthonormal basis of
-    Theta-invariant symmetry states, all real: block_stack(spec, b)[0].
+    Theta-invariant symmetry states, all real: block_stack(spec, b)[0], from
+    the model's table (_real_templates).
 
     The periodic Ising ring, at every J, gives its momentum blocks
     k = 2 pi m / N for m = 0 .. N//2 (Sandvik, arXiv:1101.3281).  Site
     reflection R maps k onto -k, so block N-m acts on psi as block m acts on
     R psi and is never built (sector_blocks).  The other models are one
-    block each (_pt_real_form).
+    block each.
     """
     return [block_stack(spec, b)[0] for b in range(len(block_dims(spec)))]
 
@@ -540,24 +535,23 @@ def sector_blocks(spec: ModelSpec) -> list[int]:
 
 def block_coordinates(spec: ModelSpec, amplitudes: np.ndarray) -> list[np.ndarray]:
     """Coordinates of a state in the orthonormal basis of each sector of
-    sector_blocks(spec), in that order: on the ring, those of psi in each
-    block, then those of R psi in each mirror sector N-m: a gather over the
-    block's rows, on the ring from its flattened Bloch coordinates (one
-    inverse FFT along the orbits), else from the amplitudes.
+    sector_blocks(spec), in that order: those of psi in each block, then
+    (on the ring) those of R psi in each mirror sector N-m: a gather over the
+    block's rows from the flattened Bloch coordinates (one inverse FFT along
+    the orbits; the amplitudes themselves with one block).
     """
-    if not _momentum_ring(spec):
-        ((_, (index, weight)),) = _real_blocks(spec)
-        return [(weight * amplitudes[index]).sum(axis=1)]
-    blocks, orbits, root_period = _ring_real_templates(spec.N)
+    blocks, orbits, root_period = _templates(spec)
     sectors = sector_blocks(spec)
-    reflected = amplitudes.reshape((2,) * spec.N).T.ravel()  # bit order reversed
+    parts = [(amplitudes, sectors[:len(blocks)])]
+    if len(sectors) > len(blocks):
+        parts.append((amplitudes[_site_reflection(spec.N)], sectors[len(blocks):]))
     out = []
-    for psi, part in ((amplitudes, sectors[:len(blocks)]),
-                      (reflected, sectors[len(blocks):])):
-        coef = (np.fft.ifft(psi[orbits], axis=0) * root_period).ravel()
+    for psi, part in parts:
+        if len(orbits) > 1:
+            psi = (np.fft.ifft(psi[orbits], axis=0) * root_period).ravel()
         for b in part:
             index, weight = blocks[b][1]
-            out.append((weight * coef[index]).sum(axis=1))
+            out.append((weight * psi[index]).sum(axis=1))
     return out
 
 
@@ -567,21 +561,17 @@ def sector_amplitudes(spec: ModelSpec, sector: int,
     of the (d, n) coordinate columns of that sector, as columns.  The rows
     are scattered back; on the ring one FFT along the orbits follows (a short
     orbit's repeats get equal values, to roundoff), then R in a mirror sector."""
-    blocks = _real_blocks(spec)
+    blocks, orbits, root_period = _templates(spec)
     index, weight = blocks[sector_blocks(spec)[sector]][1]
-    ring = _momentum_ring(spec)
-    if ring:
-        _, orbits, root_period = _ring_real_templates(spec.N)
     n = coords.shape[1]
-    out = np.zeros((orbits.size if ring else spec.basis.dim, n), dtype=complex)
+    out = np.zeros((orbits.size, n), dtype=complex)
     for e in range(2):
         np.add.at(out, index[:, e], weight[:, e].conj()[:, None] * coords)
-    if not ring:
-        return out
-    psi = np.empty((2 ** spec.N, n), dtype=complex)
-    psi[orbits] = np.fft.fft(out.reshape(spec.N, -1, n), axis=0) / root_period[:, None]
-    flip = np.arange(2 ** spec.N).reshape((2,) * spec.N).T.ravel()
-    return psi if sector < len(blocks) else psi[flip]
+    if len(orbits) > 1:
+        psi = np.empty((2 ** spec.N, n), dtype=complex)
+        psi[orbits] = np.fft.fft(out.reshape(len(orbits), -1, n), axis=0) / root_period[:, None]
+        out = psi
+    return out if sector < len(blocks) else out[_site_reflection(spec.N)]
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +632,7 @@ def check_pt_spectrum(m: np.ndarray, basis: str = "magnon",
         if 2 ** N != n:
             raise DimensionMismatch(f"dim {n} is not a power of two")
         if parity == "site_reversal":
-            # up spin at site l+1 moves to bit l: the reversed bitstring
-            perm = (_spin_z(N)[1] > 0) @ (1 << np.arange(N))
+            perm = _site_reflection(N)
         elif parity == "spin_flip":
             perm = np.arange(n)[::-1]  # bit complement: i -> 2^N - 1 - i
         else:

@@ -3,9 +3,11 @@ m = 0 .. N//2 of the periodic Ising ring, which stand for their mirror blocks
 N-m too, the real magnon chain, and each block's coordinates of a state; and
 the block-wise broken-phase indicator built on them."""
 
+import itertools
 import math
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -464,10 +466,11 @@ def _template_arrays(blocks):
 
 
 def test_real_templates_are_shared_read_only():
-    blocks, orbits, root_period = models._ring_real_templates(6)
-    arrays = [orbits, root_period, *_template_arrays(blocks)]
-    for kind in ModelKind:
-        arrays += _template_arrays([models._pt_real_form(kind, 5)])
+    arrays = []
+    for kind, is_ring, N in [(ModelKind.TRANSVERSE_ISING, True, 6),
+                             *((kind, False, 5) for kind in ModelKind)]:
+        blocks, orbits, root_period = models._real_templates(kind, is_ring, N)
+        arrays += [orbits, root_period, *_template_arrays(blocks)]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 1
@@ -477,15 +480,15 @@ def test_real_templates_built_on_sweep_threads_are_exact(monkeypatch):
     # the first build of a size may happen on several sweep threads at once;
     # each takes its constants from a private mpmath context
     monkeypatch.setenv("EPCHAIN_THREADS", "4")
-    single = models._ring_real_templates.__wrapped__(7)
-    models._ring_real_templates.cache_clear()
+    single = models._real_templates.__wrapped__(ModelKind.TRANSVERSE_ISING, True, 7)
+    models._real_templates.cache_clear()
     wide = models._wide
     monkeypatch.setattr(models, "_wide", lambda x: time.sleep(1e-4) or wide(x))
     analysis.sweep_grid(ring(7, Delta=0.5),
                         analysis.AxisSpec("Delta", "lin", np.linspace(0.2, 2.0, 8)),
                         analysis.AxisSpec("gamma", "lin", np.array([0.1])))
     assert mp.mp.prec == 53
-    blocks, orbits, root_period = models._ring_real_templates(7)
+    blocks, orbits, root_period = models._real_templates(ModelKind.TRANSVERSE_ISING, True, 7)
     assert np.array_equal(orbits, single[1])
     assert np.array_equal(root_period, single[2])
     for a, b in zip(_template_arrays(blocks), _template_arrays(single[0]), strict=True):
@@ -572,7 +575,7 @@ def test_ring_grid_byte_identical_across_thread_counts(monkeypatch):
 # the one-block models' real templates against exact arithmetic
 
 def _gaussian_basis(kind, N):
-    """(G, paired): the real basis of _pt_real_form with its 1/sqrt2 factors
+    """(G, paired): the real basis of _real_templates with its 1/sqrt2 factors
     left out, as integer real and imaginary parts, and which vectors are
     pairs.  Column p < Pp is e_p + e_Pp, p > Pp is i (e_Pp - e_p), and a
     fixed point p = Pp is e_p."""
@@ -614,7 +617,7 @@ def test_one_block_templates_are_the_exact_real_form_rounded(kind, N):
     (gr, gi), paired = _gaussian_basis(kind, N)
     k = paired[:, None].astype(int) + paired[None, :]
     terms = {name: (index, values) for name, index, values
-             in models._pt_real_form(kind, N)[0]}
+             in models._real_templates(kind, False, N)[0][0][0]}
     assert set(terms) <= {None, *params}
     zero = models.build_hamiltonian(base)
     for name in (None, *params):
@@ -662,25 +665,21 @@ def _magnon_real_block(spec):
 
 
 def _reference_blocks(spec):
-    """hamiltonian_blocks(spec) as the one-node formula, block by block."""
+    """hamiltonian_blocks(spec) as the one-node formula, block by block: the
+    magnon chain's closed form, and every other model's terms, each scattered
+    into a dense block, summed onto a zero block."""
     if spec.kind is ModelKind.XY_MAGNON:
         return [_magnon_real_block(spec)]
-    if spec.ising_boundary is IsingBoundary.OPEN or spec.kind is ModelKind.XY_FULL_SPACE:
-        terms, _ = models._pt_real_form(spec.kind, spec.N)
-        d = spec.basis.dim
+    is_ring = (spec.kind is ModelKind.TRANSVERSE_ISING
+               and spec.ising_boundary is IsingBoundary.PERIODIC)
+    out = []
+    for terms, rows in models._real_templates(spec.kind, is_ring, spec.N)[0]:
+        d = len(rows[0])
         dense = [np.zeros(d * d) for _ in terms]
         for x, (_, index, values) in zip(dense, terms):
             x[index] = values
-        return [sum((x.reshape(d, d) * (1.0 if name is None else getattr(spec, name))
-                     for x, (name, _, _) in zip(dense, terms)), np.zeros((d, d)))]
-    out = []
-    for terms, _ in models._ring_real_templates(spec.N)[0]:
-        (_, _, x), (_, gamma_index, y), (_, diag_index, minus_zz) = terms
-        d = len(minus_zz)
-        h = spec.Delta * x.reshape(d, d)
-        h.flat[gamma_index] += spec.gamma * y
-        h.flat[diag_index] -= spec.J * -minus_zz
-        out.append(h)
+        out.append(sum((x.reshape(d, d) * (1.0 if name is None else getattr(spec, name))
+                        for x, (name, _, _) in zip(dense, terms)), np.zeros((d, d))))
     return out
 
 
@@ -712,6 +711,38 @@ def test_block_stack_entries_equal_the_one_node_blocks_bitwise(template, name,
         for entry, one, ref in zip(stack, ones, refs):
             assert entry.dtype == one[b].dtype == ref[b].dtype
             assert entry.tobytes() == one[b].tobytes() == ref[b].tobytes()
+
+
+@pytest.mark.parametrize("kind, boundary", [
+    (ModelKind.XY_MAGNON, IsingBoundary.PERIODIC),
+    (ModelKind.XY_FULL_SPACE, IsingBoundary.PERIODIC),
+    (ModelKind.TRANSVERSE_ISING, IsingBoundary.PERIODIC),
+    (ModelKind.TRANSVERSE_ISING, IsingBoundary.OPEN)])
+def test_no_block_entry_is_negative_zero(kind, boundary):
+    # every term is added to a zero block, so a structural zero is +0.0 at
+    # negative and signed-zero parameters too
+    values = (-1.3, -0.0, 0.0, 0.7)
+    names = ["J", "Delta"] if kind is ModelKind.TRANSVERSE_ISING else ["V"]
+    for N in range(1 if kind is ModelKind.TRANSVERSE_ISING else 2, 9):
+        template = ModelSpec(kind, N, ising_boundary=boundary)
+        grid = np.array(list(itertools.product(values, repeat=len(names))))
+        params = {name: np.repeat(grid[:, n], 2) for n, name in enumerate(names)}
+        params["gamma"] = np.tile([0.0, 0.4], len(grid))
+        for b in range(len(models.block_dims(template))):
+            stack = models.block_stack(template, b, params)
+            assert not np.any((stack == 0) & np.signbit(stack)), (N, b)
+
+
+@pytest.mark.parametrize("kind", [ModelKind.TRANSVERSE_ISING, ModelKind.XY_FULL_SPACE])
+def test_one_block_templates_at_n12_build_without_a_dense_matrix(kind):
+    # a dense complex 4096 x 4096 term alone is 256 MiB
+    tracemalloc.start()
+    try:
+        models._real_templates.__wrapped__(kind, False, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 @pytest.mark.parametrize("N, x_values, gammas", [

@@ -170,7 +170,12 @@ def test_mpmath_loads_on_first_use(tmp_path):
              "--gamma-range", "0.01:1:log:4"],
             ["evolve", *chain, "--gamma", "0.5", "--target", "bell",
              "--t-max", "10"],
-            ["spectrum", *chain, "--gamma", "0.5", "--vectors"]]
+            ["spectrum", *chain, "--gamma", "0.5", "--vectors"],
+            # the one-block models' templates need no mpmath constant
+            ["spectrum", "--model", "ising", "--boundary", "open", "--n", "5",
+             "--delta", "0.7", "--gamma", "0.3", "--vectors"],
+            ["spectrum", "--model", "xy", "--full-space", "--n", "5", "--v", "3",
+             "--gamma", "0.5", "--vectors"]]
     runs = [[*argv, "--out", str(tmp_path / f"{n}.csv")]
             for n, argv in enumerate(runs)]
     boundary = ["boundary", "--model", "xy", "--n", "6", "--x-range",
@@ -242,11 +247,10 @@ def _names(tree: ast.AST):
                 yield node.lineno, alias.name
 
 
-# no command goes back to a dense 2^N matrix where blocks exist:
-# build_hamiltonian is called only by models._pt_real_form, which builds the
-# one-block models' real templates from it once per N, and no module but
-# models and bethe (whose W chain is build_h_w) names a dense builder; the
-# package root only re-exports them
+# no command goes back to a dense 2^N matrix where blocks exist: no package
+# module calls build_hamiltonian (the real templates are written from bits),
+# and no module but models and bethe (whose W chain is build_h_w) names a
+# dense builder; the package root only re-exports them
 DENSE_BUILDERS = {"build_hamiltonian", "build_h_eq", "build_h_w",
                   "build_h_chain_full", "build_h_ghz"}
 
@@ -257,12 +261,12 @@ def _calls(tree: ast.AST, name: str):
             and _dotted(node.func).split(".")[-1] == name]
 
 
-def test_only_the_template_builder_calls_build_hamiltonian():
+def test_no_package_module_calls_build_hamiltonian():
     callers = {(m, getattr(stmt, "name", stmt.lineno))
                for m in LAYERS
                for stmt in ast.parse((SRC / f"{m}.py").read_text()).body
                if _calls(stmt, "build_hamiltonian")}
-    assert callers == {("models", "_pt_real_form")}
+    assert callers == set()
 
 
 def test_only_models_and_bethe_name_a_dense_builder():
@@ -272,10 +276,10 @@ def test_only_models_and_bethe_name_a_dense_builder():
     assert users <= {"models", "bethe"}, users
 
 
-# the ring's symmetry table and the one-block models' real templates (with
-# their coordinate rows) are read through hamiltonian_blocks and
-# block_coordinates alone
-BASIS_TABLES = {"_ring_real_templates", "_pt_real_form"}
+# every model's symmetry table (its real templates, coordinate rows and, on
+# the ring, orbits) is read through hamiltonian_blocks and block_coordinates
+# alone
+BASIS_TABLES = {"_real_templates"}
 
 
 def test_only_models_knows_the_momentum_structure():
@@ -303,8 +307,9 @@ def test_only_models_chooses_the_space_of_a_state():
 # paper-facing API: transcriptions of the paper's formulas that the acceptance
 # criteria and unit tests compare against, kept public by decision
 PAPER_API = {"biorthogonal_overlap", "check_pt_spectrum", "total_sz",
-             "reduce_to_magnon_sector", "effective_spectrum", "eta_factors",
-             "bethe_scattering_state", "scattering_ep", "all_bethe_energies"}
+             "build_hamiltonian", "reduce_to_magnon_sector", "effective_spectrum",
+             "eta_factors", "bethe_scattering_state", "scattering_ep",
+             "all_bethe_energies"}
 
 
 def test_every_public_name_has_a_package_caller():
