@@ -2,15 +2,15 @@
 eigendecomposition with residual verification, biorthogonal inner products,
 and the propagator exp(-i H dt) by scaling and squaring of the degree-13 Pade
 approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005).  One input
-rule (a real matrix stays real) serves the eigendecomposition of one matrix
-(eig, right vectors and residuals) and the eigenvalues of a stack
+rule, _kernel_input (a real matrix stays real), serves the eigendecomposition
+of one matrix (eig, right vectors and residuals), the eigenvalues of a stack
 (eigvals_stack, values-only LAPACK for a sweep chunk, checked by a power-sum
-guard).  A short real stack reaches numpy's own LAPACK dgeev through ctypes,
-which releases the GIL where np.linalg.eigvals keeps it; every other stack
-goes to np.linalg.eigvals, and both give the same bits.  The propagator
-takes one matrix or a stack, with one linear solve, as 2^e u.  Nothing here
-mutates its inputs.  one_blas_thread pins numpy's OpenBLAS to one thread for
-a block.
+guard) and the propagator.  A short real stack reaches numpy's own LAPACK
+dgeev through ctypes, which releases the GIL where np.linalg.eigvals keeps
+it; every other stack goes to np.linalg.eigvals, and both give the same
+bits.  The propagator takes one matrix or a stack, with one linear solve, as
+2^e u.  Nothing here mutates its inputs.  one_blas_thread pins numpy's
+OpenBLAS to one thread for a block.
 """
 
 from __future__ import annotations
@@ -29,25 +29,33 @@ from .errors import DimensionMismatch, NonConvergence
 RESIDUAL_TOL = 1e-9
 
 
-def as_matrix(m) -> np.ndarray:
-    """A square, finite, complex matrix or non-empty (k, d, d) stack."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.size == 0:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
+def _kernel_input(m, ndims: tuple[int, ...], finite: bool = True) -> np.ndarray:
+    """m with an axis count in ndims, the last two equal and >= 1 (else
+    DimensionMismatch), real if m is, so LAPACK's real kernel runs on it, else
+    complex.  With finite, m is also non-empty (else DimensionMismatch) and
+    finite (else ValueError); eigvals_stack, which flags each bad matrix of
+    its stack, asks neither."""
+    a = np.asarray(m)
+    a = a.astype(float if np.isrealobj(a) else complex, copy=False)
+    if (a.ndim not in ndims or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1
+            or finite and a.size == 0):
+        raise DimensionMismatch(f"expected an axis count in {ndims}, the last "
+                                f"two equal, got shape {a.shape}")
+    if finite and not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
 
-def _kernel_input(m, ndim: int) -> np.ndarray:
-    """m with ndim axes, the last two equal and >= 1 (else DimensionMismatch),
-    real if m is, so LAPACK's real kernel runs on it, else complex."""
-    a = np.asarray(m)
-    a = a.astype(float if np.isrealobj(a) else complex, copy=False)
-    if a.ndim != ndim or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
-        raise DimensionMismatch(f"expected {ndim} axes, the last two equal, "
-                                f"got shape {a.shape}")
-    return a
+def _norm(x: np.ndarray, axis) -> np.ndarray:
+    """np.linalg.norm(x, axis=axis), bitwise wherever that is finite; where
+    its squares overflow to inf, m ||x/m|| with m = max|x| over axis, so the
+    norm of a finite x is finite unless it exceeds the largest double.  The
+    caller ignores overflow and invalid values (np.errstate)."""
+    n = np.linalg.norm(x, axis=axis)
+    if np.isinf(n).any():
+        m = np.where(np.isinf(n), np.abs(x).max(axis=axis), 1.0)
+        n = m * np.linalg.norm(x / np.expand_dims(m, axis), axis=axis)
+    return n
 
 
 # numpy (2.4) keeps the GIL through np.linalg.eigvals unless the stack's
@@ -204,50 +212,6 @@ def rotate_phases(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _eig_stack(a: np.ndarray):
-    """Eigendecompositions of a (k, d, d) stack: one np.linalg.eig call.
-
-    Returns (vals, vecs, residuals, ok): vals[n] sorted by (Re, Im);
-    vecs[n][:, i] the unit right eigenvector of vals[n][i], rotated by
-    rotate_phases; residuals[n][i] = ||H v_i - eps_i v_i||;
-    ok[n] False where the matrix is not finite, LAPACK fails on it, or a
-    residual exceeds RESIDUAL_TOL * (1 + ||H||), failing no other matrix.
-
-    The step order fixes the last bits of the printed vectors and residuals:
-    columns are sorted first and normalized as contiguous rows of cols (gemm
-    and the norm depend on column order and layout).
-    """
-    finite = np.isfinite(a).all(axis=(-2, -1))
-    if not finite.all():
-        a = np.where(finite[:, None, None], a, 0)
-    try:
-        vals, vecs = np.linalg.eig(a)
-    except np.linalg.LinAlgError:
-        # error path: retry one matrix at a time so the failure lands on it
-        vals = np.full(a.shape[:-1], np.nan, dtype=complex)
-        vecs = np.full(a.shape, np.nan, dtype=complex)
-        for n in range(len(a)):
-            try:
-                vals[n], vecs[n] = np.linalg.eig(a[n])
-            except np.linalg.LinAlgError:
-                pass
-    rows = np.arange(len(a))[:, None]
-    order = np.lexsort((vals.imag, vals.real), axis=-1)
-    vals = vals[rows, order]
-    cols = vecs.swapaxes(-1, -2)[rows, order]
-    del vecs
-    with np.errstate(invalid="ignore", divide="ignore"):  # failed matrices
-        cols /= np.linalg.norm(cols, axis=-1, keepdims=True)
-        rotate_phases(cols)
-        vecs = cols.swapaxes(-1, -2)
-        hv = a @ vecs
-        hv -= vecs * vals[:, None, :]
-        residuals = np.linalg.norm(hv, axis=-2)
-    scale = 1.0 + np.linalg.norm(a, axis=(-2, -1))
-    ok = finite & (residuals.max(axis=-1) <= RESIDUAL_TOL * scale)
-    return vals, vecs, residuals, ok
-
-
 def eigvals_stack(stack) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of every matrix of a (k, d, d) stack, values only, real
     or complex by _kernel_input.  Returns (vals, ok): vals[n] holds the
@@ -273,7 +237,7 @@ def eigvals_stack(stack) -> tuple[np.ndarray, np.ndarray]:
     on the blocks the figures sweep (d <= 108) vals[n] is bitwise
     eig(stack[n]).eigenvalues; from d = 128 it may differ by roundoff.
     """
-    a = _kernel_input(stack, ndim=3)
+    a = _kernel_input(stack, (3,), finite=False)
     finite = np.isfinite(a).all(axis=(-2, -1))
     if not finite.all():
         a = np.where(finite[:, None, None], a, 0)
@@ -289,10 +253,12 @@ def eigvals_stack(stack) -> tuple[np.ndarray, np.ndarray]:
                 pass
     order = np.lexsort((vals.imag, vals.real), axis=-1)
     vals = np.take_along_axis(vals, order, -1).astype(complex, copy=False)
-    scale = 1.0 + np.linalg.norm(a, axis=(-2, -1))
-    u, lam = a / scale[:, None, None], vals / scale[:, None]
     bound = RESIDUAL_TOL * a.shape[-1]
-    with np.errstate(invalid="ignore"):  # NaN where LAPACK failed
+    # NaN where LAPACK failed, inf where the values of a huge finite matrix
+    # overflow: both fail the guard
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = 1.0 + _norm(a, axis=(-2, -1))
+        u, lam = a / scale[:, None, None], vals / scale[:, None]
         ok = (finite
               & (np.abs(lam.sum(axis=-1) - np.trace(u, axis1=-2, axis2=-1))
                  <= bound)
@@ -303,18 +269,37 @@ def eigvals_stack(stack) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eig(m) -> Spectrum:
-    """_eig_stack of one matrix, real or complex by _kernel_input, as a
-    complex Spectrum; ValueError unless finite, NonConvergence unless ok."""
-    a = _kernel_input(m, ndim=2)
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    vals, vecs, residuals, ok = _eig_stack(a[None])
-    if not ok[0]:
+    """Eigendecomposition of one matrix, real or complex by _kernel_input, as
+    a complex Spectrum, by one np.linalg.eig call: eigenvalues sorted by
+    (Re, Im), right vectors of unit norm rotated by rotate_phases, and
+    residuals ||H v - eps v||.  ValueError unless m is finite;
+    NonConvergence where LAPACK fails or a residual exceeds
+    RESIDUAL_TOL * (1 + ||H||_F).
+
+    The step order fixes the last bits of the printed vectors and residuals:
+    columns are sorted first and normalized as contiguous rows (gemm and the
+    norm depend on column order and layout).
+    """
+    a = _kernel_input(m, (2,))
+    try:
+        vals, vecs = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"LAPACK eigendecomposition failed: {exc}") from exc
+    order = np.lexsort((vals.imag, vals.real))
+    vals, cols = vals[order], vecs.T[order]
+    cols /= np.linalg.norm(cols, axis=-1, keepdims=True)
+    vecs = rotate_phases(cols).T
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN fails
+        hv = a @ vecs
+        hv -= vecs * vals
+        residuals = _norm(hv, axis=0)
+        ok = residuals.max() <= RESIDUAL_TOL * (1.0 + _norm(a, axis=(-2, -1)))
+    if not ok:
         raise NonConvergence(
-            f"eigendecomposition residual {np.max(residuals[0]):.3e} exceeds "
+            f"eigendecomposition residual {residuals.max():.3e} exceeds "
             f"{RESIDUAL_TOL:.0e} * (1 + ||H||)")
-    return Spectrum(vals[0].astype(complex, copy=False),
-                    vecs[0].astype(complex, copy=False), residuals[0])
+    return Spectrum(vals.astype(complex, copy=False),
+                    vecs.astype(complex, copy=False), residuals)
 
 
 def biorthogonal_overlap(left, right) -> complex:
@@ -356,7 +341,7 @@ def scaled_propagator(m, dt: float) -> tuple[np.ndarray, int]:
     overflows whatever the growth e^{max Im(eps) dt}; with s = 0, u is r_13
     itself and e = 0.  NonConvergence when -i m dt is not finite.
     """
-    a = as_matrix(m)
+    a = _kernel_input(m, (2, 3)).astype(complex, copy=False)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         x = -1j * dt * a
         norm = float(np.abs(x).sum(axis=-2).max())

@@ -502,10 +502,11 @@ def block_stack(template: ModelSpec, b: int,
     terms, rows = _templates(template)[0][b]
     d = len(rows[0])
     h = np.zeros((k, d * d))
-    for name, index, values in terms:
-        if name is not None:  # a (k, 1) column, or the template's one value
-            values = cols.get(name, getattr(template, name)) * values
-        h[:, index] += values
+    with np.errstate(over="ignore", invalid="ignore"):  # the kernels flag inf
+        for name, index, values in terms:
+            if name is not None:  # a (k, 1) column, or the template's one value
+                values = cols.get(name, getattr(template, name)) * values
+            h[:, index] += values
     return h.reshape(k, d, d)
 
 

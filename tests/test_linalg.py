@@ -1,6 +1,7 @@
 """Tests for the dense linear-algebra kernel."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -90,6 +91,53 @@ def test_eig_rejects_nonsquare_and_nonfinite():
         linalg.eig(np.ones((2, 3)))
     with pytest.raises(ValueError):
         linalg.eig(np.array([[np.nan, 0], [0, 1]]))
+
+
+def test_eig_names_a_lapack_failure(monkeypatch):
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", failing)
+    with pytest.raises(NonConvergence, match="LAPACK eigendecomposition failed: "
+                       "Eigenvalues did not converge") as info:
+        linalg.eig(np.eye(3))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def _first_value_shifted(vals):
+    """vals with the first eigenvalue of each matrix moved by 1e-3 max|vals|."""
+    vals = vals.astype(complex)
+    vals[..., 0] += 1e-3 * np.abs(vals).max()
+    return vals
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e160, 1e200])
+def test_huge_finite_matrices_keep_both_checks(monkeypatch, scale):
+    # above ~1.3e154 per entry the squares inside np.linalg.norm overflow;
+    # the checks' norms must stay finite, or inf <= inf passes anything
+    a = np.random.default_rng(11).normal(size=(6, 6)) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, ok = linalg.eigvals_stack(a[None])
+        spec = linalg.eig(a)
+    assert ok.all() and np.isfinite(vals).all()
+    assert np.isfinite(spec.residuals).all()
+    assert spec.max_residual() <= linalg.RESIDUAL_TOL * (1 + 6 * np.abs(a).max())
+
+    seam, solver = linalg._eigvals, np.linalg.eig
+
+    def shifted_eig(m):
+        vals, vecs = solver(m)
+        return _first_value_shifted(vals), vecs
+
+    monkeypatch.setattr(linalg, "_eigvals", lambda s: _first_value_shifted(seam(s)))
+    monkeypatch.setattr(np.linalg, "eig", shifted_eig)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, ok = linalg.eigvals_stack(a[None])
+        with pytest.raises(NonConvergence, match="residual"):
+            linalg.eig(a)
+    assert not ok.any() and np.isnan(vals).all()
 
 
 def test_conjugation_closure_for_pt_matrices():
